@@ -55,7 +55,7 @@ from .verify import (
     run_invariant_suite,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Angle",

@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from . import closedform_mixed, closedform_pure, direct, spectral
-from .config import ConfigError, WalkConfig
+from .config import ConfigError, WalkConfig, check_plan
 from .core import Distribution
 from .horner import (
     CharPolyQuad,
@@ -25,7 +25,7 @@ from .horner import (
     f_quartic,
     f_quartic_sequence,
 )
-from .verify import MIXED_COMPARE_METHODS, PURE_METHODS, compare_mixed, compare_pure
+from .verify import compare_mixed, compare_pure
 
 __all__ = [
     "main",
@@ -133,33 +133,10 @@ def _load_config(args) -> WalkConfig:
     if getattr(args, "mode", None):
         overrides["mode"] = args.mode
     if overrides:
-        # Revalidate through the dict path so flag overrides obey the same
-        # constraints as file values.
-        doc_method = list(overrides.get("methods", cfg.methods))
-        cfg = _reconstruct(cfg, overrides, doc_method)
+        # Flag overrides obey the same constraints as file values.
+        cfg = replace(cfg, **overrides)
+        check_plan(cfg.params, cfg.initial, cfg.methods, cfg.mode)
     return cfg
-
-
-def _reconstruct(cfg: WalkConfig, overrides: dict, methods: list[str]) -> WalkConfig:
-    new = replace(
-        cfg,
-        steps=overrides.get("steps", cfg.steps),
-        methods=tuple(methods),
-        mode=overrides.get("mode", cfg.mode),
-    )
-    valid = MIXED_COMPARE_METHODS if new.is_mixed else PURE_METHODS
-    bad = [m for m in new.methods if m not in valid]
-    if bad:
-        kind = "mixed" if new.is_mixed else "pure"
-        raise ConfigError(f"--method: {bad} not valid for a {kind} walk")
-    if new.mode == "exact" and not new.is_mixed:
-        if not new.params.exact_capable or not new.initial_pure.exact:
-            raise ConfigError(
-                "exact mode needs grid angles and exact initial amplitudes"
-            )
-    if new.mode == "exact" and new.is_mixed:
-        raise ConfigError("exact mode applies to pure closed-form walks")
-    return new
 
 
 def cmd_run(args) -> int:

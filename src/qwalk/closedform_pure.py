@@ -27,14 +27,16 @@ equivalent ways: e^{-i phi1} chi^{(t-d)/2} or e^{+i phi2} chi^{(t-d)/2 - 1}
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
 only), ``adaptive`` (mpmath, precision sized from the largest trinomial
 plus guard bits), ``double`` (floats; cancellation-prone at large t by
-design, so the failure stays demonstrable).
+design, so the failure stays demonstrable). All three run the same family
+loop; a mode only supplies the scalars and the summation rule.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import mpmath
 
@@ -42,8 +44,8 @@ from .arithmetic import (
     Angle,
     SqrtTwo,
     SqrtTwoComplex,
-    guard_bits,
     neumaier_sum,
+    precision_for,
 )
 from .core import CoinParams, Distribution, PureState
 
@@ -147,79 +149,30 @@ def coefficient_bits(t: int) -> int:
     return worst.bit_length()
 
 
-def _collect_terms(x: int, t: int, init: PureState):
-    """Group admissible terms per (family, source site): the h-sum inside a
-    group is real, so each group costs one complex multiply."""
-    groups = []
-    for xp in init.support:
-        d = x - xp
-        if abs(d) > t or (t - d) % 2:
-            continue
-        for name, fam in FAMILIES.items():
-            terms = [
-                (term_coefficient(t, name, d, ti.h), ti.h + fam.cos_plus)
-                for ti in admissible_terms(x, t, xp, name)
-            ]
-            if terms:
-                groups.append((name, fam, xp, (t - d) // 2, terms))
-    return groups
+@dataclass(frozen=True)
+class _Scalars:
+    """Every factor of the family loop in one arithmetic mode's number type."""
+
+    cos_pows: list   # cos^0(theta) .. cos^(t+1)(theta)
+    sin: object
+    chi: object
+    chi_inv: object
+    ephi1: object
+    cross: object    # beta <- alpha phase, times chi^(e + cross_shift)
+    cross_shift: int
+    lift: Callable   # source amplitude (or 0) -> the mode's complex type
+    total: Callable  # summation rule for the real h-sum of one term group
+
+    def chi_pow(self, e: int):
+        return self.chi**e if e >= 0 else self.chi_inv ** (-e)
 
 
-def _check_args(t: int, mode: str, beta_cross_phase: str) -> None:
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if beta_cross_phase not in BETA_CROSS_PHASES:
-        raise ValueError(f"unknown beta_cross_phase {beta_cross_phase!r}")
+def _to_ring(value) -> SqrtTwoComplex:
+    return SqrtTwoComplex.zero() + value
 
 
-def _exact_context(params: CoinParams, t: int, beta_cross_phase: str):
-    if not params.exact_capable:
-        raise ValueError("exact mode needs coin angles on the eighth-turn grid")
-    cos = params.theta.cos_exact()
-    sin = params.theta.sin_exact()
-    cos_pows = [SqrtTwo(1)]
-    for _ in range(t + 1):
-        cos_pows.append(cos_pows[-1] * cos)
-    chi = params.chi_exact()
-    chi_conj = chi.conjugate()
-    ephi1 = params.phi1.exp_i_exact()
-    if beta_cross_phase == "phi1":
-        cross, cross_shift = ephi1.conjugate(), 0
-    else:
-        cross, cross_shift = params.phi2.exp_i_exact(), -1
-
-    def chi_pow(e: int) -> SqrtTwoComplex:
-        return chi**e if e >= 0 else chi_conj ** (-e)
-
-    return cos_pows, SqrtTwoComplex(sin), chi_pow, ephi1, cross, cross_shift
-
-
-def _amplitude_exact(x, t, init, params, beta_cross_phase):
-    cos_pows, sin_c, chi_pow, ephi1, cross, cross_shift = _exact_context(
-        params, t, beta_cross_phase
-    )
-    out = {
-        "alpha": SqrtTwoComplex.zero(),
-        "beta": SqrtTwoComplex.zero(),
-    }
-    for _name, fam, xp, e, terms in _collect_terms(x, t, init):
-        inner = SqrtTwo()
-        for coeff, cexp in terms:
-            inner = inner + coeff * cos_pows[cexp]
-        src = init.amplitudes[xp][0 if fam.source == "alpha" else 1]
-        factor = src
-        if fam.use_sin:
-            factor = factor * sin_c
-        if fam.phase == "phi1":
-            factor = factor * ephi1 * chi_pow(e)
-        elif fam.phase == "cross":
-            factor = factor * cross * chi_pow(e + cross_shift)
-        else:
-            factor = factor * chi_pow(e)
-        out[fam.target] = out[fam.target] + factor * SqrtTwoComplex(inner)
-    return out["alpha"], out["beta"]
+def _expj(angle: Angle) -> complex:
+    return complex(math.cos(angle.radians), math.sin(angle.radians))
 
 
 def _mp_expj(angle: Angle):
@@ -229,77 +182,99 @@ def _mp_expj(angle: Angle):
     return value
 
 
-def _amplitude_adaptive(x, t, init, params, beta_cross_phase):
-    prec = coefficient_bits(t) + guard_bits()
-    with mpmath.workprec(max(prec, 53)):
+def _scalars(params: CoinParams, t: int, mode: str, beta_cross_phase: str) -> _Scalars:
+    """The scalar bundle of one mode; adaptive values are made at the
+    current mpmath working precision."""
+    if mode == "exact":
+        if not params.exact_capable:
+            raise ValueError("exact mode needs coin angles on the eighth-turn grid")
+        one, cos, sin = SqrtTwo(1), params.theta.cos_exact(), params.theta.sin_exact()
+        chi = params.chi_exact()
+        ephi1, ephi2 = params.phi1.exp_i_exact(), params.phi2.exp_i_exact()
+        lift, total = _to_ring, sum
+    elif mode == "adaptive":
         th = params.theta.mp_radians()
-        cos, sin = mpmath.cos(th), mpmath.sin(th)
-        cos_pows = [mpmath.mpf(1)]
-        for _ in range(t + 1):
-            cos_pows.append(cos_pows[-1] * cos)
-        chi = _mp_expj(params.phi1) * _mp_expj(params.phi2)
-        ephi1 = _mp_expj(params.phi1)
-        if beta_cross_phase == "phi1":
-            cross, cross_shift = mpmath.conj(ephi1), 0
-        else:
-            cross, cross_shift = _mp_expj(params.phi2), -1
-        alpha = mpmath.mpc(0)
-        beta = mpmath.mpc(0)
-        for _name, fam, xp, e, terms in _collect_terms(x, t, init):
-            inner = mpmath.mpf(0)
-            for coeff, cexp in terms:
-                inner += coeff * cos_pows[cexp]
-            src = mpmath.mpc(init.amplitudes[xp][0 if fam.source == "alpha" else 1])
-            factor = src
-            if fam.use_sin:
-                factor = factor * sin
-            if fam.phase == "phi1":
-                factor = factor * ephi1 * chi**e
-            elif fam.phase == "cross":
-                factor = factor * cross * chi ** (e + cross_shift)
-            else:
-                factor = factor * chi**e
-            value = factor * inner
-            if fam.target == "alpha":
-                alpha += value
-            else:
-                beta += value
-        return complex(alpha), complex(beta)
-
-
-def _amplitude_double(x, t, init, params, beta_cross_phase):
-    th = params.theta.radians
-    cos, sin = math.cos(th), math.sin(th)
-    cos_pows = [1.0]
+        one, cos, sin = mpmath.mpf(1), mpmath.cos(th), mpmath.sin(th)
+        ephi1, ephi2 = _mp_expj(params.phi1), _mp_expj(params.phi2)
+        chi = ephi1 * ephi2
+        lift, total = mpmath.mpc, sum
+    else:
+        th = params.theta.radians
+        one, cos, sin = 1.0, math.cos(th), math.sin(th)
+        chi, ephi1, ephi2 = params.chi, _expj(params.phi1), _expj(params.phi2)
+        lift, total = complex, neumaier_sum
+    cos_pows = [one]
     for _ in range(t + 1):
         cos_pows.append(cos_pows[-1] * cos)
-    chi = params.chi
-    ephi1 = complex(math.cos(params.phi1.radians), math.sin(params.phi1.radians))
     if beta_cross_phase == "phi1":
         cross, cross_shift = ephi1.conjugate(), 0
     else:
-        ephi2 = complex(math.cos(params.phi2.radians), math.sin(params.phi2.radians))
         cross, cross_shift = ephi2, -1
-    alpha = 0j
-    beta = 0j
-    for _name, fam, xp, e, terms in _collect_terms(x, t, init):
-        inner = neumaier_sum(coeff * cos_pows[cexp] for coeff, cexp in terms)
-        src = init.amplitudes[xp][0 if fam.source == "alpha" else 1]
-        factor = complex(src)
-        if fam.use_sin:
-            factor *= sin
-        if fam.phase == "phi1":
-            factor *= ephi1 * chi**e
-        elif fam.phase == "cross":
-            factor *= cross * chi ** (e + cross_shift)
-        else:
-            factor *= chi**e
-        value = factor * inner
-        if fam.target == "alpha":
-            alpha += value
-        else:
-            beta += value
-    return alpha, beta
+    return _Scalars(
+        cos_pows, sin, chi, chi.conjugate(), ephi1, cross, cross_shift, lift, total
+    )
+
+
+def _family_loop(x: int, t: int, init: PureState, s: _Scalars):
+    """(alpha_x(t), beta_x(t)) in the bundle's number type. The admissible
+    terms of one (source site, family) group share every factor but the
+    real h-sum, so each group costs one complex multiply."""
+    out = {"alpha": s.lift(0), "beta": s.lift(0)}
+    for xp in init.support:
+        d = x - xp
+        if abs(d) > t or (t - d) % 2:
+            continue
+        e = (t - d) // 2
+        alpha_src, beta_src = init.amplitudes[xp]
+        src = {"alpha": s.lift(alpha_src), "beta": s.lift(beta_src)}
+        chi_e = s.chi_pow(e)
+        phase = {
+            "none": chi_e,
+            "phi1": s.ephi1 * chi_e,
+            "cross": s.cross * s.chi_pow(e + s.cross_shift),
+        }
+        for name, fam in FAMILIES.items():
+            terms = [
+                term_coefficient(t, name, d, ti.h) * s.cos_pows[ti.h + fam.cos_plus]
+                for ti in admissible_terms(x, t, xp, name)
+            ]
+            if not terms:
+                continue
+            factor = src[fam.source] * phase[fam.phase]
+            if fam.use_sin:
+                factor = factor * s.sin
+            out[fam.target] = out[fam.target] + factor * s.total(terms)
+    return out["alpha"], out["beta"]
+
+
+def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str,
+                beta_cross_phase: str) -> list:
+    """Amplitude pairs at the sites xs: ring elements in exact mode,
+    complex otherwise. The bundle and the working precision are set up
+    once for all sites."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if beta_cross_phase not in BETA_CROSS_PHASES:
+        raise ValueError(f"unknown beta_cross_phase {beta_cross_phase!r}")
+    if mode == "exact":
+        if not init.exact:
+            raise ValueError("exact mode needs ring-valued initial amplitudes")
+    else:
+        init = init.to_float()
+    if t == 0:
+        return [init.amplitude(x) for x in xs]
+    if mode == "adaptive":
+        precision = mpmath.workprec(precision_for(coefficient_bits(t)))
+    else:
+        precision = nullcontext()
+    with precision:
+        s = _scalars(params, t, mode, beta_cross_phase)
+        pairs = [_family_loop(x, t, init, s) for x in xs]
+    if mode != "adaptive":
+        return pairs
+    return [(complex(a), complex(b)) for a, b in pairs]
 
 
 def amplitude(
@@ -315,19 +290,8 @@ def amplitude(
     Returns ring elements in exact mode, complex otherwise. Positions
     outside the light cone give exact zeros.
     """
-    _check_args(t, mode, beta_cross_phase)
-    if mode == "exact":
-        if not init.exact:
-            raise ValueError("exact mode needs ring-valued initial amplitudes")
-        if t == 0:
-            return init.amplitude(x)
-        return _amplitude_exact(x, t, init, params, beta_cross_phase)
-    init = init.to_float()
-    if t == 0:
-        return init.amplitude(x)
-    if mode == "adaptive":
-        return _amplitude_adaptive(x, t, init, params, beta_cross_phase)
-    return _amplitude_double(x, t, init, params, beta_cross_phase)
+    (pair,) = _amplitudes((x,), t, init, params, mode, beta_cross_phase)
+    return pair
 
 
 def distribution(
@@ -339,18 +303,12 @@ def distribution(
 ) -> Distribution:
     """Closed-form distribution on the full light-cone span of the initial
     support, parity-forbidden sites included as exact zeros."""
-    _check_args(t, mode, beta_cross_phase)
     lo, hi = init.span
     grid = range(lo - t, hi + t + 1)
+    pairs = zip(grid, _amplitudes(grid, t, init, params, mode, beta_cross_phase))
     if mode == "exact":
-        exact: dict[int, SqrtTwo] = {}
-        for x in grid:
-            a, b = amplitude(x, t, init, params, "exact", beta_cross_phase)
-            exact[x] = a.abs_sq() + b.abs_sq()
+        exact = {x: a.abs_sq() + b.abs_sq() for x, (a, b) in pairs}
         probs = {x: float(v) for x, v in exact.items()}
         return Distribution(probs, t=t, method="closed-form", mode="exact", exact=exact)
-    probs = {}
-    for x in grid:
-        a, b = amplitude(x, t, init, params, mode, beta_cross_phase)
-        probs[x] = abs(a) ** 2 + abs(b) ** 2
+    probs = {x: abs(a) ** 2 + abs(b) ** 2 for x, (a, b) in pairs}
     return Distribution(probs, t=t, method="closed-form", mode=mode)

@@ -24,7 +24,7 @@ from .closedform_pure import BETA_CROSS_PHASES, MODES
 from .core import CoinParams, MixedLocalizedState, PureState, validate_state
 from .verify import MIXED_COMPARE_METHODS, PURE_METHODS, Tolerances
 
-__all__ = ["ConfigError", "WalkConfig", "parse_amplitude_component"]
+__all__ = ["ConfigError", "WalkConfig", "check_plan", "parse_amplitude_component"]
 
 
 class ConfigError(ValueError):
@@ -200,6 +200,39 @@ def _parse_tolerances(spec, where: str) -> Tolerances:
     return Tolerances(**kwargs)
 
 
+def check_plan(params: CoinParams, initial, methods, mode: str) -> None:
+    """Reject methods and a mode that the coin and the initial state do not
+    support. Config files and command-line overrides both pass through here."""
+    mixed = isinstance(initial, MixedLocalizedState)
+    valid = MIXED_COMPARE_METHODS if mixed else PURE_METHODS
+    bad = [m for m in methods if m not in valid]
+    if bad:
+        raise ConfigError(
+            f"method: {bad} not valid for a {'mixed' if mixed else 'pure'} walk "
+            f"(choose from {list(valid)})"
+        )
+    closed = [m for m in methods if m in MIXED_METHODS]
+    if mixed and closed and params != CoinParams.hadamard():
+        raise ConfigError(
+            f"method: the mixed closed forms {closed} hold for the Hadamard coin "
+            'only; write theta = "1/4 pi" and phi1 = phi2 = 0, or use method direct'
+        )
+    if mode != "exact":
+        return
+    if mixed:
+        raise ConfigError("mode: exact mode applies to pure closed-form walks")
+    if not params.exact_capable:
+        raise ConfigError(
+            "mode: exact mode needs all coin angles on the eighth-turn grid "
+            "(write them as 'p/q pi' strings)"
+        )
+    if not initial.exact:
+        raise ConfigError(
+            "mode: exact mode needs exact initial amplitudes "
+            "(write them as 'p/q' or 'p/q sqrt2' strings)"
+        )
+
+
 @dataclass(frozen=True)
 class WalkConfig:
     """A fully validated walk description."""
@@ -270,33 +303,10 @@ class WalkConfig:
             raise ConfigError("config.method: expected a name or list of names")
         if not methods:
             raise ConfigError("config.method: no method named")
-        valid = MIXED_COMPARE_METHODS if mixed is not None else PURE_METHODS
-        bad = [m for m in methods if m not in valid]
-        if bad:
-            kind = "mixed" if mixed is not None else "pure"
-            raise ConfigError(
-                f"config.method: {bad} not valid for a {kind} initial state "
-                f"(choose from {list(valid)})"
-            )
-
         mode = doc.get("mode", "adaptive")
         if mode not in MODES:
             raise ConfigError(f"config.mode: expected one of {list(MODES)}")
-        if mode == "exact":
-            if mixed is not None:
-                raise ConfigError(
-                    "config.mode: exact mode applies to pure closed-form walks"
-                )
-            if not params.exact_capable:
-                raise ConfigError(
-                    "config.mode: exact mode needs all coin angles on the "
-                    "eighth-turn grid (write them as 'p/q pi' strings)"
-                )
-            if not pure.exact:
-                raise ConfigError(
-                    "config.mode: exact mode needs exact initial amplitudes "
-                    "(write them as 'p/q' or 'p/q sqrt2' strings)"
-                )
+        check_plan(params, mixed if mixed is not None else pure, methods, mode)
 
         beta_cross_phase = doc.get("beta_cross_phase", "phi1")
         if beta_cross_phase not in BETA_CROSS_PHASES:

@@ -84,13 +84,13 @@ def forward(state: PureState, n: int) -> MomentumField:
 
 
 def propagate(
-    field: MomentumField, params: CoinParams, t: int, power: str = "repeated"
+    field: MomentumField, params: CoinParams, t: int, power: str = "horner"
 ) -> MomentumField:
     """Advance every mode by t steps.
 
-    power="repeated" multiplies the one-step matrix t times; "horner" uses
-    the quadratic characteristic identity. Both must agree to float
-    tolerance; tests enforce it.
+    power="horner" uses the quadratic characteristic identity
+    u^t = f_t I + f_{t-1} (u - c0 I); "repeated" multiplies the one-step
+    matrix t times and is kept as the reference the tests hold it to.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -130,7 +130,7 @@ def inverse(field: MomentumField, lo: int | None = None, hi: int | None = None) 
 
 def evolve_spectral(
     init: PureState, params: CoinParams, t: int, n: int | None = None,
-    power: str = "repeated",
+    power: str = "horner",
 ) -> PureState:
     """Full pipeline, returning amplitudes on the light-cone window."""
     lo, hi = init.span
@@ -142,7 +142,7 @@ def evolve_spectral(
 
 def simulate(
     init: PureState, params: CoinParams, t: int, n: int | None = None,
-    power: str = "repeated",
+    power: str = "horner",
 ) -> Distribution:
     state = evolve_spectral(init, params, t, n=n, power=power)
     probs = {

@@ -117,6 +117,19 @@ class TestRun:
         rows = parse_distribution_csv((tmp_path / "mx.csv").read_text())
         assert sum(p for _, p in rows) == pytest.approx(1.0)
 
+    def test_mixed_closed_form_rejects_other_coins(self, tmp_path, capsys):
+        # the mixed closed forms hold for the Hadamard coin only; without
+        # the check this run wrote the Hadamard distribution with exit 0
+        doc = mixed_doc(
+            [0.5, 0, 0, 0.5], coin={"theta": "1/3 pi"}, steps=6, method="direct"
+        )
+        cfg = write_config(tmp_path, "mixed.json", doc)
+        out = str(tmp_path / "mx")
+        assert main(["run", "--config", cfg, "--method", "consistent", "--out", out]) == 2
+        assert '"1/4 pi"' in capsys.readouterr().err
+        assert not (tmp_path / "mx.csv").exists()
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+
 
 class TestCompare:
     def test_agreement_exits_zero(self, tmp_path, capsys):

@@ -106,6 +106,23 @@ class TestAgainstDirect:
             # both sides are ring elements; compare exactly
             assert got.exact_value(x) == ref.exact_value(x)
 
+    def test_exact_mode_eighth_turn_coins(self, plus_i):
+        # every eighth-turn coin keeps the walk in the ring, so under both
+        # cross-phase spellings the closed form must equal the exact oracle
+        t = 6
+        quarter = ("0 pi", "1/4 pi", "1/2 pi", "5/4 pi")
+        for theta in ("1/4 pi", "3/4 pi"):
+            for phi1 in quarter:
+                for phi2 in quarter:
+                    params = CoinParams.make(theta, phi1, phi2)
+                    ref = distribution_of(evolve_pure(plus_i, params, t), t)
+                    for spelling in BETA_CROSS_PHASES:
+                        got = distribution(t, plus_i, params, "exact", spelling)
+                        for x in ref.positions:
+                            assert got.exact_value(x) == ref.exact_value(x), (
+                                params, spelling, x
+                            )
+
     def test_double_mode_small_t(self):
         rng = random.Random(9)
         for _ in range(10):
@@ -147,6 +164,20 @@ class TestStructure:
         d1 = distribution(6, init, params, beta_cross_phase="phi1")
         d2 = distribution(6, init, params, beta_cross_phase="phi2")
         assert max_pointwise_difference(d1, d2) < 1e-12
+
+    def test_distribution_matches_amplitudes(self, plus_i):
+        # distribution evaluates all sites at once; site by site it must
+        # give |amplitude|^2 in every mode, ring-equal in exact mode
+        params = CoinParams.make("3/4 pi", "1/4 pi", "1/2 pi")
+        for mode in MODES:
+            init = plus_i if mode == "exact" else plus_i.to_float()
+            dist = distribution(7, init, params, mode, "phi2")
+            for x in dist.positions:
+                a, b = amplitude(x, 7, init, params, mode, "phi2")
+                if mode == "exact":
+                    assert dist.exact_value(x) == a.abs_sq() + b.abs_sq()
+                else:
+                    assert dist[x] == abs(a) ** 2 + abs(b) ** 2
 
     def test_bad_mode_and_phase_rejected(self, hadamard, plus_i):
         with pytest.raises(ValueError, match="unknown mode"):

@@ -203,6 +203,17 @@ class TestMethodAndMode:
         cfg = WalkConfig.from_dict(doc)
         assert len(cfg.methods) == 4
 
+    def test_mixed_closed_forms_need_hadamard_coin(self):
+        doc = base_doc(
+            coin={"theta": "1/4 pi", "phi1": "1/2 pi"},
+            initial={"mixed": {"pauli": [0.5, 0, 0, 0]}},
+            method="direct,consistent",
+        )
+        with pytest.raises(ConfigError, match="Hadamard coin only"):
+            WalkConfig.from_dict(doc)
+        cfg = WalkConfig.from_dict(dict(doc, method="direct"))
+        assert cfg.methods == ("direct",)
+
     def test_default_method_is_direct(self):
         assert WalkConfig.from_dict(base_doc()).methods == ("direct",)
 
