@@ -20,23 +20,30 @@ and r2 there and merges (r2 + r3) on the second-order mixed kernel; it is
 kept so the discrepancy it produces can be measured. The direct
 density-matrix oracle adjudicates: ``consistent`` matches it.
 
-The momentum integrals reduce, through binomial expansions of the cosine
-powers, to integer Kronecker-delta selections; every vanishing claim is
+Each f_{t-j} is an integer polynomial in X = cos(delta) and Y = cos(sigma):
+one run of the quartic recurrence (horner.f_quartic_sequence over a small
+bivariate polynomial type, with c0 = c2 = X - Y, c1 = 2XY, c3 = -1) gives
+f_{t-3} .. f_t. Against the Fourier factors of an integral identity, a
+monomial X^A1 Y^A2 selects one binomial in A1 that depends on the site y
+and one in A2 that does not. The A2 binomials are summed once per A1, so
+each site costs one O(t) sum per (Horner order, identity entry) and a whole
+table O(t^2) after the O(t^3) recurrence. Every vanishing claim is
 recomputed here rather than assumed (the sin(delta) sin(sigma) brackets do
-cancel pairwise and the machinery asserts that the net imaginary part is
-exactly zero). All weights are exact rationals; floats appear only in the
-final per-position dot product with (r0, r1, r2, r3).
+cancel pairwise and the machinery asserts, site by site, that the net
+imaginary part is exactly zero). All weights are exact rationals; floats
+appear only in the final per-position dot product with (r0, r1, r2, r3).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Distribution, MixedLocalizedState
-from .horner import quartic_partitions
+from .horner import CharPolyQuartic, f_quartic_sequence
 
 __all__ = [
     "half_binom",
@@ -185,29 +192,117 @@ def trace_series(mode: str, k: float, kp: float, r) -> list[complex]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _base_weights(m: int) -> tuple[tuple[int, int, int], ...]:
-    """Aggregated expansion of the quartic f_m coefficient products.
+def _add_rows(r: list[int], s: list[int]) -> list[int]:
+    if len(r) < len(s):
+        r, s = s, r
+    return list(map(operator.add, r, s)) + r[len(s):]
 
-    f_m's partition sum expands, through binomials of c0^h0 c1^h1 c2^h2
-    c3^h3, into signed integer weights on monomials
-    cos^A1(delta) cos^A2(sigma). Returns tuples (A1, A2, weight); the
-    1/2^{A1+A2} from later cosine-power expansion is NOT included here.
+
+class _Poly2:
+    """Integer polynomial in X = cos(delta) and Y = cos(sigma): rows[A1][A2]
+    is the coefficient of X^A1 Y^A2.
+
+    It carries just the arithmetic the scalar-generic Horner routines use:
+    sums, and products. A product shifts and scales the longer factor's grid
+    once per nonzero term of the shorter one, so multiplying by a fixed
+    quartic coefficient is a shift-and-add. Rows are never mutated, so
+    results may share them.
     """
-    acc: dict[tuple[int, int], int] = {}
-    for h0, h1, h2, h3 in quartic_partitions(m):
-        mult = math.comb(h0 + h1, h0) * math.comb(h0 + h1 + h2, h2)
-        mult = mult * math.comb(h0 + h1 + h2 + h3, h3)
-        base = mult * (2**h1) * (-1) ** h3
-        for s0 in range(h0 + 1):
-            c_s0 = math.comb(h0, s0) * (-1) ** (h0 - s0)
-            for s2 in range(h2 + 1):
-                weight = base * c_s0 * math.comb(h2, s2) * (-1) ** (h2 - s2)
-                a1 = s0 + h1 + s2
-                a2 = h0 + h1 + h2 - s0 - s2
-                key = (a1, a2)
-                acc[key] = acc.get(key, 0) + weight
-    return tuple((a1, a2, w) for (a1, a2), w in sorted(acc.items()))
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+
+    @staticmethod
+    def lift(value) -> _Poly2:
+        """An integer as a constant polynomial; polynomials pass through."""
+        return value if isinstance(value, _Poly2) else _Poly2([[value]])
+
+    @property
+    def terms(self) -> dict[tuple[int, int], int]:
+        """{(A1, A2): coefficient} over the nonzero coefficients."""
+        return {
+            (a1, a2): c
+            for a1, row in enumerate(self.rows)
+            for a2, c in enumerate(row)
+            if c
+        }
+
+    def __add__(self, other) -> _Poly2:
+        a, b = self.rows, _Poly2.lift(other).rows
+        if len(a) < len(b):
+            a, b = b, a
+        return _Poly2(list(map(_add_rows, a, b)) + a[len(b):])
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> _Poly2:
+        short, long = sorted((self.rows, _Poly2.lift(other).rows), key=len)
+        total = _Poly2([])
+        for i, short_row in enumerate(short):
+            for j, c in enumerate(short_row):
+                if c:
+                    pad = [0] * j
+                    total += _Poly2(
+                        [[]] * i + [pad + [c * v for v in row] for row in long]
+                    )
+        return total
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return self.terms == _Poly2.lift(other).terms
+
+    def __repr__(self) -> str:
+        return f"_Poly2({self.terms!r})"
+
+
+# Hadamard pair superoperator coefficients (horner.quartic_coeffs) in X, Y.
+_QUARTIC = CharPolyQuartic(
+    c0=_Poly2([[0, -1], [1]]),
+    c1=_Poly2([[], [0, 2]]),
+    c2=_Poly2([[0, -1], [1]]),
+    c3=-1,
+)
+
+
+def _f_window(t: int) -> tuple[_Poly2, ...]:
+    """(f_t, f_{t-1}, f_{t-2}, f_{t-3}) as polynomials in X, Y, by one run
+    of the quartic recurrence; orders below f_0 are left out."""
+    seq = f_quartic_sequence(_QUARTIC, t)
+    return tuple(_Poly2.lift(seq[t - j]) for j in range(min(t, 3) + 1))
+
+
+@lru_cache(maxsize=None)
+def _a1_sums(t: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The sigma factor of every identity entry, summed once per A1.
+
+    With f_{t-j} = sum w X^A1 Y^A2, entry [j][s][A1] is the sum over A2 of
+    w 2^(t-A1-A2) half_binom(A2, A2 + s), for s = 0 and 1. The factor
+    2^(t-A1-A2) puts every order over the common denominator 2^t.
+    half_binom(A2, A2 + s) is even in s, so s = -1 reads row 1.
+    """
+    out = []
+    for j, f in enumerate(_f_window(t)):
+        rows = ([0] * (t - j + 1), [0] * (t - j + 1))
+        for (a1, a2), w in f.terms.items():
+            scaled = w << (t - a1 - a2)
+            for s in (0, 1):
+                c2 = half_binom(a2, a2 + s)
+                if c2:
+                    rows[s][a1] += scaled * c2
+        out.append((tuple(rows[0]), tuple(rows[1])))
+    return tuple(out)
+
+
+def _site_sum(row: tuple[int, ...], y: int) -> int:
+    """sum over A1 of half_binom(A1, A1 - y) row[A1]: the delta integral
+    of cos^A1(delta) against site y, over the A1 that reach it."""
+    return sum(
+        math.comb(a1, (a1 - y) // 2) * row[a1]
+        for a1 in range(abs(y), len(row), 2)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -221,41 +316,42 @@ def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    terms = trace_kernels(mode)
-    bases = {}
-    for term in terms:
-        m = t - term.j
-        if m >= 0 and m not in bases:
-            bases[m] = _base_weights(m)
-    # Common denominator 2^{t+2}: each contribution carries 2^{-(A1+A2)}
-    # from the cosine expansions and at most 1/4 from the identity.
+    sums = _a1_sums(t)
+    # An identity entry (a, b) selects A1 - y + (a-b)/2 through the delta
+    # integral and A2 + (a+b)/2 through the sigma one. Fold every
+    # (kernel term, entry) pair into integer factors on the site sum of its
+    # (j, |a+b|/2, (a-b)/2), split into the real part and the imaginary
+    # residue.
+    groups: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
+    for term in trace_kernels(mode):
+        if term.j > t:
+            continue
+        kern_imag, entries = _IDENTITIES[term.kernel]
+        for a, b, frac in entries:
+            real, imag = groups.setdefault(
+                (term.j, abs(a + b) // 2, (a - b) // 2), ([0] * 4, [0] * 4)
+            )
+            # frac has denominator 1, 2 or 4; the common denominator is
+            # 2^{t+2}.
+            piece = term.coeff * int(frac * 4)
+            if term.imag == kern_imag:
+                real[term.r_index] += piece
+            elif term.imag:
+                imag[term.r_index] += piece
+            else:
+                imag[term.r_index] -= piece
     shift = t + 2
     table: dict[int, tuple[Fraction, ...]] = {}
     for y in range(-t, t + 1):
         real_acc = [0, 0, 0, 0]
         imag_acc = [0, 0, 0, 0]
-        for term in terms:
-            m = t - term.j
-            if m < 0:
+        for (j, s, d), (real, imag) in groups.items():
+            total = _site_sum(sums[j][s], y - d)
+            if not total:
                 continue
-            kern_imag, entries = _IDENTITIES[term.kernel]
-            for a1, a2, w in bases[m]:
-                scale = w * term.coeff * (1 << (t - a1 - a2))
-                for a, b, frac in entries:
-                    c1 = half_binom(a1, a1 - y + (a - b) // 2)
-                    if not c1:
-                        continue
-                    c2 = half_binom(a2, a2 + (a + b) // 2)
-                    if not c2:
-                        continue
-                    # frac has denominator 1, 2 or 4; scale carries 2^2.
-                    piece = scale * int(frac * 4) * c1 * c2
-                    if term.imag == kern_imag:
-                        real_acc[term.r_index] += piece
-                    elif term.imag:
-                        imag_acc[term.r_index] += piece
-                    else:
-                        imag_acc[term.r_index] -= piece
+            for i in range(4):
+                real_acc[i] += real[i] * total
+                imag_acc[i] += imag[i] * total
         if any(imag_acc):
             raise AssertionError(
                 f"nonvanishing imaginary trace residue at t={t}, y={y}: {imag_acc}"
@@ -267,38 +363,42 @@ def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
 @lru_cache(maxsize=None)
 def literal_weights(t: int) -> dict[int, tuple[Fraction, ...]]:
     """Exact weight vectors of the compact closed form (the "literal"
-    distribution formula, with the mixed-kernel groups it drops)."""
+    distribution formula, with the mixed-kernel groups it drops).
+
+    With a0 = w / 2^(A1+A2) for each monomial of f_{t-j}, the formula sums
+
+        j=0:  w0 += 2 a0 C1(A1, y) C2(A2, 0)
+        j=1:  w0 += 2 a0 C1(A1, y) C2(A2, 1)
+              w2 += a0 y/(A1+1) C1(A1+1, y) C2(A2, 0)
+        j=2:  w0 -= a0 C1(A1+1, y) C2(A2, 1)
+        j=3:  w0 -= a0 C1(A1+1, y) C2(A2, 0)
+              w3 += a0 y/(A1+1) C1(A1+1, y) C2(A2, 0)
+
+    where C1(n, y) = half_binom(n, n - y) and C2(n, s) = half_binom(n, n - s).
+    Pascal's rule gives C1(A1+1, y) = C1(A1, y-1) + C1(A1, y+1) and
+    y/(A1+1) C1(A1+1, y) = C1(A1, y-1) - C1(A1, y+1), so every line is a
+    site sum of one _a1_sums row, over the common denominator 2^t.
+    """
     if t < 0:
         raise ValueError("t must be non-negative")
-    bases = {m: _base_weights(m) for m in range(max(t - 3, 0), t + 1)}
+    rows = list(_a1_sums(t))
+    rows += [((), ())] * (4 - len(rows))
+    # fj: f_{t-j} against C2(A2, 0); fj_s1: against C2(A2, 1)
+    (f0, _), (f1, f1_s1), (_, f2_s1), (f3, _) = rows
     table: dict[int, tuple[Fraction, ...]] = {}
     for y in range(-t, t + 1):
-        w0 = Fraction(0)
-        w2 = Fraction(0)
-        w3 = Fraction(0)
-        for j in range(4):
-            m = t - j
-            if m < 0:
-                continue
-            for a1, a2, w in bases[m]:
-                a0 = Fraction(w, 1 << (a1 + a2))
-                if j == 0:
-                    w0 += a0 * 2 * half_binom(a1, a1 - y) * half_binom(a2, a2)
-                elif j == 1:
-                    w0 += a0 * 2 * half_binom(a1, a1 - y) * half_binom(a2, a2 - 1)
-                    w2 += (
-                        a0
-                        * Fraction(y, a1 + 1)
-                        * half_binom(a1 + 1, a1 - y + 1)
-                        * half_binom(a2, a2)
-                    )
-                elif j == 2:
-                    w0 -= a0 * half_binom(a1 + 1, a1 - y + 1) * half_binom(a2, a2 - 1)
-                else:
-                    hb5 = half_binom(a1 + 1, a1 - y + 1) * half_binom(a2, a2)
-                    w0 -= a0 * hb5
-                    w3 += a0 * Fraction(y, a1 + 1) * hb5
-        table[y] = (w0, Fraction(0), w2, w3)
+        f3_left, f3_right = _site_sum(f3, y - 1), _site_sum(f3, y + 1)
+        n0 = (
+            2 * _site_sum(f0, y)
+            + 2 * _site_sum(f1_s1, y)
+            - _site_sum(f2_s1, y - 1)
+            - _site_sum(f2_s1, y + 1)
+            - f3_left
+            - f3_right
+        )
+        n2 = _site_sum(f1, y - 1) - _site_sum(f1, y + 1)
+        n3 = f3_left - f3_right
+        table[y] = tuple(Fraction(n, 1 << t) for n in (n0, 0, n2, n3))
     return table
 
 

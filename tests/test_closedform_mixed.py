@@ -1,13 +1,21 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_bloch
+from qwalk import closedform_mixed
 from qwalk.closedform_mixed import (
+    _QUARTIC,
+    _Poly2,
+    _f_window,
+    KernelTerm,
     KERNELS,
     MIXED_METHODS,
     distribution_mixed,
@@ -28,7 +36,9 @@ from qwalk.core import (
     max_pointwise_difference,
 )
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure
-from qwalk.horner import f_quartic_sequence, quartic_coeffs, superop
+from qwalk.horner import f_quartic, f_quartic_sequence, quartic_coeffs, superop
+
+DIGESTS = Path(__file__).parent / "data" / "mixed_table_digests.json"
 
 
 class TestHalfBinom:
@@ -217,6 +227,72 @@ class TestWeightTables:
             literal_weights(-2)
 
 
+class TestBasePolynomials:
+    X = _Poly2([[], [1]])
+    Y = _Poly2([[0, 1]])
+
+    def test_low_orders_by_hand(self):
+        # f_1 = c0 = X - Y and f_2 = c0^2 + c1 = X^2 + Y^2
+        f2, f1, f0 = _f_window(2)
+        assert f0 == 1
+        assert f1 == self.X + (-1) * self.Y
+        assert f2 == self.X * self.X + self.Y * self.Y
+
+    def test_window_equals_partition_sum(self):
+        # the recurrence run against horner's explicit partition sum, both
+        # over the same polynomial type
+        for m in range(31):
+            window = _f_window(m)
+            assert len(window) == min(m, 3) + 1
+            for j, f in enumerate(window):
+                assert f == f_quartic(_QUARTIC, m - j), (m, j)
+
+    def test_coefficients_match_quartic_coeffs(self):
+        # evaluated at (cos(k-k'), cos(k+k')), the polynomials are the f_t
+        # of the float pair superoperator
+        rng = random.Random(17)
+        for _ in range(5):
+            k, kp = rng.uniform(-3, 3), rng.uniform(-3, 3)
+            cd, cs = math.cos(k - kp), math.cos(k + kp)
+            seq = f_quartic_sequence(quartic_coeffs(k, kp), 20)
+            value = sum(
+                w * cd**a1 * cs**a2 for (a1, a2), w in _f_window(20)[0].terms.items()
+            )
+            assert value == pytest.approx(seq[20], abs=1e-9)
+
+
+class TestPinnedTables:
+    """SHA-256 of repr(sorted(table.items())) for t = 0..40, recorded from
+    the partition-sum builders that the Horner recurrence replaced."""
+
+    READINGS = {
+        "consistent": lambda t: pipeline_weights(t, "consistent"),
+        "pipeline-literal": lambda t: pipeline_weights(t, "literal"),
+        "literal": literal_weights,
+    }
+
+    @pytest.mark.parametrize("reading", sorted(READINGS))
+    def test_tables_match_pinned_digests(self, reading):
+        pinned = json.loads(DIGESTS.read_text())[reading]
+        assert len(pinned) == 41
+        for t, want in enumerate(pinned):
+            table = self.READINGS[reading](t)
+            got = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+            assert got == want, (reading, t)
+
+    def test_residue_assertion_fires(self, monkeypatch):
+        # an i-carrying term on a real kernel leaves an imaginary residue
+        # the builder must refuse
+        broken = trace_kernels("consistent") + (KernelTerm(1, "cos_sum", 1, 2, True),)
+        monkeypatch.setattr(closedform_mixed, "trace_kernels", lambda mode: broken)
+        pipeline_weights.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="imaginary trace residue"):
+                pipeline_weights(5, "consistent")
+        finally:
+            pipeline_weights.cache_clear()
+
+
 class TestProbabilities:
     def test_adjudication_t2(self, hadamard):
         r = (0.5, 0.5, 0.0, 0.0)
@@ -237,6 +313,17 @@ class TestProbabilities:
         for _ in range(20):
             r = random_bloch(rng)
             t = rng.randint(0, 12)
+            oracle = evolve_mixed(
+                MixedLocalizedState.from_pauli(*r), hadamard, t
+            )
+            got = distribution_mixed(t, r, "consistent")
+            assert max_pointwise_difference(got, oracle) < 1e-12
+
+    @pytest.mark.parametrize("t", [40, 60])
+    def test_consistent_matches_oracle_large_t(self, hadamard, t):
+        rng = random.Random(t)
+        for _ in range(4):
+            r = random_bloch(rng)
             oracle = evolve_mixed(
                 MixedLocalizedState.from_pauli(*r), hadamard, t
             )

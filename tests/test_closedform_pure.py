@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import pytest
 
@@ -134,6 +135,36 @@ class TestAgainstDirect:
             assert max_pointwise_difference(got, ref) < 1e-11
 
 
+class TestLostPrecision:
+    # theta = 0.3 from (|0> + i|1>)/sqrt2: the double sums blow up to
+    # "probabilities" of order 1e75 by t = 150
+    PARAMS = CoinParams.make(0.3, 0.0, 0.0)
+
+    def test_double_warns_when_total_is_off(self, plus_i):
+        with pytest.warns(RuntimeWarning, match=r"t=150: probabilities sum to"):
+            dist = distribution(150, plus_i, self.PARAMS, mode="double")
+        assert sum(p for _, p in dist.items()) > 1e70
+
+    def test_adaptive_does_not_warn(self, plus_i):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = distribution(150, plus_i, self.PARAMS, mode="adaptive")
+        assert math.fsum(p for _, p in dist.items()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_double_silent_while_accurate(self, hadamard, plus_i):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            distribution(20, plus_i, hadamard, mode="double")
+
+    def test_tolerance_scales_with_norm(self, hadamard):
+        # an unnormalized start keeps its norm, which is not a loss
+        init = PureState.localized(0, 2.0, 1.0j)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = distribution(10, init, hadamard, mode="double")
+        assert math.fsum(p for _, p in dist.items()) == pytest.approx(5.0)
+
+
 class TestStructure:
     def test_parity_forbidden_sites_exact_zero(self, hadamard, plus_i):
         dist = distribution(9, plus_i, hadamard, mode="exact")
@@ -212,3 +243,9 @@ class TestTermBookkeeping:
         bits = [coefficient_bits(t) for t in range(1, 30)]
         assert all(b2 >= b1 for b1, b2 in zip(bits, bits[1:]))
         assert all(b >= 1 for b in bits)
+
+    def test_coefficient_bits_cache_matches_recomputation(self):
+        for t in (0, 1, 2, 7, 40, 151, 300, 601):
+            cached = coefficient_bits(t)
+            assert coefficient_bits(t) == cached
+            assert coefficient_bits.__wrapped__(t) == cached, t
