@@ -12,6 +12,17 @@ Three arithmetic modes are used across the package:
   cancellation failures stay observable.
 
 This module provides the ring, exact angles, and the precision policy.
+
+Ring elements hold integers, not Fractions. ``SqrtTwo`` is
+(p + q*sqrt(2)) / d and ``SqrtTwoComplex`` is
+(p + q*sqrt(2) + i*(r + s*sqrt(2))) / d, four numerators over one
+denominator d > 0; both are kept in lowest terms, so equal values have
+equal fields and hash alike. Each operation is a handful of integer
+products and sums followed by one ``math.gcd`` reduction (a sum of equal
+denominators skips the cross products), so its cost follows the bit
+length of the numerators rather than the Fraction normalisation of every
+component. ``float`` divides each numerator by d once, which rounds
+exactly as float(Fraction) does.
 """
 
 from __future__ import annotations
@@ -213,30 +224,52 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
 class SqrtTwo:
-    """Element a + b*sqrt(2) of Q[sqrt(2)] with exact rational a, b."""
+    """Element a + b*sqrt(2) of Q[sqrt(2)] with exact rational a, b.
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    Stored as (p + q*sqrt(2)) / d with integers p, q and d > 0 in lowest
+    terms, so equal values have equal fields. ``a`` and ``b`` are read back
+    as Fractions.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+    __slots__ = ("_p", "_q", "_d")
+
+    def __init__(self, a=0, b=0) -> None:
+        a, b = _as_fraction(a), _as_fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da * db // math.gcd(da, db)
+        # Over the lcm of two reduced denominators the triple is reduced.
+        self._p = a.numerator * (d // da)
+        self._q = b.numerator * (d // db)
+        self._d = d
 
     @classmethod
     def from_rational(cls, value) -> "SqrtTwo":
-        return cls(_as_fraction(value), Fraction(0))
+        return cls(value, 0)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     @property
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self._p == 0 and self._q == 0
 
     def __add__(self, other):
-        other = _coerce_ring(other)
-        if other is None:
-            return NotImplemented
-        return SqrtTwo(self.a + other.a, self.b + other.b)
+        if other.__class__ is not SqrtTwo:
+            other = _coerce_ring(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _ring(self._p + other._p, self._q + other._q, d1)
+        return _ring(
+            self._p * d2 + other._p * d1, self._q * d2 + other._q * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
@@ -244,7 +277,7 @@ class SqrtTwo:
         other = _coerce_ring(other)
         if other is None:
             return NotImplemented
-        return SqrtTwo(self.a - other.a, self.b - other.b)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce_ring(other)
@@ -253,31 +286,59 @@ class SqrtTwo:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce_ring(other)
-        if other is None:
-            return NotImplemented
-        return SqrtTwo(
-            self.a * other.a + 2 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
+        if other.__class__ is not SqrtTwo:
+            other = _coerce_ring(other)
+            if other is None:
+                return NotImplemented
+        p1, q1, p2, q2 = self._p, self._q, other._p, other._q
+        return _ring(p1 * p2 + 2 * q1 * q2, p1 * q2 + q1 * p2, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SqrtTwo":
-        return SqrtTwo(-self.a, -self.b)
+        return _ring_reduced(-self._p, -self._q, self._d)
+
+    def __eq__(self, other):
+        if other.__class__ is not SqrtTwo:
+            return NotImplemented
+        return self._p == other._p and self._q == other._q and self._d == other._d
+
+    def __hash__(self) -> int:
+        return hash((self._p, self._q, self._d))
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT2
+        # int / int is correctly rounded, as float(Fraction) is.
+        return self._p / self._d + (self._q / self._d) * _SQRT2
 
     def __repr__(self) -> str:
         return f"SqrtTwo({self.a}, {self.b})"
 
 
+_new = object.__new__
+
+
+def _ring_reduced(p: int, q: int, d: int) -> SqrtTwo:
+    # (p + q sqrt2) / d, already in lowest terms with d > 0.
+    x = _new(SqrtTwo)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _ring(p: int, q: int, d: int) -> SqrtTwo:
+    # (p + q sqrt2) / d with d > 0, brought to lowest terms.
+    g = math.gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    return _ring_reduced(p, q, d)
+
+
 def _coerce_ring(value) -> SqrtTwo | None:
     if isinstance(value, SqrtTwo):
         return value
-    if isinstance(value, (int, Fraction)):
-        return SqrtTwo(Fraction(value), Fraction(0))
+    if isinstance(value, int):
+        return _ring_reduced(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _ring_reduced(value.numerator, 0, value.denominator)
     return None
 
 
@@ -290,18 +351,24 @@ _COS_TABLE = (_R1, _RH, _R0, -_RH, -_R1, -_RH, _R0, _RH)
 _SIN_TABLE = (_R0, _RH, _R1, _RH, _R0, -_RH, -_R1, -_RH)
 
 
-@dataclass(frozen=True)
 class SqrtTwoComplex:
-    """Element of Q[sqrt(2)][i]: re + i*im with SqrtTwo components."""
+    """Element of Q[sqrt(2)][i]: re + i*im with SqrtTwo components.
 
-    re: SqrtTwo = _R0
-    im: SqrtTwo = _R0
+    Stored flat as (p + q*sqrt(2) + i*(r + s*sqrt(2))) / d: four integer
+    numerators over one denominator d > 0, in lowest terms. ``re`` and
+    ``im`` are read back as SqrtTwo values.
+    """
 
-    def __post_init__(self) -> None:
-        re = self.re if isinstance(self.re, SqrtTwo) else SqrtTwo.from_rational(self.re)
-        im = self.im if isinstance(self.im, SqrtTwo) else SqrtTwo.from_rational(self.im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+    __slots__ = ("_p", "_q", "_r", "_s", "_d")
+
+    def __init__(self, re=_R0, im=_R0) -> None:
+        re = re if isinstance(re, SqrtTwo) else SqrtTwo.from_rational(re)
+        im = im if isinstance(im, SqrtTwo) else SqrtTwo.from_rational(im)
+        d1, d2 = re._d, im._d
+        d = d1 * d2 // math.gcd(d1, d2)
+        self._p, self._q = re._p * (d // d1), re._q * (d // d1)
+        self._r, self._s = im._p * (d // d2), im._q * (d // d2)
+        self._d = d
 
     @classmethod
     def zero(cls) -> "SqrtTwoComplex":
@@ -320,23 +387,51 @@ class SqrtTwoComplex:
         return cls(SqrtTwo.from_rational(re), SqrtTwo.from_rational(im))
 
     @property
+    def re(self) -> SqrtTwo:
+        return _ring(self._p, self._q, self._d)
+
+    @property
+    def im(self) -> SqrtTwo:
+        return _ring(self._r, self._s, self._d)
+
+    @property
     def is_zero(self) -> bool:
-        return self.re.is_zero and self.im.is_zero
+        return self._p == 0 and self._q == 0 and self._r == 0 and self._s == 0
 
     def conjugate(self) -> "SqrtTwoComplex":
-        return SqrtTwoComplex(self.re, -self.im)
+        return _complex_reduced(self._p, self._q, -self._r, -self._s, self._d)
 
     def abs_sq(self) -> SqrtTwo:
-        return self.re * self.re + self.im * self.im
+        p, q, r, s = self._p, self._q, self._r, self._s
+        return _ring(
+            p * p + r * r + 2 * (q * q + s * s), 2 * (p * q + r * s), self._d * self._d
+        )
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        p, q, r, s, d = self._p, self._q, self._r, self._s, self._d
+        return complex(p / d + (q / d) * _SQRT2, r / d + (s / d) * _SQRT2)
 
     def __add__(self, other):
-        other = _coerce_ring_complex(other)
-        if other is None:
-            return NotImplemented
-        return SqrtTwoComplex(self.re + other.re, self.im + other.im)
+        if other.__class__ is not SqrtTwoComplex:
+            other = _coerce_ring_complex(other)
+            if other is None:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _complex(
+                self._p + other._p,
+                self._q + other._q,
+                self._r + other._r,
+                self._s + other._s,
+                d1,
+            )
+        return _complex(
+            self._p * d2 + other._p * d1,
+            self._q * d2 + other._q * d1,
+            self._r * d2 + other._r * d1,
+            self._s * d2 + other._s * d1,
+            d1 * d2,
+        )
 
     __radd__ = __add__
 
@@ -344,7 +439,7 @@ class SqrtTwoComplex:
         other = _coerce_ring_complex(other)
         if other is None:
             return NotImplemented
-        return SqrtTwoComplex(self.re - other.re, self.im - other.im)
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce_ring_complex(other)
@@ -353,18 +448,24 @@ class SqrtTwoComplex:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce_ring_complex(other)
-        if other is None:
-            return NotImplemented
-        return SqrtTwoComplex(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
+        if other.__class__ is not SqrtTwoComplex:
+            other = _coerce_ring_complex(other)
+            if other is None:
+                return NotImplemented
+        p1, q1, r1, s1 = self._p, self._q, self._r, self._s
+        p2, q2, r2, s2 = other._p, other._q, other._r, other._s
+        return _complex(
+            p1 * p2 - r1 * r2 + 2 * (q1 * q2 - s1 * s2),
+            p1 * q2 + q1 * p2 - r1 * s2 - s1 * r2,
+            p1 * r2 + r1 * p2 + 2 * (q1 * s2 + s1 * q2),
+            p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2,
+            self._d * other._d,
         )
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SqrtTwoComplex":
-        return SqrtTwoComplex(-self.re, -self.im)
+        return _complex_reduced(-self._p, -self._q, -self._r, -self._s, self._d)
 
     def __pow__(self, exponent: int) -> "SqrtTwoComplex":
         if not isinstance(exponent, int) or exponent < 0:
@@ -379,17 +480,48 @@ class SqrtTwoComplex:
             n >>= 1
         return result
 
+    def __eq__(self, other):
+        if other.__class__ is not SqrtTwoComplex:
+            return NotImplemented
+        return (
+            self._p == other._p
+            and self._q == other._q
+            and self._r == other._r
+            and self._s == other._s
+            and self._d == other._d
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._p, self._q, self._r, self._s, self._d))
+
     def __repr__(self) -> str:
         return f"SqrtTwoComplex({self.re!r}, {self.im!r})"
+
+
+def _complex_reduced(p: int, q: int, r: int, s: int, d: int) -> SqrtTwoComplex:
+    # (p + q sqrt2 + i(r + s sqrt2)) / d, already in lowest terms with d > 0.
+    z = _new(SqrtTwoComplex)
+    z._p, z._q, z._r, z._s, z._d = p, q, r, s, d
+    return z
+
+
+def _complex(p: int, q: int, r: int, s: int, d: int) -> SqrtTwoComplex:
+    # (p + q sqrt2 + i(r + s sqrt2)) / d with d > 0, brought to lowest terms.
+    g = math.gcd(p, q, r, s, d)
+    if g != 1:
+        p, q, r, s, d = p // g, q // g, r // g, s // g, d // g
+    return _complex_reduced(p, q, r, s, d)
 
 
 def _coerce_ring_complex(value) -> SqrtTwoComplex | None:
     if isinstance(value, SqrtTwoComplex):
         return value
     if isinstance(value, SqrtTwo):
-        return SqrtTwoComplex(value, _R0)
-    if isinstance(value, (int, Fraction)):
-        return SqrtTwoComplex(SqrtTwo.from_rational(value), _R0)
+        return _complex_reduced(value._p, value._q, 0, 0, value._d)
+    if isinstance(value, int):
+        return _complex_reduced(int(value), 0, 0, 0, 1)
+    if isinstance(value, Fraction):
+        return _complex_reduced(value.numerator, 0, 0, 0, value.denominator)
     return None
 
 

@@ -21,16 +21,16 @@ kept so the discrepancy it produces can be measured. The direct
 density-matrix oracle adjudicates: ``consistent`` matches it.
 
 Each f_{t-j} is an integer polynomial in X = cos(delta) and Y = cos(sigma):
-one run of the quartic recurrence (horner.f_quartic_sequence over a small
-bivariate polynomial type, with c0 = c2 = X - Y, c1 = 2XY, c3 = -1) gives
-f_{t-3} .. f_t. Against the Fourier factors of an integral identity, a
-monomial X^A1 Y^A2 selects one binomial in A1 that depends on the site y
-and one in A2 that does not. The A2 binomials are summed once per A1, so
-each site costs one O(t) sum per (Horner order, identity entry) and a whole
-table O(t^2) after the O(t^3) recurrence. Every vanishing claim is
-recomputed here rather than assumed (the sin(delta) sin(sigma) brackets do
-cancel pairwise and the machinery asserts, site by site, that the net
-imaginary part is exactly zero). All weights are exact rationals; floats
+one run of the quartic recurrence of horner.f_quartic_sequence, over a
+small bivariate polynomial type with c0 = c2 = X - Y, c1 = 2XY, c3 = -1,
+keeps only f_{t-3} .. f_t. Against the Fourier factors of an integral
+identity, a monomial X^A1 Y^A2 selects one binomial in A1 that depends on
+the site y and one in A2 that does not. The A2 binomials are summed once
+per A1, so each site costs one O(t) sum per (Horner order, identity entry)
+and a whole table O(t^2) after the O(t^3) recurrence. Every vanishing
+claim is recomputed here rather than assumed (the sin(delta) sin(sigma)
+brackets do cancel pairwise and the machinery asserts, site by site, that
+the net imaginary part is exactly zero). All weights are exact rationals; floats
 appear only in the final per-position dot product with (r0, r1, r2, r3).
 """
 
@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Distribution, MixedLocalizedState
-from .horner import CharPolyQuartic, f_quartic_sequence
+from .horner import CharPolyQuartic, _f_quartic_terms
 
 __all__ = [
     "half_binom",
@@ -270,8 +271,8 @@ _QUARTIC = CharPolyQuartic(
 def _f_window(t: int) -> tuple[_Poly2, ...]:
     """(f_t, f_{t-1}, f_{t-2}, f_{t-3}) as polynomials in X, Y, by one run
     of the quartic recurrence; orders below f_0 are left out."""
-    seq = f_quartic_sequence(_QUARTIC, t)
-    return tuple(_Poly2.lift(seq[t - j]) for j in range(min(t, 3) + 1))
+    window = deque(_f_quartic_terms(_QUARTIC, t), maxlen=4)
+    return tuple(_Poly2.lift(f) for f in reversed(window))
 
 
 @lru_cache(maxsize=None)

@@ -229,12 +229,13 @@ def f_quartic(coeffs: CharPolyQuartic, t: int):
     return total
 
 
-def f_quartic_sequence(coeffs: CharPolyQuartic, t_max: int) -> list:
-    """[f_0, ..., f_{t_max}] by the four-term recurrence. Scalar-generic."""
+def _f_quartic_terms(coeffs: CharPolyQuartic, t_max: int) -> Iterator:
+    """f_0, ..., f_{t_max} by the four-term recurrence, one at a time, so a
+    caller that needs only the last few need not hold the rest."""
     if t_max < 0:
-        return []
+        return
     hist = [0, 0, 0, 1]  # f_{-3}, f_{-2}, f_{-1}, f_0
-    seq = [1]
+    yield 1
     for _ in range(t_max):
         nxt = (
             coeffs.c0 * hist[3]
@@ -243,8 +244,12 @@ def f_quartic_sequence(coeffs: CharPolyQuartic, t_max: int) -> list:
             + coeffs.c3 * hist[0]
         )
         hist = [hist[1], hist[2], hist[3], nxt]
-        seq.append(nxt)
-    return seq
+        yield nxt
+
+
+def f_quartic_sequence(coeffs: CharPolyQuartic, t_max: int) -> list:
+    """[f_0, ..., f_{t_max}] by the four-term recurrence. Scalar-generic."""
+    return list(_f_quartic_terms(coeffs, t_max))
 
 
 @dataclass(frozen=True)

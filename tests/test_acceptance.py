@@ -6,10 +6,13 @@ The tests print a one-line summary with the measured numbers; run with
 ``-s`` to see them for passing tests too.
 """
 
+import hashlib
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,8 @@ from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_mixed import KERNELS, integral_identity, kernel_value
 from qwalk.closedform_pure import amplitude as cf_amplitude
 from qwalk.closedform_pure import distribution as cf_distribution
-from qwalk.core import max_pointwise_difference
-from qwalk.direct import distribution_of, evolve_pure
+from qwalk.core import CoinParams, MixedLocalizedState, max_pointwise_difference
+from qwalk.direct import distribution_of, evolve_mixed, evolve_pure, step
 from qwalk.horner import (
     CharPolyQuad,
     CharPolyQuartic,
@@ -248,4 +251,60 @@ def test_double_precision_fails_where_adaptive_passes(hadamard, plus_i):
     print(
         f"\nPASS cancellation stress t=40: double off by {dbl_err:.2e} "
         f"(> 1e-10 as expected), adaptive {ada_err:.2e} (<= 1e-10)"
+    )
+
+
+EXACT_DIGESTS = Path(__file__).parent / "data" / "exact_distribution_digests.json"
+
+
+def _exact_digest(dist) -> str:
+    return hashlib.sha256(repr(sorted(dist.exact.items())).encode()).hexdigest()
+
+
+def test_exact_distributions_match_pinned_digests(hadamard, plus_i):
+    # SHA-256 of repr(sorted(dist.exact.items())), recorded from the ring
+    # on Fraction pairs that the integer-numerator ring replaced: direct
+    # and closed form on Hadamard from (|0> + i|1>)/sqrt2 for every
+    # t <= 60, two coins with every angle an odd multiple of pi/4 at
+    # t = 7, 33, 60, and the unbiased mixed state at t = 25.
+    pinned = json.loads(EXACT_DIGESTS.read_text())
+    assert len(pinned["direct"]) == len(pinned["closed-form"]) == 61
+    state = plus_i
+    for t in range(61):
+        assert _exact_digest(distribution_of(state, t)) == pinned["direct"][t], t
+        dist = cf_distribution(t, plus_i, hadamard, mode="exact")
+        assert _exact_digest(dist) == pinned["closed-form"][t], t
+        state = step(state, hadamard)
+    assert len(pinned["variants"]) == 2
+    for coin, by_method in pinned["variants"].items():
+        params = CoinParams.make(*coin.split(","))
+        for t_text, want in by_method["direct"].items():
+            t = int(t_text)
+            got = _exact_digest(distribution_of(evolve_pure(plus_i, params, t), t))
+            assert got == want, (coin, t)
+        for t_text, want in by_method["closed-form"].items():
+            t = int(t_text)
+            got = _exact_digest(cf_distribution(t, plus_i, params, mode="exact"))
+            assert got == want, (coin, t)
+    unbiased = MixedLocalizedState.from_pauli(0.5, 0.0, 0.0, 0.0)
+    got = _exact_digest(evolve_mixed(unbiased, hadamard, 25))
+    assert got == pinned["mixed-direct-unbiased-t25"]
+    print("\nPASS pinned exact digests: t <= 60, two eighth-turn coins, mixed t=25")
+
+
+def test_exact_direct_and_closed_form_identical_at_t200(hadamard, plus_i):
+    # t = 200 from (|0> + i|1>)/sqrt2: direct stepping and the closed form
+    # give the same element of Q(sqrt2) at every site.
+    t = 200
+    start = time.perf_counter()
+    oracle = distribution_of(evolve_pure(plus_i, hadamard, t), t)
+    closed = cf_distribution(t, plus_i, hadamard, mode="exact")
+    elapsed = time.perf_counter() - start
+    assert set(oracle.exact) == set(closed.exact) == set(range(-t, t + 1))
+    for x, value in oracle.exact.items():
+        assert closed.exact[x] == value, x
+    assert sum(oracle.exact.values(), SqrtTwo()) == SqrtTwo(1, 0)
+    print(
+        f"\nPASS exact t=200: direct and closed form ring-identical, "
+        f"{elapsed:.2f}s"
     )

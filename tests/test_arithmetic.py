@@ -130,6 +130,164 @@ class TestSqrtTwoComplex:
         assert i * i == -SqrtTwoComplex.one()
 
 
+# Reference model: a + b sqrt2 as a pair of Fractions, and a complex value
+# as a pair of such pairs, with the ring operations written out by hand.
+def _m_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _m_neg(x):
+    return (-x[0], -x[1])
+
+
+def _m_mul(x, y):
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _mc_add(z, w):
+    return (_m_add(z[0], w[0]), _m_add(z[1], w[1]))
+
+
+def _mc_neg(z):
+    return (_m_neg(z[0]), _m_neg(z[1]))
+
+
+def _mc_mul(z, w):
+    re = _m_add(_m_mul(z[0], w[0]), _m_neg(_m_mul(z[1], w[1])))
+    im = _m_add(_m_mul(z[0], w[1]), _m_mul(z[1], w[0]))
+    return (re, im)
+
+
+def _model(x):
+    if isinstance(x, SqrtTwoComplex):
+        return (_model(x.re), _model(x.im))
+    return (x.a, x.b)
+
+
+wide_fractions = st.fractions(max_denominator=2**70) | st.builds(
+    Fraction, st.integers(-(2**90), 2**90), st.integers(1, 2**90)
+)
+pairs = st.tuples(fractions, fractions)
+complex_pairs = st.tuples(pairs, pairs)
+scalars = st.integers(-50, 50) | fractions
+
+
+def _ring(pair):
+    return SqrtTwo(*pair)
+
+
+def _complex(pair):
+    return SqrtTwoComplex(_ring(pair[0]), _ring(pair[1]))
+
+
+class TestRingAgainstFractionPairs:
+    @given(pairs, pairs)
+    def test_real_ops(self, x, y):
+        rx, ry = _ring(x), _ring(y)
+        assert _model(rx + ry) == _m_add(x, y)
+        assert _model(rx - ry) == _m_add(x, _m_neg(y))
+        assert _model(rx * ry) == _m_mul(x, y)
+        assert _model(-rx) == _m_neg(x)
+
+    @given(pairs, scalars)
+    def test_real_ops_with_rationals(self, x, n):
+        rx, m = _ring(x), (Fraction(n), Fraction(0))
+        assert _model(rx + n) == _model(n + rx) == _m_add(x, m)
+        assert _model(rx - n) == _m_add(x, _m_neg(m))
+        assert _model(n - rx) == _m_add(m, _m_neg(x))
+        assert _model(rx * n) == _model(n * rx) == _m_mul(x, m)
+
+    @given(complex_pairs, complex_pairs)
+    def test_complex_ops(self, z, w):
+        cz, cw = _complex(z), _complex(w)
+        assert _model(cz + cw) == _mc_add(z, w)
+        assert _model(cz - cw) == _mc_add(z, _mc_neg(w))
+        assert _model(cz * cw) == _mc_mul(z, w)
+        assert _model(-cz) == _mc_neg(z)
+        assert _model(cz.conjugate()) == (z[0], _m_neg(z[1]))
+        assert _model(cz.abs_sq()) == _m_add(_m_mul(z[0], z[0]), _m_mul(z[1], z[1]))
+
+    @given(complex_pairs, pairs, scalars)
+    @settings(max_examples=50)
+    def test_complex_ops_with_real_operands(self, z, x, n):
+        cz, rx = _complex(z), _ring(x)
+        zero = (Fraction(0), Fraction(0))
+        for other, m in ((rx, (x, zero)), (n, ((Fraction(n), Fraction(0)), zero))):
+            assert _model(cz + other) == _model(other + cz) == _mc_add(z, m)
+            assert _model(cz - other) == _mc_add(z, _mc_neg(m))
+            assert _model(other - cz) == _mc_add(m, _mc_neg(z))
+            assert _model(cz * other) == _model(other * cz) == _mc_mul(z, m)
+
+    @given(complex_pairs, st.integers(0, 9))
+    @settings(max_examples=50)
+    def test_pow(self, z, n):
+        want = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0)))
+        for _ in range(n):
+            want = _mc_mul(want, z)
+        assert _model(_complex(z) ** n) == want
+
+    @given(pairs, st.integers(1, 1000))
+    def test_unreduced_inputs_give_one_value(self, x, k):
+        a, b = x
+        spread = SqrtTwo(
+            Fraction(a.numerator * k, a.denominator * k),
+            Fraction(b.numerator * k, b.denominator * k),
+        )
+        assert spread == _ring(x) and hash(spread) == hash(_ring(x))
+
+    def test_unreduced_fractions_by_hand(self):
+        assert SqrtTwo(Fraction(2, 4), 0) == SqrtTwo(Fraction(1, 2), 0)
+        assert hash(SqrtTwo(Fraction(2, 4), 0)) == hash(SqrtTwo(Fraction(1, 2), 0))
+
+    @given(pairs, pairs, complex_pairs, complex_pairs)
+    @settings(max_examples=50)
+    def test_equal_values_by_different_routes(self, x, y, z, w):
+        rx, ry, cz, cw = _ring(x), _ring(y), _complex(z), _complex(w)
+        assert (rx + ry) - ry == rx and hash((rx + ry) - ry) == hash(rx)
+        back = (cz + cw) - cw
+        assert back == cz and hash(back) == hash(cz)
+        built = _ring(z[0]) + _ring(z[1]) * SqrtTwoComplex.i_unit()
+        assert built == cz and hash(built) == hash(cz)
+        assert cz.re == _ring(z[0]) and cz.im == _ring(z[1])
+
+    def test_equality_is_same_type_only(self):
+        assert SqrtTwo(1, 0) != 1
+        assert SqrtTwo(1, 0) != Fraction(1)
+        assert SqrtTwoComplex.one() != SqrtTwo(1, 0)
+        assert SqrtTwoComplex.one() != 1
+
+    @given(wide_fractions, wide_fractions)
+    def test_float_is_bit_identical(self, a, b):
+        x = SqrtTwo(a, b)
+        assert float(x) == float(a) + float(b) * math.sqrt(2)
+        z = SqrtTwoComplex(SqrtTwo(b, a), x)
+        assert z.to_complex() == complex(float(z.re), float(z.im))
+        assert z.to_complex() == complex(
+            float(b) + float(a) * math.sqrt(2), float(a) + float(b) * math.sqrt(2)
+        )
+
+    @given(pairs)
+    def test_repr_format(self, x):
+        assert repr(_ring(x)) == f"SqrtTwo({x[0]}, {x[1]})"
+
+    def test_repr_strings(self):
+        assert repr(SqrtTwo(Fraction(1, 2), 0)) == "SqrtTwo(1/2, 0)"
+        assert repr(SqrtTwo(-3, Fraction(-5, 8))) == "SqrtTwo(-3, -5/8)"
+        assert (
+            repr(SqrtTwoComplex(SqrtTwo(0, Fraction(1, 2)), -1))
+            == "SqrtTwoComplex(SqrtTwo(0, 1/2), SqrtTwo(-1, 0))"
+        )
+        assert repr(SqrtTwoComplex.zero()) == (
+            "SqrtTwoComplex(SqrtTwo(0, 0), SqrtTwo(0, 0))"
+        )
+
+    def test_readers_are_fractions_and_ring_elements(self):
+        z = SqrtTwoComplex(SqrtTwo(Fraction(1, 6), 2), Fraction(-3, 4))
+        assert isinstance(z.re.a, Fraction) and z.re.a == Fraction(1, 6)
+        assert z.re.b == 2 and z.im == SqrtTwo(Fraction(-3, 4), 0)
+        assert isinstance(z.im, SqrtTwo) and z.im.b == 0
+
+
 class TestPrecision:
     def test_guard_bits_default(self, monkeypatch):
         monkeypatch.delenv("QWALK_PRECISION_GUARD_BITS", raising=False)

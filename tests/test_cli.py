@@ -1,9 +1,13 @@
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import qwalk
 from qwalk.cli import (
     emit_distribution_csv,
     format_probability,
@@ -282,3 +286,17 @@ class TestShippedConfigs:
         assert main(["compare", "--config", cfg, "--out", out]) == 0
         doc = json.loads((tmp_path / "unb.json").read_text())
         assert doc["passed"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package directory's parent goes on the path, so the subprocess
+    # imports this checkout whatever the caller's PYTHONPATH
+    src = str(pathlib.Path(qwalk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "qwalk", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: qwalk" in done.stdout

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -246,6 +247,24 @@ class TestBasePolynomials:
             assert len(window) == min(m, 3) + 1
             for j, f in enumerate(window):
                 assert f == f_quartic(_QUARTIC, m - j), (m, j)
+
+    def test_window_is_tail_of_full_sequence(self):
+        for t in range(41):
+            seq = f_quartic_sequence(_QUARTIC, t)
+            tail = tuple(_Poly2.lift(f) for f in reversed(seq[-4:]))
+            assert _f_window(t) == tail, t
+
+    def test_cold_build_holds_only_the_window(self):
+        # the full f_0 .. f_100 sequence alone peaks at about 5 MB
+        pipeline_weights.cache_clear()
+        closedform_mixed._a1_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            pipeline_weights(100, "consistent")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_coefficients_match_quartic_coeffs(self):
         # evaluated at (cos(k-k'), cos(k+k')), the polynomials are the f_t
