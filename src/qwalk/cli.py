@@ -348,12 +348,10 @@ def cmd_plot_data(args) -> int:
     if len(cfg.methods) != 1:
         raise ConfigError("plot-data takes exactly one method")
     dist = _run_distribution(cfg, cfg.methods[0])
-    xs = sorted(dist.positions)
     if args.drop_forbidden_sites:
-        parities = _reachable_parities(cfg)
-        if len(parities) == 1:
-            (par,) = parities
-            xs = [x for x in xs if x % 2 == par]
+        xs = _csv_positions(dist, _reachable_parities(cfg))
+    else:
+        xs = sorted(dist.positions)
     pairs = [(x, dist[x]) for x in xs]
     base = _out_base(args, cfg, "qwalk-plot")
     svg_path, dat_path = base + ".svg", base + ".dat"

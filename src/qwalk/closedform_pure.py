@@ -52,7 +52,6 @@ from .arithmetic import (
 from .core import CoinParams, Distribution, PureState
 
 __all__ = [
-    "TermIndex",
     "FAMILIES",
     "admissible_terms",
     "term_coefficient",
@@ -90,16 +89,7 @@ FAMILIES: dict[str, _Family] = {
 }
 
 
-@dataclass(frozen=True)
-class TermIndex:
-    """One admissible term: auxiliary index h, source site xp, family name."""
-
-    h: int
-    xp: int
-    family: str
-
-
-def admissible_terms(x: int, t: int, xp: int, family: str) -> Iterator[TermIndex]:
+def admissible_terms(x: int, t: int, xp: int, family: str) -> Iterator[int]:
     """Yield the admissible h values for one (destination, source, family).
 
     A term survives iff every factorial argument is a non-negative integer;
@@ -117,7 +107,7 @@ def admissible_terms(x: int, t: int, xp: int, family: str) -> Iterator[TermIndex
     h0 = max(0, -(fam.p0 + d), d - fam.q0)
     h0 += (m - h0) % 2
     for h in range(h0, m + 1, 2):
-        yield TermIndex(h=h, xp=xp, family=family)
+        yield h
 
 
 def term_coefficient(t: int, family: str, d: int, h: int) -> int:
@@ -242,8 +232,8 @@ def _family_loop(x: int, t: int, init: PureState, s: _Scalars):
         }
         for name, fam in FAMILIES.items():
             terms = [
-                term_coefficient(t, name, d, ti.h) * s.cos_pows[ti.h + fam.cos_plus]
-                for ti in admissible_terms(x, t, xp, name)
+                term_coefficient(t, name, d, h) * s.cos_pows[h + fam.cos_plus]
+                for h in admissible_terms(x, t, xp, name)
             ]
             if not terms:
                 continue

@@ -28,42 +28,41 @@ from .core import (
 __all__ = ["step", "evolve_pure", "distribution_of", "evolve_mixed"]
 
 
-def _coin_entries(params: CoinParams, exact: bool):
+def _walk(state: PureState, params: CoinParams, t: int) -> dict:
+    """The amplitudes after t steps, as a plain {x: (alpha, beta)} dict.
+
+    Each output component has exactly one source site: alpha at x comes
+    from x-1 and beta at x from x+1, so no sums are accumulated. The dict
+    is left unvalidated; callers wrap it in one PureState at the end.
+    """
+    exact = state.exact and params.exact_capable
     if exact:
-        return coin_matrix_exact(params)
-    m = coin_matrix(params)
-    return ((m[0, 0], m[0, 1]), (m[1, 0], m[1, 1]))
+        coin, zero = coin_matrix_exact(params), SqrtTwoComplex.zero()
+    else:
+        coin, zero = coin_matrix(params).tolist(), 0j
+        state = state.to_float()
+    (c00, c01), (c10, c11) = coin
+    amps = state.amplitudes
+    for _ in range(t):
+        up = {x + 1: c00 * a + c01 * b for x, (a, b) in amps.items()}
+        down = {x - 1: c10 * a + c11 * b for x, (a, b) in amps.items()}
+        amps = {
+            x: (up.get(x, zero), down.get(x, zero)) for x in up.keys() | down.keys()
+        }
+    return amps
 
 
 def step(state: PureState, params: CoinParams) -> PureState:
     """One walk step U = S C."""
-    exact = state.exact and params.exact_capable
-    if state.exact and not exact:
-        state = state.to_float()
-    (c00, c01), (c10, c11) = _coin_entries(params, exact)
-    zero = SqrtTwoComplex.zero() if exact else 0j
-    out: dict[int, list] = {}
-
-    def cell(x: int) -> list:
-        got = out.get(x)
-        if got is None:
-            got = [zero, zero]
-            out[x] = got
-        return got
-
-    for x, (a, b) in state.amplitudes.items():
-        cell(x + 1)[0] = cell(x + 1)[0] + (c00 * a + c01 * b)
-        cell(x - 1)[1] = cell(x - 1)[1] + (c10 * a + c11 * b)
-    return PureState({x: (a, b) for x, (a, b) in out.items()})
+    return PureState(_walk(state, params, 1))
 
 
 def evolve_pure(init: PureState, params: CoinParams, t: int) -> PureState:
     if t < 0:
         raise ValueError("t must be non-negative")
-    state = init
-    for _ in range(t):
-        state = step(state, params)
-    return state
+    if t == 0:
+        return init
+    return PureState(_walk(init, params, t))
 
 
 def distribution_of(state: PureState, t: int = 0, method: str = "direct") -> Distribution:

@@ -18,14 +18,15 @@ superoperator of the Hadamard walk:
 with L0 = I, L1 = L - c0 I, L2 = L^2 - c0 L - c1 I,
 L3 = L^3 - c0 L^2 - c1 L - c2 I, and f_t now driven by the quartic
 coefficients. Everything here is generic over the scalar type (complex,
-Fraction, ring elements, mpmath), so the same code serves float and exact
-modes.
+Fraction, ring elements, mpmath, numpy arrays), so the same code serves
+float and exact modes, and one call can run the recurrence for a whole
+array of momenta at once.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -52,11 +53,12 @@ __all__ = [
 ]
 
 
-def u_k(params: CoinParams, k: float) -> np.ndarray:
+def u_k(params: CoinParams, k) -> np.ndarray:
     """One-step evolution matrix in the momentum-ket basis:
-    u_k = diag(e^{-ik}, e^{ik}) C."""
-    d = np.diag([cmath.exp(-1j * k), cmath.exp(1j * k)])
-    return d @ coin_matrix(params)
+    u_k = diag(e^{-ik}, e^{ik}) C. An array of momenta gives the stack of
+    matrices, of shape k.shape + (2, 2)."""
+    phases = np.stack([np.exp(-1j * k), np.exp(1j * k)], axis=-1)
+    return phases[..., :, None] * coin_matrix(params)
 
 
 @dataclass(frozen=True)
@@ -78,15 +80,16 @@ class CharPolyQuartic:
     c3: complex
 
 
-def quad_coeffs(params: CoinParams, k: float) -> CharPolyQuad:
+def quad_coeffs(params: CoinParams, k) -> CharPolyQuad:
     """Characteristic coefficients of u_k.
 
     c0 = tr(u_k) = cos(theta) (e^{-ik} - e^{i(k+phi1+phi2)}) and
-    c1 = -det(u_k) = e^{i(phi1+phi2)}. Note |c1| = 1 always.
+    c1 = -det(u_k) = e^{i(phi1+phi2)}. Note |c1| = 1 always. An array of
+    momenta gives c0 of the same shape; c1 does not depend on k.
     """
     c = math.cos(params.theta.radians)
     chi = params.chi
-    c0 = c * (cmath.exp(-1j * k) - chi * cmath.exp(1j * k))
+    c0 = c * (np.exp(-1j * k) - chi * np.exp(1j * k))
     return CharPolyQuad(c0, chi)
 
 
@@ -118,38 +121,40 @@ def _powers(c, n: int) -> list:
     return out
 
 
-def f_quad_sequence(coeffs: CharPolyQuad, t_max: int) -> list:
-    """[f_0, ..., f_{t_max}] by the two-term recurrence. Scalar-generic."""
+def _f_quad_terms(coeffs: CharPolyQuad, t_max: int) -> Iterator:
+    """f_0, ..., f_{t_max} by the two-term recurrence, one at a time, so a
+    caller that needs only the last two need not hold the rest."""
     if t_max < 0:
-        return []
-    seq = [1]
+        return
     prev2, prev1 = 0, 1  # f_{-1}, f_0
+    yield 1
     for _ in range(t_max):
         prev2, prev1 = prev1, coeffs.c0 * prev1 + coeffs.c1 * prev2
-        seq.append(prev1)
-    return seq
+        yield prev1
+
+
+def f_quad_sequence(coeffs: CharPolyQuad, t_max: int) -> list:
+    """[f_0, ..., f_{t_max}] by the two-term recurrence. Scalar-generic."""
+    return list(_f_quad_terms(coeffs, t_max))
 
 
 def _f_pair(seq: Sequence, t: int) -> tuple:
-    # (f_t, f_{t-1}) with the f_{-1} = 0 boundary.
+    # (f_t, f_{t-1}) with the f_{-1} = 0 boundary, where seq[t] is f_t.
     return seq[t], (seq[t - 1] if t >= 1 else 0)
 
 
-def _combine_quad(u: np.ndarray, c0: complex, ft, ftm1) -> np.ndarray:
-    """Assemble u^t = f_t I + f_{t-1} (u - c0 I). Split out so tests can
-    probe wrong boundary values explicitly."""
-    eye = np.eye(2, dtype=complex)
-    return complex(ft) * eye + complex(ftm1) * (u - complex(c0) * eye)
-
-
-def u_k_power(params: CoinParams, k: float, t: int) -> np.ndarray:
-    """u_k^t via the quadratic Horner identity (no matrix-matrix products)."""
+def u_k_power(params: CoinParams, k, t: int) -> np.ndarray:
+    """u_k^t = f_t I + f_{t-1} (u_k - c0 I) by the quadratic Horner
+    identity (no matrix-matrix products). An array of momenta gives the
+    stack of powers, of shape k.shape + (2, 2)."""
     if t < 0:
         raise ValueError("t must be non-negative")
     coeffs = quad_coeffs(params, k)
-    seq = f_quad_sequence(coeffs, t)
-    ft, ftm1 = _f_pair(seq, t)
-    return _combine_quad(u_k(params, k), coeffs.c0, ft, ftm1)
+    last = deque(_f_quad_terms(coeffs, t), maxlen=2)
+    ft, ftm1 = _f_pair(last, min(t, 1))
+    ft, ftm1, c0 = (np.asarray(v)[..., None, None] for v in (ft, ftm1, coeffs.c0))
+    eye = np.eye(2)
+    return ft * eye + ftm1 * (u_k(params, k) - c0 * eye)
 
 
 def superop(k: float, kp: float) -> np.ndarray:

@@ -9,11 +9,13 @@ one-step matrix taken at -k_j: the matrix u_k acts on the momentum ket
 |k> = sum_x e^{ikx} |x>, whose expansion coefficients carry the opposite
 phase. Propagating with u(-k_j) is what reproduces the position-space walk
 (coin component 0 moving right); tests pin this against the direct oracle.
+
+Both transforms are FFTs over the ring, with site x at index x mod n:
+the forward sum is n * ifft and the inverse is fft / n.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,13 +75,9 @@ def forward(state: PureState, n: int) -> MomentumField:
         raise ValueError(
             f"ring size {n} too small for support radius {radius}"
         )
-    ks = 2.0 * math.pi * np.arange(n) / n
-    alpha = np.zeros(n, dtype=complex)
-    beta = np.zeros(n, dtype=complex)
-    for x, (a, b) in state.amplitudes.items():
-        phase = np.exp(1j * ks * x)
-        alpha += phase * a
-        beta += phase * b
+    ring = np.zeros((2, n), dtype=complex)
+    ring[:, np.array(state.support) % n] = np.array(list(state.amplitudes.values())).T
+    alpha, beta = n * np.fft.ifft(ring)
     return MomentumField(n, alpha, beta)
 
 
@@ -96,36 +94,29 @@ def propagate(
         raise ValueError("t must be non-negative")
     if power not in ("repeated", "horner"):
         raise ValueError(f"unknown power method {power!r}")
-    alpha = np.empty(field.n, dtype=complex)
-    beta = np.empty(field.n, dtype=complex)
-    for j, k in enumerate(field.ks):
-        vec = np.array([field.alpha[j], field.beta[j]], dtype=complex)
-        if power == "horner":
-            vec = u_k_power(params, -k, t) @ vec
-        else:
-            m = u_k(params, -k)
-            for _ in range(t):
-                vec = m @ vec
-        alpha[j], beta[j] = vec
+    vecs = np.stack([field.alpha, field.beta], axis=-1)[..., None]
+    if power == "horner":
+        vecs = u_k_power(params, -field.ks, t) @ vecs
+    else:
+        m = u_k(params, -field.ks)
+        for _ in range(t):
+            vecs = m @ vecs
+    alpha, beta = vecs[..., 0].T
     return MomentumField(field.n, alpha, beta)
 
 
 def inverse(field: MomentumField, lo: int | None = None, hi: int | None = None) -> PureState:
     """Transform back to positions lo..hi (default: the centered window
-    covering the whole ring)."""
+    covering the whole ring). The result is periodic in x with period n,
+    so a window wider than the ring repeats it."""
     half = (field.n - 1) // 2
     if lo is None:
         lo = -half
     if hi is None:
         hi = half
-    ks = field.ks
-    amps = {}
-    for x in range(lo, hi + 1):
-        phase = np.exp(-1j * ks * x)
-        a = complex(np.dot(phase, field.alpha)) / field.n
-        b = complex(np.dot(phase, field.beta)) / field.n
-        amps[x] = (a, b)
-    return PureState(amps)
+    xs = np.arange(lo, hi + 1)
+    alpha, beta = np.fft.fft([field.alpha, field.beta])[:, xs % field.n] / field.n
+    return PureState(dict(zip(xs.tolist(), zip(alpha.tolist(), beta.tolist()))))
 
 
 def evolve_spectral(
@@ -145,7 +136,6 @@ def simulate(
     power: str = "horner",
 ) -> Distribution:
     state = evolve_spectral(init, params, t, n=n, power=power)
-    probs = {
-        x: abs(a) ** 2 + abs(b) ** 2 for x, (a, b) in state.amplitudes.items()
-    }
+    amps = np.abs(np.array(list(state.amplitudes.values()))) ** 2
+    probs = dict(zip(state.support, (amps[:, 0] + amps[:, 1]).tolist()))
     return Distribution(probs, t=t, method="spectral", mode="double")

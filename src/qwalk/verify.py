@@ -74,13 +74,13 @@ class ComparisonReport:
     t: int
     methods: tuple[str, ...]
     tolerances: Tolerances
-    pairwise_tv: dict[str, float]
-    pairwise_pointwise: dict[str, float]
-    normalization_error: dict[str, float]
-    forbidden_mass: dict[str, float]
-    symmetry_defect: float | None
-    failures: list[str]
-    distributions: dict[str, dict[int, float]]
+    pairwise_tv: dict[str, float] = field(default_factory=dict)
+    pairwise_pointwise: dict[str, float] = field(default_factory=dict)
+    normalization_error: dict[str, float] = field(default_factory=dict)
+    forbidden_mass: dict[str, float] = field(default_factory=dict)
+    symmetry_defect: float | None = None
+    failures: list[str] = field(default_factory=list)
+    distributions: dict[str, dict[int, float]] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -207,13 +207,6 @@ def compare_pure(
         t=t,
         methods=tuple(methods),
         tolerances=tolerances or Tolerances(),
-        pairwise_tv={},
-        pairwise_pointwise={},
-        normalization_error={},
-        forbidden_mass={},
-        symmetry_defect=None,
-        failures=[],
-        distributions={},
     )
     dists: dict[str, Distribution] = {}
     for name in methods:
@@ -260,13 +253,6 @@ def compare_mixed(
         t=t,
         methods=tuple(methods),
         tolerances=tolerances or Tolerances(),
-        pairwise_tv={},
-        pairwise_pointwise={},
-        normalization_error={},
-        forbidden_mass={},
-        symmetry_defect=None,
-        failures=[],
-        distributions={},
     )
     dists: dict[str, Distribution] = {}
     for name in methods:

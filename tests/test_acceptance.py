@@ -37,6 +37,7 @@ from qwalk.horner import (
     u_k,
     u_k_power,
 )
+from qwalk.spectral import evolve_spectral
 from qwalk.verify import compare_mixed, compare_pure
 
 
@@ -307,4 +308,37 @@ def test_exact_direct_and_closed_form_identical_at_t200(hadamard, plus_i):
     print(
         f"\nPASS exact t=200: direct and closed form ring-identical, "
         f"{elapsed:.2f}s"
+    )
+
+
+def test_spectral_reaches_t2000(plus_i):
+    # the momentum route on an off-grid coin: at t = 2000 against the
+    # closed form's single-site amplitudes at both peaks (x ~ +-t cos theta)
+    # and both light-cone edges, and at t = 1000 against direct stepping on
+    # the whole window, every amplitude within 1e-12.
+    theta = 0.9
+    params = CoinParams.make(theta, 0.4, 1.3)
+    start = time.perf_counter()
+    t = 2000
+    spec = evolve_spectral(plus_i, params, t)
+    peak = 2 * round(t * math.cos(theta) / 2)
+    worst_cf = max(
+        abs(complex(u) - v)
+        for x in (-t, -peak, peak, t)
+        for u, v in zip(cf_amplitude(x, t, plus_i, params), spec.amplitude(x))
+    )
+    assert worst_cf <= 1e-12, f"closed-form deviation {worst_cf:.2e}"
+    t = 1000
+    oracle = evolve_pure(plus_i, params, t)
+    spec = evolve_spectral(plus_i, params, t)
+    worst_direct = max(
+        abs(u - v)
+        for x in range(-t, t + 1)
+        for u, v in zip(oracle.amplitude(x), spec.amplitude(x))
+    )
+    assert worst_direct <= 1e-12, f"direct deviation {worst_direct:.2e}"
+    elapsed = time.perf_counter() - start
+    print(
+        f"\nPASS spectral reach: closed form at t=2000 {worst_cf:.2e}, "
+        f"direct at t=1000 {worst_direct:.2e}, {elapsed:.2f}s"
     )

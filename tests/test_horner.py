@@ -139,6 +139,24 @@ class TestUkPower:
             got = u_k_power(params, k, t)
             assert np.max(np.abs(got - expected)) < 1e-12
 
+    def test_array_of_momenta_equals_scalar_stack(self):
+        # one call over a (3, 4) array of momenta runs the recurrence for
+        # every mode at once; it must equal the scalar calls stacked. The
+        # vectorised exp may round differently in the last bit, and the
+        # recurrence grows that about linearly in t, hence t <= 20.
+        rng = random.Random(31)
+        for _ in range(8):
+            params = random_params(rng)
+            ks = np.array([rng.uniform(-4, 4) for _ in range(12)]).reshape(3, 4)
+            for t in (0, 1, rng.randint(2, 20)):
+                got = u_k_power(params, ks, t)
+                want = [u_k_power(params, float(k), t) for k in ks.ravel()]
+                assert got.shape == (3, 4, 2, 2)
+                assert np.max(np.abs(got - np.reshape(want, got.shape))) <= 1e-14
+            got = u_k(params, ks)
+            want = [u_k(params, float(k)) for k in ks.ravel()]
+            assert np.max(np.abs(got - np.reshape(want, got.shape))) <= 1e-14
+
     def test_unitary_at_large_t(self):
         rng = random.Random(15)
         for _ in range(10):

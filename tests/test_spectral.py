@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import random_params, random_state
 from qwalk.core import CoinParams, PureState, total_variation
 from qwalk.direct import distribution_of, evolve_pure
 from qwalk.spectral import (
+    MomentumField,
     forward,
     inverse,
     propagate,
@@ -44,6 +46,40 @@ class TestTransformPair:
                 a1, b1 = back.amplitude(x)
                 assert a1 == pytest.approx(a0, abs=1e-13)
                 assert b1 == pytest.approx(b0, abs=1e-13)
+
+    def test_forward_matches_defining_sum(self):
+        # alpha~_j = sum_x e^{+i k_j x} alpha_x, with negative sites, on the
+        # smallest admissible ring and on an oversized one
+        rng = random.Random(5)
+        state = PureState({
+            x: (complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+            for x in (-4, -3, -1, 0, 2)
+        })
+        for n in (9, 101):
+            field = forward(state, n)
+            ks = 2.0 * math.pi * np.arange(n) / n
+            for comp, got in enumerate((field.alpha, field.beta)):
+                want = sum(
+                    np.exp(1j * ks * x) * pair[comp]
+                    for x, pair in state.amplitudes.items()
+                )
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_inverse_matches_defining_sum(self):
+        # alpha_x = (1/n) sum_j e^{-i k_j x} alpha~_j on a window wider
+        # than the ring, where the sum repeats with period n
+        rng = np.random.default_rng(7)
+        n = 7
+        alpha, beta = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        field = MomentumField(n, alpha, beta)
+        state = inverse(field, -12, 10)
+        assert state.support == tuple(range(-12, 11))
+        for x in range(-12, 11):
+            phase = np.exp(-1j * field.ks * x)
+            a, b = state.amplitude(x)
+            assert abs(a - phase @ alpha / n) < 1e-13
+            assert abs(b - phase @ beta / n) < 1e-13
 
     def test_even_ring_rejected(self):
         with pytest.raises(ValueError, match="must be odd"):
@@ -123,6 +159,18 @@ class TestSimulate:
         big = simulate(plus_i, hadamard, t, n=101)
         for x in small.positions:
             assert big[x] == pytest.approx(small[x], abs=1e-12)
+
+    def test_memory_at_t600(self, hadamard, plus_i):
+        # the f recurrence over all modes keeps only its last two terms;
+        # holding the whole sequence would take about 12 MB here
+        simulate(plus_i, hadamard, 2)
+        tracemalloc.start()
+        try:
+            simulate(plus_i, hadamard, 600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=12))
