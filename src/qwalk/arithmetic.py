@@ -42,7 +42,6 @@ __all__ = [
     "SqrtTwoComplex",
     "guard_bits",
     "precision_for",
-    "neumaier_sum",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -298,6 +297,11 @@ class SqrtTwo:
     def __neg__(self) -> "SqrtTwo":
         return _ring_reduced(-self._p, -self._q, self._d)
 
+    def __pow__(self, exponent: int) -> "SqrtTwo":
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        return _power(self, exponent, _R1)
+
     def __eq__(self, other):
         if other.__class__ is not SqrtTwo:
             return NotImplemented
@@ -315,6 +319,17 @@ class SqrtTwo:
 
 
 _new = object.__new__
+
+
+def _power(base, n: int, one):
+    # base**n by square-and-multiply, for n >= 0.
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def _ring_reduced(p: int, q: int, d: int) -> SqrtTwo:
@@ -470,15 +485,7 @@ class SqrtTwoComplex:
     def __pow__(self, exponent: int) -> "SqrtTwoComplex":
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = _C1
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, exponent, _C1)
 
     def __eq__(self, other):
         if other.__class__ is not SqrtTwoComplex:
@@ -529,16 +536,3 @@ _C0 = SqrtTwoComplex(_R0, _R0)
 _C1 = SqrtTwoComplex(_R1, _R0)
 _CI = SqrtTwoComplex(_R0, _R1)
 
-
-def neumaier_sum(values) -> float:
-    """Compensated (Neumaier) summation of an iterable of floats."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp

@@ -24,11 +24,28 @@ equivalent ways: e^{-i phi1} chi^{(t-d)/2} or e^{+i phi2} chi^{(t-d)/2 - 1}
 (identical because chi = e^{i(phi1+phi2)}). Both spellings are exposed via
 ``beta_cross_phase`` and tested to agree exactly.
 
+The terms of one (family, d) group share every factor but their signed
+trinomial and cos^h, and h steps by 2, so a group is one integer row
+c_0, c_1, .. (``coefficient_row``: the first from ``term_coefficient``,
+the rest by the exact multinomial ratio) evaluated as a polynomial in
+cos^2(theta) by Horner's rule, times cos^(h0 + 1 if cos_plus else h0).
+
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
 only), ``adaptive`` (mpmath, precision sized from the largest trinomial
 plus guard bits), ``double`` (floats; cancellation-prone at large t by
 design, so the failure stays demonstrable). All three run the same family
-loop; a mode only supplies the scalars and the summation rule.
+loop; a mode only supplies the scalars and the row-evaluation rule:
+
+* exact: cos^2 is 0, 1/2 or 1, so Horner runs on one integer numerator
+  over a power of its denominator and is reduced once;
+* adaptive: Horner on Python integers in fixed point, cos^2 taken as a
+  wp-bit integer with wp the working precision, so the coefficients
+  enter exactly and a row of length L is off by about L 2^-guard;
+* double: Horner in floats.
+
+Powers of cos and chi and the group values are made on first
+use and memoised for the rest of the call, so a full distribution makes
+each once and a single-site query pays O(t) for its rows.
 """
 
 from __future__ import annotations
@@ -36,25 +53,22 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import mpmath
+from mpmath.libmp import to_fixed
 
-from .arithmetic import (
-    Angle,
-    SqrtTwo,
-    SqrtTwoComplex,
-    neumaier_sum,
-    precision_for,
-)
+from .arithmetic import Angle, SqrtTwo, SqrtTwoComplex, precision_for
 from .core import CoinParams, Distribution, PureState
 
 __all__ = [
     "FAMILIES",
     "admissible_terms",
     "term_coefficient",
+    "coefficient_row",
     "coefficient_bits",
     "amplitude",
     "distribution",
@@ -146,22 +160,129 @@ def coefficient_bits(t: int) -> int:
     return worst.bit_length()
 
 
+def coefficient_row(t: int, family: str, d: int) -> list[int]:
+    """The coefficients term_coefficient(t, family, d, h) of one group, for
+    its admissible h in increasing order; empty if there are none.
+
+    Only the first comes from ``term_coefficient``. The coefficient is the
+    multinomial n! / (a! p! q!) with a + p + q = n (p0 + q0 = 0 in every
+    family), and stepping h -> h + 2 takes (n, a, p, q) to
+    (n + 1, a - 1, p + 1, q + 1) and flips the sign, so each next one is
+    -c (n + 1) a / ((p + 1)(q + 1)), an exact division. The last h of a
+    row is always t - dt.
+    """
+    h0 = next(admissible_terms(d, t, 0, family), None)
+    if h0 is None:
+        return []
+    fam = FAMILIES[family]
+    m = t - fam.dt
+    c = term_coefficient(t, family, d, h0)
+    n, a = (m + h0) // 2, (m - h0) // 2
+    p, q = (h0 + fam.p0 + d) // 2, (h0 + fam.q0 - d) // 2
+    row = [c]
+    while a:
+        n, p, q = n + 1, p + 1, q + 1
+        c = -c * n * a // (p * q)
+        a -= 1
+        row.append(c)
+    return row
+
+
+def _float_horner(c2: float) -> Callable:
+    """Row evaluation by Horner's rule in floats."""
+
+    def evaluate(row):
+        acc = 0
+        for c in reversed(row):
+            acc = acc * c2 + c
+        return acc
+
+    return evaluate
+
+
+def _rational_horner(c2: Fraction) -> Callable:
+    """Exact row evaluation by Horner's rule on one integer numerator over
+    a power of c2's denominator, reduced once at the end."""
+    num, den = c2.numerator, c2.denominator
+
+    def evaluate(row):
+        acc, scale = 0, 1
+        for c in reversed(row):
+            acc = acc * num + c * scale
+            scale *= den
+        return SqrtTwo(Fraction(acc, scale // den))
+
+    return evaluate
+
+
+def _fixed_point_horner(c2: mpmath.mpf, wp: int) -> Callable:
+    """Row evaluation by Horner's rule on wp-bit fixed-point integers.
+
+    c2 becomes the integer floor(c2 2^wp), and every product is shifted back
+    by wp bits, so the integer coefficients enter exactly and each step
+    loses at most one unit of 2^-wp. With wp = coefficient bits + guard
+    bits, the absolute error of a row of length L is about L 2^-guard.
+    """
+    x = to_fixed(c2._mpf_, wp)
+
+    def evaluate(row):
+        acc = 0
+        for c in reversed(row):
+            acc = ((acc * x) >> wp) + (c << wp)
+        return mpmath.mpf((acc, -wp))
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class _Scalars:
-    """Every factor of the family loop in one arithmetic mode's number type."""
+    """Every factor of the family loop in one arithmetic mode's number type.
 
-    cos_pows: list   # cos^0(theta) .. cos^(t+1)(theta)
+    Powers of cos and chi and group sums are made on first use and
+    kept in ``memo`` for the rest of the call, so a full distribution
+    computes each once and a point query pays only for what it needs.
+    """
+
+    t: int
+    cos: object
     sin: object
     chi: object
     chi_inv: object
     ephi1: object
     cross: object    # beta <- alpha phase, times chi^(e + cross_shift)
     cross_shift: int
-    lift: Callable   # source amplitude (or 0) -> the mode's complex type
-    total: Callable  # summation rule for the real h-sum of one term group
+    lift: Callable       # source amplitude (or 0) -> the mode's complex type
+    evaluate: Callable   # integer row -> its value at cos^2(theta)
+    memo: dict = field(default_factory=dict)
+
+    def _cached(self, key, make):
+        try:
+            return self.memo[key]
+        except KeyError:
+            value = self.memo[key] = make()
+            return value
+
+    def cos_pow(self, k: int):
+        return self._cached(("cos", k), lambda: self.cos**k)
 
     def chi_pow(self, e: int):
-        return self.chi**e if e >= 0 else self.chi_inv ** (-e)
+        return self._cached(
+            ("chi", e), lambda: self.chi**e if e >= 0 else self.chi_inv ** (-e)
+        )
+
+    def group(self, family: str, d: int):
+        """sum_h term_coefficient(t, family, d, h) cos^(h + cos_plus), the
+        real h-sum of one group, or None if it has no terms."""
+
+        def make():
+            row = coefficient_row(self.t, family, d)
+            if not row:
+                return None
+            fam = FAMILIES[family]
+            h0 = self.t - fam.dt - 2 * (len(row) - 1)
+            return self.evaluate(row) * self.cos_pow(h0 + fam.cos_plus)
+
+        return self._cached((family, d), make)
 
 
 def _to_ring(value) -> SqrtTwoComplex:
@@ -185,45 +306,43 @@ def _scalars(params: CoinParams, t: int, mode: str, beta_cross_phase: str) -> _S
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
-        one, cos, sin = SqrtTwo(1), params.theta.cos_exact(), params.theta.sin_exact()
+        cos, sin = params.theta.cos_exact(), params.theta.sin_exact()
         chi = params.chi_exact()
         ephi1, ephi2 = params.phi1.exp_i_exact(), params.phi2.exp_i_exact()
-        lift, total = _to_ring, sum
+        # cos^2 is 0, 1/2 or 1 on the eighth-turn grid
+        c2 = cos * cos
+        assert c2.b == 0
+        lift, evaluate = _to_ring, _rational_horner(c2.a)
     elif mode == "adaptive":
         th = params.theta.mp_radians()
-        one, cos, sin = mpmath.mpf(1), mpmath.cos(th), mpmath.sin(th)
+        cos, sin = mpmath.cos(th), mpmath.sin(th)
         ephi1, ephi2 = _mp_expj(params.phi1), _mp_expj(params.phi2)
         chi = ephi1 * ephi2
-        lift, total = mpmath.mpc, sum
+        lift, evaluate = mpmath.mpc, _fixed_point_horner(cos * cos, mpmath.mp.prec)
     else:
         th = params.theta.radians
-        one, cos, sin = 1.0, math.cos(th), math.sin(th)
+        cos, sin = math.cos(th), math.sin(th)
         chi, ephi1, ephi2 = params.chi, _expj(params.phi1), _expj(params.phi2)
-        lift, total = complex, neumaier_sum
-    cos_pows = [one]
-    for _ in range(t + 1):
-        cos_pows.append(cos_pows[-1] * cos)
+        lift, evaluate = complex, _float_horner(cos * cos)
     if beta_cross_phase == "phi1":
         cross, cross_shift = ephi1.conjugate(), 0
     else:
         cross, cross_shift = ephi2, -1
     return _Scalars(
-        cos_pows, sin, chi, chi.conjugate(), ephi1, cross, cross_shift, lift, total
+        t, cos, sin, chi, chi.conjugate(), ephi1, cross, cross_shift, lift, evaluate
     )
 
 
-def _family_loop(x: int, t: int, init: PureState, s: _Scalars):
+def _family_loop(x: int, t: int, sources: list, s: _Scalars):
     """(alpha_x(t), beta_x(t)) in the bundle's number type. The admissible
     terms of one (source site, family) group share every factor but the
     real h-sum, so each group costs one complex multiply."""
     out = {"alpha": s.lift(0), "beta": s.lift(0)}
-    for xp in init.support:
+    for xp, src in sources:
         d = x - xp
         if abs(d) > t or (t - d) % 2:
             continue
         e = (t - d) // 2
-        alpha_src, beta_src = init.amplitudes[xp]
-        src = {"alpha": s.lift(alpha_src), "beta": s.lift(beta_src)}
         chi_e = s.chi_pow(e)
         phase = {
             "none": chi_e,
@@ -231,16 +350,13 @@ def _family_loop(x: int, t: int, init: PureState, s: _Scalars):
             "cross": s.cross * s.chi_pow(e + s.cross_shift),
         }
         for name, fam in FAMILIES.items():
-            terms = [
-                term_coefficient(t, name, d, h) * s.cos_pows[h + fam.cos_plus]
-                for h in admissible_terms(x, t, xp, name)
-            ]
-            if not terms:
+            total = s.group(name, d)
+            if total is None:
                 continue
             factor = src[fam.source] * phase[fam.phase]
             if fam.use_sin:
                 factor = factor * s.sin
-            out[fam.target] = out[fam.target] + factor * s.total(terms)
+            out[fam.target] = out[fam.target] + factor * total
     return out["alpha"], out["beta"]
 
 
@@ -268,7 +384,11 @@ def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str,
         precision = nullcontext()
     with precision:
         s = _scalars(params, t, mode, beta_cross_phase)
-        pairs = [_family_loop(x, t, init, s) for x in xs]
+        sources = [
+            (xp, {"alpha": s.lift(alpha), "beta": s.lift(beta)})
+            for xp, (alpha, beta) in init.amplitudes.items()
+        ]
+        pairs = [_family_loop(x, t, sources, s) for x in xs]
     if mode != "adaptive":
         return pairs
     return [(complex(a), complex(b)) for a, b in pairs]

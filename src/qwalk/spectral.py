@@ -123,10 +123,19 @@ def evolve_spectral(
     init: PureState, params: CoinParams, t: int, n: int | None = None,
     power: str = "horner",
 ) -> PureState:
-    """Full pipeline, returning amplitudes on the light-cone window."""
+    """Full pipeline, returning amplitudes on the light-cone window.
+
+    An explicit ring must hold the whole window lo - t .. hi + t, or the
+    walk would wrap onto itself.
+    """
     lo, hi = init.span
     if n is None:
         n = ring_size(t, max(abs(lo), abs(hi)))
+    elif n < hi - lo + 2 * t + 1:
+        raise ValueError(
+            f"ring size {n} too small for {t} steps from sites {lo}..{hi}: "
+            f"the walk needs {hi - lo + 2 * t + 1} sites"
+        )
     field = propagate(forward(init, n), params, t, power=power)
     return inverse(field, lo - t, hi + t)
 

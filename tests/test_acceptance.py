@@ -293,10 +293,9 @@ def test_exact_distributions_match_pinned_digests(hadamard, plus_i):
     print("\nPASS pinned exact digests: t <= 60, two eighth-turn coins, mixed t=25")
 
 
-def test_exact_direct_and_closed_form_identical_at_t200(hadamard, plus_i):
-    # t = 200 from (|0> + i|1>)/sqrt2: direct stepping and the closed form
-    # give the same element of Q(sqrt2) at every site.
-    t = 200
+def _assert_exact_routes_identical(t, hadamard, plus_i):
+    # from (|0> + i|1>)/sqrt2, direct stepping and the closed form give
+    # the same element of Q(sqrt2) at every site.
     start = time.perf_counter()
     oracle = distribution_of(evolve_pure(plus_i, hadamard, t), t)
     closed = cf_distribution(t, plus_i, hadamard, mode="exact")
@@ -306,9 +305,17 @@ def test_exact_direct_and_closed_form_identical_at_t200(hadamard, plus_i):
         assert closed.exact[x] == value, x
     assert sum(oracle.exact.values(), SqrtTwo()) == SqrtTwo(1, 0)
     print(
-        f"\nPASS exact t=200: direct and closed form ring-identical, "
+        f"\nPASS exact t={t}: direct and closed form ring-identical, "
         f"{elapsed:.2f}s"
     )
+
+
+def test_exact_direct_and_closed_form_identical_at_t200(hadamard, plus_i):
+    _assert_exact_routes_identical(200, hadamard, plus_i)
+
+
+def test_exact_direct_and_closed_form_identical_at_t400(hadamard, plus_i):
+    _assert_exact_routes_identical(400, hadamard, plus_i)
 
 
 def test_spectral_reaches_t2000(plus_i):

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from qwalk.arithmetic import (
     SqrtTwo,
     SqrtTwoComplex,
     guard_bits,
-    neumaier_sum,
     precision_for,
 )
 
@@ -218,6 +216,20 @@ class TestRingAgainstFractionPairs:
             assert _model(other - cz) == _mc_add(m, _mc_neg(z))
             assert _model(cz * other) == _model(other * cz) == _mc_mul(z, m)
 
+    @given(pairs, st.integers(0, 9))
+    @settings(max_examples=50)
+    def test_real_pow(self, x, n):
+        want = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            want = _m_mul(want, x)
+        assert _model(_ring(x) ** n) == want
+
+    def test_real_pow_rejects_negative_and_non_int_exponents(self):
+        with pytest.raises(TypeError):
+            SqrtTwo(1, 1) ** -1
+        with pytest.raises(TypeError):
+            SqrtTwo(1, 1) ** Fraction(1, 2)
+
     @given(complex_pairs, st.integers(0, 9))
     @settings(max_examples=50)
     def test_pow(self, z, n):
@@ -308,15 +320,3 @@ class TestPrecision:
         assert precision_for(10) >= 53
         assert precision_for(1000) == 1000 + 64
 
-
-class TestNeumaier:
-    def test_cancellation_prone_sum(self):
-        # 1 + 2^60 - 2^60 collapses to 0 in naive left-to-right float
-        # addition; the compensated sum keeps the 1.
-        values = [1.0, 2.0**60, -(2.0**60)]
-        assert neumaier_sum(values) == 1.0
-
-    def test_matches_fsum(self):
-        rng = random.Random(5)
-        values = [rng.gauss(0, 1) * 10 ** rng.randint(-8, 8) for _ in range(500)]
-        assert math.isclose(neumaier_sum(values), math.fsum(values), rel_tol=1e-12)

@@ -8,10 +8,12 @@ from conftest import random_params, random_state
 from qwalk.arithmetic import SqrtTwoComplex
 from qwalk.closedform_pure import (
     BETA_CROSS_PHASES,
+    FAMILIES,
     MODES,
     admissible_terms,
     amplitude,
     coefficient_bits,
+    coefficient_row,
     distribution,
     term_coefficient,
 )
@@ -249,3 +251,49 @@ class TestTermBookkeeping:
             cached = coefficient_bits(t)
             assert coefficient_bits(t) == cached
             assert coefficient_bits.__wrapped__(t) == cached, t
+
+    @staticmethod
+    def _rows_match_terms(t):
+        for family in FAMILIES:
+            for d in range(-t - 2, t + 3):
+                want = [
+                    term_coefficient(t, family, d, h)
+                    for h in admissible_terms(d, t, 0, family)
+                ]
+                assert coefficient_row(t, family, d) == want, (t, family, d)
+
+    def test_rows_match_term_coefficient(self):
+        # the multinomial ratio recurrence against the per-term spec, for
+        # every family and every d, inside and outside the light cone
+        for t in range(61):
+            self._rows_match_terms(t)
+
+    @pytest.mark.parametrize("t", [301, 400])
+    def test_rows_match_term_coefficient_large_t(self, t):
+        self._rows_match_terms(t)
+
+
+class TestAdaptivePrecision:
+    # the adaptive rows are summed on fixed-point integers; at 256 guard
+    # bits instead of 64 the amplitudes must not move
+    PARAMS = CoinParams.make(0.9, 0.4, 1.3)
+
+    def test_amplitudes_at_t600_match_256_guard_bits(self, monkeypatch, plus_i):
+        t = 600
+        peak = round(t * math.cos(0.9))
+        sites = (-t, -t + 2, -peak, 0, peak, t - 2, t)
+        monkeypatch.delenv("QWALK_PRECISION_GUARD_BITS", raising=False)
+        got = [amplitude(x, t, plus_i, self.PARAMS) for x in sites]
+        monkeypatch.setenv("QWALK_PRECISION_GUARD_BITS", "256")
+        for x, pair in zip(sites, got):
+            _amps_close(pair, amplitude(x, t, plus_i, self.PARAMS), tol=1e-15)
+
+    def test_distribution_at_t140_matches_256_guard_bits(self, monkeypatch):
+        rng = random.Random(23)
+        init = random_state(rng, radius=2)
+        t = 140
+        monkeypatch.delenv("QWALK_PRECISION_GUARD_BITS", raising=False)
+        got = distribution(t, init, self.PARAMS)
+        monkeypatch.setenv("QWALK_PRECISION_GUARD_BITS", "256")
+        want = distribution(t, init, self.PARAMS)
+        assert max_pointwise_difference(got, want) < 1e-15

@@ -160,6 +160,36 @@ class TestSimulate:
         for x in small.positions:
             assert big[x] == pytest.approx(small[x], abs=1e-12)
 
+    def test_ring_too_small_for_t_rejected(self, hadamard, plus_i):
+        # a 5-ring cannot hold the 13 sites of a 6-step walk; it used to
+        # wrap silently, with probabilities summing to about 2.6
+        with pytest.raises(ValueError, match="too small for 6 steps"):
+            simulate(plus_i, hadamard, 6, n=5)
+        with pytest.raises(ValueError, match="too small"):
+            simulate(plus_i, hadamard, 6, n=11)
+
+    def test_ring_at_the_bound_is_exact(self, hadamard, plus_i):
+        # n = hi - lo + 2t + 1 is the smallest ring the window fits in
+        t = 6
+        want = simulate(plus_i, hadamard, t)
+        got = simulate(plus_i, hadamard, t, n=2 * t + 1)
+        for x in want.positions:
+            assert got[x] == pytest.approx(want[x], abs=1e-15)
+
+    def test_ring_bound_on_wide_support(self):
+        # support -2..3 at t = 5 needs 16 sites; rings are odd, so 17 is
+        # the smallest that runs and 15 is refused
+        rng = random.Random(17)
+        params = random_params(rng)
+        init = PureState({x: (rng.random(), rng.random() * 1j) for x in (-2, 0, 3)})
+        t = 5
+        want = simulate(init, params, t)
+        got = simulate(init, params, t, n=17)
+        for x in want.positions:
+            assert got[x] == pytest.approx(want[x], abs=1e-14)
+        with pytest.raises(ValueError, match="needs 16 sites"):
+            simulate(init, params, t, n=15)
+
     def test_memory_at_t600(self, hadamard, plus_i):
         # the f recurrence over all modes keeps only its last two terms;
         # holding the whole sequence would take about 12 MB here

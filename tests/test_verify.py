@@ -217,6 +217,22 @@ class TestMutationDetection:
         assert any("closed-form" in msg for msg in report.failures)
         assert report.pairwise_tv["direct|spectral"] < 1e-11
 
+    def test_row_without_sign_alternation_detected(self, monkeypatch, hadamard, plus_i):
+        # a row recurrence that keeps the sign of its first coefficient
+        # throughout must be caught and blamed on the closed form
+        orig = closedform_pure.coefficient_row
+
+        def unsigned(t, family, d):
+            row = orig(t, family, d)
+            return [abs(c) if row[0] > 0 else -abs(c) for c in row]
+
+        monkeypatch.setattr(closedform_pure, "coefficient_row", unsigned)
+        with pytest.warns(RuntimeWarning, match="probabilities sum to"):
+            report = compare_pure(plus_i, hadamard, 6)
+        assert not report.passed
+        assert any("closed-form" in msg for msg in report.failures)
+        assert report.pairwise_tv["direct|spectral"] < 1e-11
+
     def test_wrong_f_boundary_detected(self, monkeypatch, hadamard):
         # the power identity needs f_{-1} = 0; smuggling in f_{-1} = 1
         # must break U^0 = I visibly
