@@ -15,7 +15,7 @@ from .closedform_mixed import (
     prob_literal,
     prob_pipeline,
 )
-from .closedform_pure import BETA_CROSS_PHASES, MODES, amplitude, distribution
+from .closedform_pure import MODES, amplitude, distribution
 from .config import ConfigError, WalkConfig
 from .core import (
     CoinParams,
@@ -95,7 +95,6 @@ __all__ = [
     "amplitude",
     "distribution",
     "MODES",
-    "BETA_CROSS_PHASES",
     "distribution_mixed",
     "prob_pipeline",
     "prob_literal",

@@ -108,11 +108,7 @@ def _run_distribution(cfg: WalkConfig, method: str) -> Distribution:
     if method == "spectral":
         return spectral.simulate(cfg.initial_pure, cfg.params, cfg.steps)
     return closedform_pure.distribution(
-        cfg.steps,
-        cfg.initial_pure,
-        cfg.params,
-        mode=cfg.mode,
-        beta_cross_phase=cfg.beta_cross_phase,
+        cfg.steps, cfg.initial_pure, cfg.params, mode=cfg.mode
     )
 
 
@@ -174,7 +170,6 @@ def cmd_compare(args) -> int:
             cfg.steps,
             methods=cfg.methods,
             mode=cfg.mode,
-            beta_cross_phase=cfg.beta_cross_phase,
             tolerances=cfg.tolerances,
         )
     base = _out_base(args, cfg, "qwalk-compare")

@@ -19,13 +19,24 @@ arguments p, q are the family-specific half-integers spelled out in the
 table below. Admissibility (all arguments integral and non-negative) forces
 h = |d| parity and confines support to the light cone |d| <= t.
 
-The beta <- alpha cross family carries a phase that can be written two
-equivalent ways: e^{-i phi1} chi^{(t-d)/2} or e^{+i phi2} chi^{(t-d)/2 - 1}
-(identical because chi = e^{i(phi1+phi2)}). Both spellings are exposed via
-``beta_cross_phase`` and tested to agree exactly.
+Every factor but alpha_{x'} and beta_{x'} depends on d alone, so the
+closed form is a position-space propagator: (alpha_x, beta_x)(t) is the
+sum over sources of K_t(x - x') (alpha_{x'}, beta_{x'}), with the 2x2
+kernel, for e = (t - d)/2 and G(f) the real h-sum of family f,
+
+    K_t(d) = [[ chi^e (G(alpha_ft) + G(alpha_cos)),
+                e^{i phi1} sin(theta) chi^e G(alpha_sin) ],
+              [ e^{-i phi1} sin(theta) chi^e G(beta_sin),
+                chi^e (G(beta_ft) + G(beta_cos)) ]]
+
+and K_t(d) = 0 off the light cone or at the wrong parity. The beta <- alpha
+phase e^{-i phi1} chi^e could also be written e^{i phi2} chi^{e-1}; the two
+are equal because chi = e^{i(phi1+phi2)}, which the ring test
+``test_cross_phase_spellings_agree`` checks on every eighth-turn pair, so
+only the first is used.
 
 The terms of one (family, d) group share every factor but their signed
-trinomial and cos^h, and h steps by 2, so a group is one integer row
+trinomial and cos^h, and h steps by 2, so G(f) is one integer row
 c_0, c_1, .. (``coefficient_row``: the first from ``term_coefficient``,
 the rest by the exact multinomial ratio) evaluated as a polynomial in
 cos^2(theta) by Horner's rule, times cos^(h0 + 1 if cos_plus else h0).
@@ -33,8 +44,8 @@ cos^2(theta) by Horner's rule, times cos^(h0 + 1 if cos_plus else h0).
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
 only), ``adaptive`` (mpmath, precision sized from the largest trinomial
 plus guard bits), ``double`` (floats; cancellation-prone at large t by
-design, so the failure stays demonstrable). All three run the same family
-loop; a mode only supplies the scalars and the row-evaluation rule:
+design, so the failure stays demonstrable). All three build the same
+kernels; a mode only supplies the scalars and the row-evaluation rule:
 
 * exact: cos^2 is 0, 1/2 or 1, so Horner runs on one integer numerator
   over a power of its denominator and is reduced once;
@@ -43,9 +54,10 @@ loop; a mode only supplies the scalars and the row-evaluation rule:
   enter exactly and a row of length L is off by about L 2^-guard;
 * double: Horner in floats.
 
-Powers of cos and chi and the group values are made on first
-use and memoised for the rest of the call, so a full distribution makes
-each once and a single-site query pays O(t) for its rows.
+Powers of cos and the kernels K_t(d) are made on first use and memoised
+for the rest of the call, so a full distribution builds each kernel once
+for all its sources and sites, and a single-site query pays O(t) for the
+rows of the kernels it needs.
 """
 
 from __future__ import annotations
@@ -78,28 +90,25 @@ MODES = ("exact", "adaptive", "double")
 # Relative amount by which a float-mode distribution may miss the initial
 # norm before it is reported as numerically meaningless.
 NORM_TOLERANCE = 1e-6
-BETA_CROSS_PHASES = ("phi1", "phi2")
 
 
 class _Family(NamedTuple):
-    target: str  # which output component the family feeds
-    source: str  # which input component it reads
     dt: int      # 0 for the f_t families, 1 for the f_{t-1} families
     p0: int      # p = (h + p0 + d)/2
     q0: int      # q = (h + q0 - d)/2, sign of the term is (-1)^q
     cos_plus: bool   # cos exponent is h+1 instead of h
-    use_sin: bool    # extra sin(theta) factor
     negate: bool     # overall minus sign
-    phase: str       # "none" | "phi1" | "cross"
 
 
+# Which kernel entry each family feeds, and with which phase and sin
+# factor, is spelled out in _Scalars.kernel.
 FAMILIES: dict[str, _Family] = {
-    "alpha_ft": _Family("alpha", "alpha", 0, 0, 0, False, False, False, "none"),
-    "alpha_cos": _Family("alpha", "alpha", 1, 1, -1, True, False, False, "none"),
-    "alpha_sin": _Family("alpha", "beta", 1, -1, 1, False, True, False, "phi1"),
-    "beta_ft": _Family("beta", "beta", 0, 0, 0, False, False, False, "none"),
-    "beta_sin": _Family("beta", "alpha", 1, 1, -1, False, True, False, "cross"),
-    "beta_cos": _Family("beta", "beta", 1, -1, 1, True, False, True, "none"),
+    "alpha_ft": _Family(0, 0, 0, False, False),
+    "alpha_cos": _Family(1, 1, -1, True, False),
+    "alpha_sin": _Family(1, -1, 1, False, False),
+    "beta_ft": _Family(0, 0, 0, False, False),
+    "beta_sin": _Family(1, 1, -1, False, False),
+    "beta_cos": _Family(1, -1, 1, True, True),
 }
 
 
@@ -236,21 +245,18 @@ def _fixed_point_horner(c2: mpmath.mpf, wp: int) -> Callable:
 
 @dataclass(frozen=True)
 class _Scalars:
-    """Every factor of the family loop in one arithmetic mode's number type.
+    """Every factor of the closed form in one arithmetic mode's number type.
 
-    Powers of cos and chi and group sums are made on first use and
-    kept in ``memo`` for the rest of the call, so a full distribution
-    computes each once and a point query pays only for what it needs.
+    Powers of cos and the kernels are made on first use and kept in
+    ``memo`` for the rest of the call, so a full distribution computes
+    each once and a point query pays only for what it needs.
     """
 
     t: int
     cos: object
     sin: object
     chi: object
-    chi_inv: object
     ephi1: object
-    cross: object    # beta <- alpha phase, times chi^(e + cross_shift)
-    cross_shift: int
     lift: Callable       # source amplitude (or 0) -> the mode's complex type
     evaluate: Callable   # integer row -> its value at cos^2(theta)
     memo: dict = field(default_factory=dict)
@@ -265,24 +271,33 @@ class _Scalars:
     def cos_pow(self, k: int):
         return self._cached(("cos", k), lambda: self.cos**k)
 
-    def chi_pow(self, e: int):
-        return self._cached(
-            ("chi", e), lambda: self.chi**e if e >= 0 else self.chi_inv ** (-e)
-        )
-
     def group(self, family: str, d: int):
         """sum_h term_coefficient(t, family, d, h) cos^(h + cos_plus), the
-        real h-sum of one group, or None if it has no terms."""
+        real h-sum of one group, or 0 if it has no terms."""
+        row = coefficient_row(self.t, family, d)
+        if not row:
+            return 0
+        fam = FAMILIES[family]
+        h0 = self.t - fam.dt - 2 * (len(row) - 1)
+        return self.evaluate(row) * self.cos_pow(h0 + fam.cos_plus)
+
+    def kernel(self, d: int):
+        """The 2x2 propagator K_t(d) as ((K_aa, K_ab), (K_ba, K_bb)), or
+        None off the light cone or at the wrong parity."""
 
         def make():
-            row = coefficient_row(self.t, family, d)
-            if not row:
+            if abs(d) > self.t or (self.t - d) % 2:
                 return None
-            fam = FAMILIES[family]
-            h0 = self.t - fam.dt - 2 * (len(row) - 1)
-            return self.evaluate(row) * self.cos_pow(h0 + fam.cos_plus)
+            g = {name: self.group(name, d) for name in FAMILIES}
+            chi_e = self.chi ** ((self.t - d) // 2)
+            return (
+                (chi_e * (g["alpha_ft"] + g["alpha_cos"]),
+                 self.ephi1 * chi_e * (self.sin * g["alpha_sin"])),
+                (self.ephi1.conjugate() * chi_e * (self.sin * g["beta_sin"]),
+                 chi_e * (g["beta_ft"] + g["beta_cos"])),
+            )
 
-        return self._cached((family, d), make)
+        return self._cached(("kernel", d), make)
 
 
 def _to_ring(value) -> SqrtTwoComplex:
@@ -300,15 +315,14 @@ def _mp_expj(angle: Angle):
     return value
 
 
-def _scalars(params: CoinParams, t: int, mode: str, beta_cross_phase: str) -> _Scalars:
+def _scalars(params: CoinParams, t: int, mode: str) -> _Scalars:
     """The scalar bundle of one mode; adaptive values are made at the
     current mpmath working precision."""
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
         cos, sin = params.theta.cos_exact(), params.theta.sin_exact()
-        chi = params.chi_exact()
-        ephi1, ephi2 = params.phi1.exp_i_exact(), params.phi2.exp_i_exact()
+        chi, ephi1 = params.chi_exact(), params.phi1.exp_i_exact()
         # cos^2 is 0, 1/2 or 1 on the eighth-turn grid
         c2 = cos * cos
         assert c2.b == 0
@@ -316,52 +330,30 @@ def _scalars(params: CoinParams, t: int, mode: str, beta_cross_phase: str) -> _S
     elif mode == "adaptive":
         th = params.theta.mp_radians()
         cos, sin = mpmath.cos(th), mpmath.sin(th)
-        ephi1, ephi2 = _mp_expj(params.phi1), _mp_expj(params.phi2)
-        chi = ephi1 * ephi2
+        ephi1 = _mp_expj(params.phi1)
+        chi = ephi1 * _mp_expj(params.phi2)
         lift, evaluate = mpmath.mpc, _fixed_point_horner(cos * cos, mpmath.mp.prec)
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
-        chi, ephi1, ephi2 = params.chi, _expj(params.phi1), _expj(params.phi2)
+        chi, ephi1 = params.chi, _expj(params.phi1)
         lift, evaluate = complex, _float_horner(cos * cos)
-    if beta_cross_phase == "phi1":
-        cross, cross_shift = ephi1.conjugate(), 0
-    else:
-        cross, cross_shift = ephi2, -1
-    return _Scalars(
-        t, cos, sin, chi, chi.conjugate(), ephi1, cross, cross_shift, lift, evaluate
-    )
+    return _Scalars(t, cos, sin, chi, ephi1, lift, evaluate)
 
 
-def _family_loop(x: int, t: int, sources: list, s: _Scalars):
-    """(alpha_x(t), beta_x(t)) in the bundle's number type. The admissible
-    terms of one (source site, family) group share every factor but the
-    real h-sum, so each group costs one complex multiply."""
-    out = {"alpha": s.lift(0), "beta": s.lift(0)}
-    for xp, src in sources:
-        d = x - xp
-        if abs(d) > t or (t - d) % 2:
-            continue
-        e = (t - d) // 2
-        chi_e = s.chi_pow(e)
-        phase = {
-            "none": chi_e,
-            "phi1": s.ephi1 * chi_e,
-            "cross": s.cross * s.chi_pow(e + s.cross_shift),
-        }
-        for name, fam in FAMILIES.items():
-            total = s.group(name, d)
-            if total is None:
-                continue
-            factor = src[fam.source] * phase[fam.phase]
-            if fam.use_sin:
-                factor = factor * s.sin
-            out[fam.target] = out[fam.target] + factor * total
-    return out["alpha"], out["beta"]
+def _site(x: int, sources: list, s: _Scalars):
+    """(alpha_x(t), beta_x(t)) in the bundle's number type: the sum over
+    source sites x' of K_t(x - x') applied to the source's pair."""
+    alpha = beta = s.lift(0)
+    for xp, (a, b) in sources:
+        k = s.kernel(x - xp)
+        if k is not None:
+            alpha = alpha + k[0][0] * a + k[0][1] * b
+            beta = beta + k[1][0] * a + k[1][1] * b
+    return alpha, beta
 
 
-def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str,
-                beta_cross_phase: str) -> list:
+def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str) -> list:
     """Amplitude pairs at the sites xs: ring elements in exact mode,
     complex otherwise. The bundle and the working precision are set up
     once for all sites."""
@@ -369,8 +361,6 @@ def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str,
         raise ValueError("t must be non-negative")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if beta_cross_phase not in BETA_CROSS_PHASES:
-        raise ValueError(f"unknown beta_cross_phase {beta_cross_phase!r}")
     if mode == "exact":
         if not init.exact:
             raise ValueError("exact mode needs ring-valued initial amplitudes")
@@ -383,12 +373,12 @@ def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str,
     else:
         precision = nullcontext()
     with precision:
-        s = _scalars(params, t, mode, beta_cross_phase)
+        s = _scalars(params, t, mode)
         sources = [
-            (xp, {"alpha": s.lift(alpha), "beta": s.lift(beta)})
+            (xp, (s.lift(alpha), s.lift(beta)))
             for xp, (alpha, beta) in init.amplitudes.items()
         ]
-        pairs = [_family_loop(x, t, sources, s) for x in xs]
+        pairs = [_site(x, sources, s) for x in xs]
     if mode != "adaptive":
         return pairs
     return [(complex(a), complex(b)) for a, b in pairs]
@@ -400,14 +390,13 @@ def amplitude(
     init: PureState,
     params: CoinParams,
     mode: str = "adaptive",
-    beta_cross_phase: str = "phi1",
 ):
     """Amplitude pair (alpha_x(t), beta_x(t)) by the closed form.
 
     Returns ring elements in exact mode, complex otherwise. Positions
     outside the light cone give exact zeros.
     """
-    (pair,) = _amplitudes((x,), t, init, params, mode, beta_cross_phase)
+    (pair,) = _amplitudes((x,), t, init, params, mode)
     return pair
 
 
@@ -416,7 +405,6 @@ def distribution(
     init: PureState,
     params: CoinParams,
     mode: str = "adaptive",
-    beta_cross_phase: str = "phi1",
 ) -> Distribution:
     """Closed-form distribution on the full light-cone span of the initial
     support, parity-forbidden sites included as exact zeros.
@@ -427,7 +415,7 @@ def distribution(
     """
     lo, hi = init.span
     grid = range(lo - t, hi + t + 1)
-    pairs = zip(grid, _amplitudes(grid, t, init, params, mode, beta_cross_phase))
+    pairs = zip(grid, _amplitudes(grid, t, init, params, mode))
     if mode == "exact":
         exact = {x: a.abs_sq() + b.abs_sq() for x, (a, b) in pairs}
         probs = {x: float(v) for x, v in exact.items()}

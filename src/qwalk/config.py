@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .arithmetic import Angle, SqrtTwo, SqrtTwoComplex
 from .closedform_mixed import MIXED_METHODS
-from .closedform_pure import BETA_CROSS_PHASES, MODES
+from .closedform_pure import MODES
 from .core import CoinParams, MixedLocalizedState, PureState, validate_state
 from .verify import MIXED_COMPARE_METHODS, PURE_METHODS, Tolerances
 
@@ -184,14 +184,7 @@ def _validated_mixed(state: MixedLocalizedState, where: str) -> MixedLocalizedSt
 
 
 def _parse_tolerances(spec, where: str) -> Tolerances:
-    fields = {
-        "pairwise_tv",
-        "pointwise",
-        "normalization",
-        "forbidden_mass",
-        "symmetry",
-    }
-    _require_keys(spec, fields, set(), where)
+    _require_keys(spec, {f.name for f in fields(Tolerances)}, set(), where)
     kwargs = {}
     for key, value in spec.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
@@ -243,7 +236,6 @@ class WalkConfig:
     steps: int
     methods: tuple[str, ...]
     mode: str
-    beta_cross_phase: str
     output: str | None
     tolerances: Tolerances
 
@@ -265,7 +257,6 @@ class WalkConfig:
                 "steps",
                 "method",
                 "mode",
-                "beta_cross_phase",
                 "output",
                 "tolerances",
             },
@@ -308,12 +299,6 @@ class WalkConfig:
             raise ConfigError(f"config.mode: expected one of {list(MODES)}")
         check_plan(params, mixed if mixed is not None else pure, methods, mode)
 
-        beta_cross_phase = doc.get("beta_cross_phase", "phi1")
-        if beta_cross_phase not in BETA_CROSS_PHASES:
-            raise ConfigError(
-                f"config.beta_cross_phase: expected one of {list(BETA_CROSS_PHASES)}"
-            )
-
         output = doc.get("output")
         if output is not None and not isinstance(output, str):
             raise ConfigError("config.output: expected a path string")
@@ -327,7 +312,6 @@ class WalkConfig:
             steps=steps,
             methods=methods,
             mode=mode,
-            beta_cross_phase=beta_cross_phase,
             output=output,
             tolerances=tolerances,
         )

@@ -348,9 +348,6 @@ class StateDiagnostics:
     def valid(self) -> bool:
         return not self.violations
 
-    def codes(self) -> tuple[str, ...]:
-        return tuple(code for code, _, _ in self.violations)
-
 
 def validate_state(state) -> StateDiagnostics:
     """Diagnose a PureState or MixedLocalizedState.

@@ -37,7 +37,6 @@ from .core import CoinParams, coin_matrix
 __all__ = [
     "CharPolyQuad",
     "CharPolyQuartic",
-    "HornerBasis4",
     "u_k",
     "quad_coeffs",
     "f_quad",
@@ -257,21 +256,9 @@ def f_quartic_sequence(coeffs: CharPolyQuartic, t_max: int) -> list:
     return list(_f_quartic_terms(coeffs, t_max))
 
 
-@dataclass(frozen=True)
-class HornerBasis4:
-    """The four matrices multiplying f_t, f_{t-1}, f_{t-2}, f_{t-3} in the
-    quartic power identity."""
-
-    l0: np.ndarray
-    l1: np.ndarray
-    l2: np.ndarray
-    l3: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, ...]:
-        return (self.l0, self.l1, self.l2, self.l3)
-
-
-def horner_basis(k: float, kp: float) -> HornerBasis4:
+def horner_basis(k: float, kp: float) -> tuple[np.ndarray, ...]:
+    """(L0, L1, L2, L3), the four matrices multiplying f_t, f_{t-1},
+    f_{t-2}, f_{t-3} in the quartic power identity."""
     ell = superop(k, kp)
     c = quartic_coeffs(k, kp)
     eye = np.eye(4, dtype=complex)
@@ -280,7 +267,7 @@ def horner_basis(k: float, kp: float) -> HornerBasis4:
     l1 = ell - c.c0 * eye
     l2 = l2_raw - c.c0 * ell - c.c1 * eye
     l3 = l3_raw - c.c0 * l2_raw - c.c1 * ell - c.c2 * eye
-    return HornerBasis4(eye, l1, l2, l3)
+    return eye, l1, l2, l3
 
 
 def superop_power(k: float, kp: float, t: int) -> np.ndarray:
@@ -289,7 +276,7 @@ def superop_power(k: float, kp: float, t: int) -> np.ndarray:
         raise ValueError("t must be non-negative")
     coeffs = quartic_coeffs(k, kp)
     seq = f_quartic_sequence(coeffs, t)
-    basis = horner_basis(k, kp).as_tuple()
+    basis = horner_basis(k, kp)
     out = np.zeros((4, 4), dtype=complex)
     for j in range(4):
         if t - j < 0:

@@ -53,9 +53,6 @@ class MomentumField:
     def ks(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n) / self.n
 
-    def mode_norms(self) -> np.ndarray:
-        return np.abs(self.alpha) ** 2 + np.abs(self.beta) ** 2
-
 
 def ring_size(t: int, support_radius: int) -> int:
     """Smallest odd ring that keeps a walk of t steps from a support of the

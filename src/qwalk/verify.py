@@ -15,7 +15,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from . import closedform_mixed, closedform_pure, direct, spectral
@@ -92,13 +92,7 @@ class ComparisonReport:
             "kind": self.kind,
             "t": self.t,
             "methods": list(self.methods),
-            "tolerances": {
-                "pairwise_tv": self.tolerances.pairwise_tv,
-                "pointwise": self.tolerances.pointwise,
-                "normalization": self.tolerances.normalization,
-                "forbidden_mass": self.tolerances.forbidden_mass,
-                "symmetry": self.tolerances.symmetry,
-            },
+            "tolerances": asdict(self.tolerances),
             "pairwise_tv": dict(self.pairwise_tv),
             "pairwise_pointwise": dict(self.pairwise_pointwise),
             "normalization_error": dict(self.normalization_error),
@@ -186,7 +180,6 @@ def compare_pure(
     t: int,
     methods: tuple[str, ...] = PURE_METHODS,
     mode: str = "adaptive",
-    beta_cross_phase: str = "phi1",
     tolerances: Tolerances | None = None,
     check_symmetry: bool = False,
 ) -> ComparisonReport:
@@ -216,9 +209,7 @@ def compare_pure(
         elif name == "spectral":
             dist = spectral.simulate(init, params, t)
         else:
-            dist = closedform_pure.distribution(
-                t, init, params, mode=mode, beta_cross_phase=beta_cross_phase
-            )
+            dist = closedform_pure.distribution(t, init, params, mode=mode)
         report.timings[name] = time.perf_counter() - start
         dists[name] = dist
         report.distributions[name] = dict(dist.items())

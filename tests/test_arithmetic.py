@@ -127,6 +127,18 @@ class TestSqrtTwoComplex:
         i = SqrtTwoComplex.i_unit()
         assert i * i == -SqrtTwoComplex.one()
 
+    @pytest.mark.parametrize("n1", range(8))
+    @pytest.mark.parametrize("n2", range(8))
+    def test_cross_phase_spellings_agree(self, n1, n2):
+        # the closed form's beta <- alpha phase e^{-i phi1} chi^e equals
+        # e^{i phi2} chi^{e-1}, since chi = e^{i(phi1 + phi2)}
+        phi1, phi2 = Angle.from_pi_fraction(n1, 4), Angle.from_pi_fraction(n2, 4)
+        chi = (phi1 + phi2).exp_i_exact()
+        for e in range(1, 5):
+            assert phi1.exp_i_exact().conjugate() * chi**e == (
+                phi2.exp_i_exact() * chi ** (e - 1)
+            )
+
 
 # Reference model: a + b sqrt2 as a pair of Fractions, and a complex value
 # as a pair of such pairs, with the ring operations written out by hand.

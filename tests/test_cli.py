@@ -85,6 +85,14 @@ class TestRun:
         assert main(["run", "--config", cfg]) == 2
         assert "exactly one method" in capsys.readouterr().err
 
+    def test_removed_beta_cross_phase_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "walk.json", pure_doc(beta_cross_phase="phi1"))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown keys ['beta_cross_phase']" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_config_flag(self, capsys):
         assert main(["run"]) == 2
         assert "--config PATH is required" in capsys.readouterr().err

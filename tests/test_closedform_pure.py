@@ -5,9 +5,10 @@ import warnings
 import pytest
 
 from conftest import random_params, random_state
-from qwalk.arithmetic import SqrtTwoComplex
+from fractions import Fraction
+
+from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_pure import (
-    BETA_CROSS_PHASES,
     FAMILIES,
     MODES,
     admissible_terms,
@@ -110,8 +111,8 @@ class TestAgainstDirect:
             assert got.exact_value(x) == ref.exact_value(x)
 
     def test_exact_mode_eighth_turn_coins(self, plus_i):
-        # every eighth-turn coin keeps the walk in the ring, so under both
-        # cross-phase spellings the closed form must equal the exact oracle
+        # every eighth-turn coin keeps the walk in the ring, so the closed
+        # form must equal the exact oracle, phases included
         t = 6
         quarter = ("0 pi", "1/4 pi", "1/2 pi", "5/4 pi")
         for theta in ("1/4 pi", "3/4 pi"):
@@ -119,12 +120,32 @@ class TestAgainstDirect:
                 for phi2 in quarter:
                     params = CoinParams.make(theta, phi1, phi2)
                     ref = distribution_of(evolve_pure(plus_i, params, t), t)
-                    for spelling in BETA_CROSS_PHASES:
-                        got = distribution(t, plus_i, params, "exact", spelling)
-                        for x in ref.positions:
-                            assert got.exact_value(x) == ref.exact_value(x), (
-                                params, spelling, x
-                            )
+                    got = distribution(t, plus_i, params, "exact")
+                    for x in ref.positions:
+                        assert got.exact_value(x) == ref.exact_value(x), (params, x)
+
+    @pytest.mark.parametrize("t", [7, 30, 60])
+    def test_exact_mode_three_sources(self, t):
+        # one kernel K_t(d) serves every source at distance d; sources at
+        # -2, 0 and 3 put amplitude on sites of both parities
+        def ring(a, b=0, c=0, d=0):
+            return SqrtTwoComplex(SqrtTwo(a, b), SqrtTwo(c, d))
+
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        init = PureState({
+            -2: (ring(half), ring(0, 0, 0, half)),
+            0: (ring(0, quarter), ring(-quarter, 0, half)),
+            3: (ring(0), ring(Fraction(1, 3), Fraction(-1, 5))),
+        })
+        params = CoinParams.make("3/4 pi", "1/4 pi", "1/2 pi")
+        final = evolve_pure(init, params, t)
+        lo, hi = init.span
+        for x in range(lo - t, hi + t + 1):
+            assert amplitude(x, t, init, params, "exact") == final.amplitude(x), x
+        ref = distribution_of(final, t)
+        got = distribution(t, init, params, "exact")
+        for x in ref.positions:
+            assert got.exact_value(x) == ref.exact_value(x), x
 
     def test_double_mode_small_t(self):
         rng = random.Random(9)
@@ -179,34 +200,15 @@ class TestStructure:
         a, b = amplitude(7, 5, plus_i, hadamard, mode="adaptive")
         assert a == 0 and b == 0
 
-    def test_beta_cross_phase_conventions_agree(self):
-        # the cross term carries e^{i phi1} in one reading and e^{i phi2}
-        # in the other; for phi1 = phi2 they coincide, and for a walk
-        # started in coin 0 the beta branch never mixes, so both readings
-        # give the same distribution even with phi1 != phi2
-        rng = random.Random(11)
-        params = random_params(rng)
-        init = PureState.localized(0, 1.0, 0.0)
-        d1 = distribution(7, init, params, beta_cross_phase="phi1")
-        d2 = distribution(7, init, params, beta_cross_phase="phi2")
-        assert max_pointwise_difference(d1, d2) < 1e-12
-
-    def test_beta_cross_phase_equal_phases(self):
-        params = CoinParams.make(0.9, 0.4, 0.4)
-        init = PureState.localized(0, 0.6, 0.8)
-        d1 = distribution(6, init, params, beta_cross_phase="phi1")
-        d2 = distribution(6, init, params, beta_cross_phase="phi2")
-        assert max_pointwise_difference(d1, d2) < 1e-12
-
     def test_distribution_matches_amplitudes(self, plus_i):
         # distribution evaluates all sites at once; site by site it must
         # give |amplitude|^2 in every mode, ring-equal in exact mode
         params = CoinParams.make("3/4 pi", "1/4 pi", "1/2 pi")
         for mode in MODES:
             init = plus_i if mode == "exact" else plus_i.to_float()
-            dist = distribution(7, init, params, mode, "phi2")
+            dist = distribution(7, init, params, mode)
             for x in dist.positions:
-                a, b = amplitude(x, 7, init, params, mode, "phi2")
+                a, b = amplitude(x, 7, init, params, mode)
                 if mode == "exact":
                     assert dist.exact_value(x) == a.abs_sq() + b.abs_sq()
                 else:
@@ -215,8 +217,9 @@ class TestStructure:
     def test_bad_mode_and_phase_rejected(self, hadamard, plus_i):
         with pytest.raises(ValueError, match="unknown mode"):
             distribution(1, plus_i, hadamard, mode="quad")
-        with pytest.raises(ValueError, match="unknown beta_cross_phase"):
-            distribution(1, plus_i, hadamard, beta_cross_phase="phi3")
+        # the cross phase has one spelling; the old option is gone
+        with pytest.raises(TypeError, match="beta_cross_phase"):
+            distribution(1, plus_i, hadamard, beta_cross_phase="phi1")
         with pytest.raises(ValueError, match="non-negative"):
             distribution(-1, plus_i, hadamard)
 
@@ -229,7 +232,6 @@ class TestStructure:
 
     def test_constants(self):
         assert MODES == ("exact", "adaptive", "double")
-        assert BETA_CROSS_PHASES == ("phi1", "phi2")
 
 
 class TestTermBookkeeping:

@@ -280,7 +280,7 @@ class TestSuperopPower:
         assert superop_power(0.3, -0.9, 1) == pytest.approx(superop(0.3, -0.9))
 
     def test_basis_leading_term_is_identity(self):
-        assert horner_basis(1.1, 0.2).l0 == pytest.approx(np.eye(4))
+        assert horner_basis(1.1, 0.2)[0] == pytest.approx(np.eye(4))
 
     def test_matches_repeated_multiplication(self):
         rng = random.Random(29)
