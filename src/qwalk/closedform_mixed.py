@@ -432,7 +432,9 @@ def distribution_mixed(t: int, r, mode: str = "consistent") -> Distribution:
     """Distribution over y in [-t, t] (full grid; parity-forbidden sites
     carry exact zeros). mode selects the evaluation: "consistent" or
     "pipeline-literal" run the integral pipeline with the respective kernel
-    table, "literal" evaluates the compact closed form."""
+    table, "literal" evaluates the compact closed form. The weights are
+    exact, but each site is their float dot product with r, so the
+    distribution is labelled mode "double" and carries no exact values."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if mode not in MIXED_METHODS:
@@ -445,4 +447,4 @@ def distribution_mixed(t: int, r, mode: str = "consistent") -> Distribution:
     else:
         table = pipeline_weights(t, "consistent")
     probs = {y: _dot(table[y], pauli) for y in range(-t, t + 1)}
-    return Distribution(probs, t=t, method=f"mixed-{mode}", mode="exact")
+    return Distribution(probs, t=t, method=f"mixed-{mode}", mode="double")

@@ -21,25 +21,34 @@ h = |d| parity and confines support to the light cone |d| <= t.
 
 Every factor but alpha_{x'} and beta_{x'} depends on d alone, so the
 closed form is a position-space propagator: (alpha_x, beta_x)(t) is the
-sum over sources of K_t(x - x') (alpha_{x'}, beta_{x'}), with the 2x2
-kernel, for e = (t - d)/2 and G(f) the real h-sum of family f,
+sum over sources of K_t(x - x') (alpha_{x'}, beta_{x'}).
 
-    K_t(d) = [[ chi^e (G(alpha_ft) + G(alpha_cos)),
-                e^{i phi1} sin(theta) chi^e G(alpha_sin) ],
-              [ e^{-i phi1} sin(theta) chi^e G(beta_sin),
-                chi^e (G(beta_ft) + G(beta_cos)) ]]
+The terms of one (family, d) group share every factor but their signed
+trinomial and cos^h, and h steps by 2, so each group is one integer row
+c_0, c_1, .. (``coefficient_row``: the first from ``term_coefficient``,
+the rest by the exact multinomial ratio) evaluated as a polynomial in
+cos^2(theta) by Horner's rule. Let R(f, d) be that value times cos^h0,
+h0 the row's first h (the extra cos of the cos_plus families left out),
+and 0 for an empty row. The six rows are only two distinct ones, mirrored
+in d: beta_ft = alpha_ft, beta_sin = alpha_cos, beta_cos = -alpha_sin,
+alpha_ft(-d) = (-1)^t alpha_ft(d) and alpha_sin(d) = (-1)^(t-1)
+alpha_cos(-d) (``test_row_identities`` checks all five). So with
+e = (t - d)/2,
+
+    Rft  = R(alpha_ft, |d|), negated when d < 0 and t is odd,
+    Rc   = R(alpha_cos, d),
+    S    = (-1)^(t-1) R(alpha_cos, -d)        (= R(alpha_sin, d)),
+
+    K_t(d) = [[ chi^e (Rft + cos(theta) Rc),
+                e^{i phi1} sin(theta) chi^e S ],
+              [ e^{-i phi1} sin(theta) chi^e Rc,
+                chi^e (Rft - cos(theta) S) ]]
 
 and K_t(d) = 0 off the light cone or at the wrong parity. The beta <- alpha
 phase e^{-i phi1} chi^e could also be written e^{i phi2} chi^{e-1}; the two
 are equal because chi = e^{i(phi1+phi2)}, which the ring test
 ``test_cross_phase_spellings_agree`` checks on every eighth-turn pair, so
 only the first is used.
-
-The terms of one (family, d) group share every factor but their signed
-trinomial and cos^h, and h steps by 2, so G(f) is one integer row
-c_0, c_1, .. (``coefficient_row``: the first from ``term_coefficient``,
-the rest by the exact multinomial ratio) evaluated as a polynomial in
-cos^2(theta) by Horner's rule, times cos^(h0 + 1 if cos_plus else h0).
 
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
 only), ``adaptive`` (mpmath, precision sized from the largest trinomial
@@ -54,10 +63,18 @@ kernels; a mode only supplies the scalars and the row-evaluation rule:
   enter exactly and a row of length L is off by about L 2^-guard;
 * double: Horner in floats.
 
-Powers of cos and the kernels K_t(d) are made on first use and memoised
-for the rest of the call, so a full distribution builds each kernel once
-for all its sources and sites, and a single-site query pays O(t) for the
-rows of the kernels it needs.
+chi^e is an integer power of the ring element in exact mode and of the
+complex chi in double mode; in adaptive mode it is one
+``mpmath.expj(e (phi1 + phi2))`` at the working precision, which costs a
+fraction of mpmath's integer power at these precisions. In every mode it
+is a function of (t, d) alone, so a point query and a full distribution
+give the same bits.
+
+Powers of cos, the row values R and the kernels K_t(d) are made on first
+use and memoised for the rest of the call, so a full distribution sums
+about 1.5t rows (Rft at each |d|, Rc at each d) and builds each kernel
+once for all its sources and sites, and a single-site query sums 3 rows
+per kernel it needs.
 """
 
 from __future__ import annotations
@@ -100,8 +117,12 @@ class _Family(NamedTuple):
     negate: bool     # overall minus sign
 
 
-# Which kernel entry each family feeds, and with which phase and sin
-# factor, is spelled out in _Scalars.kernel.
+# The paper's six term families. Only alpha_ft and alpha_cos are summed:
+# the other four rows equal +-these, at d or at -d (module docstring), and
+# _Scalars.kernel builds all four kernel entries from the three values
+# R(alpha_ft, |d|), R(alpha_cos, d) and R(alpha_cos, -d). The other
+# entries stay as the spec that admissible_terms, term_coefficient and
+# coefficient_row serve and the tests check the identities against.
 FAMILIES: dict[str, _Family] = {
     "alpha_ft": _Family(0, 0, 0, False, False),
     "alpha_cos": _Family(1, 1, -1, True, False),
@@ -247,16 +268,16 @@ def _fixed_point_horner(c2: mpmath.mpf, wp: int) -> Callable:
 class _Scalars:
     """Every factor of the closed form in one arithmetic mode's number type.
 
-    Powers of cos and the kernels are made on first use and kept in
-    ``memo`` for the rest of the call, so a full distribution computes
+    Powers of cos, row values and kernels are made on first use and kept
+    in ``memo`` for the rest of the call, so a full distribution computes
     each once and a point query pays only for what it needs.
     """
 
     t: int
     cos: object
     sin: object
-    chi: object
     ephi1: object
+    chi_pow: Callable    # e -> chi^e, a function of e alone
     lift: Callable       # source amplitude (or 0) -> the mode's complex type
     evaluate: Callable   # integer row -> its value at cos^2(theta)
     memo: dict = field(default_factory=dict)
@@ -271,30 +292,41 @@ class _Scalars:
     def cos_pow(self, k: int):
         return self._cached(("cos", k), lambda: self.cos**k)
 
-    def group(self, family: str, d: int):
-        """sum_h term_coefficient(t, family, d, h) cos^(h + cos_plus), the
-        real h-sum of one group, or 0 if it has no terms."""
-        row = coefficient_row(self.t, family, d)
-        if not row:
-            return 0
-        fam = FAMILIES[family]
-        h0 = self.t - fam.dt - 2 * (len(row) - 1)
-        return self.evaluate(row) * self.cos_pow(h0 + fam.cos_plus)
+    def row_value(self, family: str, d: int):
+        """sum_h term_coefficient(t, family, d, h) cos^h over one group's
+        admissible h (the cos_plus factor left out), or 0 if it has none."""
+
+        def make():
+            row = coefficient_row(self.t, family, d)
+            if not row:
+                return 0
+            h0 = self.t - FAMILIES[family].dt - 2 * (len(row) - 1)
+            return self.evaluate(row) * self.cos_pow(h0)
+
+        return self._cached((family, d), make)
 
     def kernel(self, d: int):
         """The 2x2 propagator K_t(d) as ((K_aa, K_ab), (K_ba, K_bb)), or
         None off the light cone or at the wrong parity."""
 
         def make():
-            if abs(d) > self.t or (self.t - d) % 2:
+            t = self.t
+            if abs(d) > t or (t - d) % 2:
                 return None
-            g = {name: self.group(name, d) for name in FAMILIES}
-            chi_e = self.chi ** ((self.t - d) // 2)
+            # the three row values of the module docstring: Rft, Rc, S
+            ft = self.row_value("alpha_ft", abs(d))
+            if d < 0 and t % 2:
+                ft = -ft
+            rc = self.row_value("alpha_cos", d)
+            s = self.row_value("alpha_cos", -d)
+            if t % 2 == 0:
+                s = -s
+            chi_e = self.chi_pow((t - d) // 2)
             return (
-                (chi_e * (g["alpha_ft"] + g["alpha_cos"]),
-                 self.ephi1 * chi_e * (self.sin * g["alpha_sin"])),
-                (self.ephi1.conjugate() * chi_e * (self.sin * g["beta_sin"]),
-                 chi_e * (g["beta_ft"] + g["beta_cos"])),
+                (chi_e * (ft + self.cos * rc),
+                 self.ephi1 * chi_e * (self.sin * s)),
+                (self.ephi1.conjugate() * chi_e * (self.sin * rc),
+                 chi_e * (ft - self.cos * s)),
             )
 
         return self._cached(("kernel", d), make)
@@ -322,7 +354,7 @@ def _scalars(params: CoinParams, t: int, mode: str) -> _Scalars:
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
         cos, sin = params.theta.cos_exact(), params.theta.sin_exact()
-        chi, ephi1 = params.chi_exact(), params.phi1.exp_i_exact()
+        chi_pow, ephi1 = params.chi_exact().__pow__, params.phi1.exp_i_exact()
         # cos^2 is 0, 1/2 or 1 on the eighth-turn grid
         c2 = cos * cos
         assert c2.b == 0
@@ -331,14 +363,15 @@ def _scalars(params: CoinParams, t: int, mode: str) -> _Scalars:
         th = params.theta.mp_radians()
         cos, sin = mpmath.cos(th), mpmath.sin(th)
         ephi1 = _mp_expj(params.phi1)
-        chi = ephi1 * _mp_expj(params.phi2)
+        phi_sum = params.phi1.mp_radians() + params.phi2.mp_radians()
+        chi_pow = lambda e: mpmath.expj(e * phi_sum)
         lift, evaluate = mpmath.mpc, _fixed_point_horner(cos * cos, mpmath.mp.prec)
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
-        chi, ephi1 = params.chi, _expj(params.phi1)
+        chi_pow, ephi1 = params.chi.__pow__, _expj(params.phi1)
         lift, evaluate = complex, _float_horner(cos * cos)
-    return _Scalars(t, cos, sin, chi, ephi1, lift, evaluate)
+    return _Scalars(t, cos, sin, ephi1, chi_pow, lift, evaluate)
 
 
 def _site(x: int, sources: list, s: _Scalars):

@@ -129,6 +129,14 @@ class TestRun:
         rows = parse_distribution_csv((tmp_path / "mx.csv").read_text())
         assert sum(p for _, p in rows) == pytest.approx(1.0)
 
+    def test_mixed_run_labels_float_mode(self, tmp_path):
+        cfg = str(CONFIG_DIR / "mixed_unbiased_t25.json")
+        out = str(tmp_path / "unb")
+        assert main(["run", "--config", cfg, "--method", "consistent", "--out", out]) == 0
+        doc = json.loads((tmp_path / "unb.json").read_text())
+        assert doc["method"] == "mixed-consistent"
+        assert doc["mode"] == "double"
+
     def test_mixed_closed_form_rejects_other_coins(self, tmp_path, capsys):
         # the mixed closed forms hold for the Hadamard coin only; without
         # the check this run wrote the Hadamard distribution with exit 0

@@ -421,3 +421,11 @@ class TestDistributionMixed:
         d = distribution_mixed(3, (0.5, 0, 0, 0), "literal")
         assert d.method == "mixed-literal"
         assert d.t == 3
+
+    @pytest.mark.parametrize("mode", MIXED_METHODS)
+    def test_mode_label_is_double(self, mode):
+        # the weights are exact but each site is a float dot product with
+        # r, so the distribution is a float one and carries no ring values
+        d = distribution_mixed(4, (0.5, 0.1, 0.2, 0.3), mode)
+        assert d.mode == "double"
+        assert d.exact is None

@@ -214,6 +214,27 @@ class TestStructure:
                 else:
                     assert dist[x] == abs(a) ** 2 + abs(b) ** 2
 
+    @pytest.mark.parametrize("mode", ["adaptive", "double"])
+    def test_distribution_matches_amplitudes_t140(self, mode):
+        # a full distribution shares each kernel across sources and sites,
+        # a point query builds only the kernels it needs; both must give
+        # the same bits, so chi^e may depend on (t, d) alone and not on
+        # which neighbouring kernels were built first. double is far past
+        # its cliff at t=140 and says so, but must still agree with itself
+        t = 140
+        params = CoinParams.make(0.7, 1.1, 2.3)
+        init = PureState({-2: (0.5 + 0j, 0.5j), 0: (0.5 + 0j, 0j), 3: (-0.5j, 0j)})
+        if mode == "double":
+            with pytest.warns(RuntimeWarning, match="probabilities sum to"):
+                dist = distribution(t, init, params, mode)
+        else:
+            dist = distribution(t, init, params, mode)
+        sites = dist.positions[::7]
+        assert len(sites) == 41
+        for x in sites:
+            a, b = amplitude(x, t, init, params, mode)
+            assert dist[x] == abs(a) ** 2 + abs(b) ** 2, x
+
     def test_bad_mode_and_phase_rejected(self, hadamard, plus_i):
         with pytest.raises(ValueError, match="unknown mode"):
             distribution(1, plus_i, hadamard, mode="quad")
@@ -273,6 +294,30 @@ class TestTermBookkeeping:
     @pytest.mark.parametrize("t", [301, 400])
     def test_rows_match_term_coefficient_large_t(self, t):
         self._rows_match_terms(t)
+
+
+    @staticmethod
+    def _row_identities(t):
+        # the kernel reads only alpha_ft and alpha_cos; these are the
+        # identities that let it stand in for the other four families
+        sign_t = -1 if t % 2 else 1  # (-1)^t
+
+        def row(family, d, sign=1):
+            return [sign * c for c in coefficient_row(t, family, d)]
+
+        for d in range(-t - 2, t + 3):
+            assert row("beta_ft", d) == row("alpha_ft", d), (t, d)
+            assert row("beta_sin", d) == row("alpha_cos", d), (t, d)
+            assert row("beta_cos", d) == row("alpha_sin", d, -1), (t, d)
+            assert row("alpha_ft", -d) == row("alpha_ft", d, sign_t), (t, d)
+            assert row("alpha_sin", -d) == row("alpha_cos", d, -sign_t), (t, d)
+
+    def test_row_identities(self):
+        for t in range(61):
+            self._row_identities(t)
+
+    def test_row_identities_large_t(self):
+        self._row_identities(301)
 
 
 class TestAdaptivePrecision:

@@ -212,7 +212,8 @@ class TestMutationDetection:
             return -c if family == "alpha_cos" else c
 
         monkeypatch.setattr(closedform_pure, "term_coefficient", flipped)
-        report = compare_pure(plus_i, hadamard, 6)
+        with pytest.warns(RuntimeWarning, match="probabilities sum to"):
+            report = compare_pure(plus_i, hadamard, 6)
         assert not report.passed
         assert any("closed-form" in msg for msg in report.failures)
         assert report.pairwise_tv["direct|spectral"] < 1e-11
