@@ -32,12 +32,8 @@ from .core import (
 )
 from .direct import distribution_of, evolve_mixed, evolve_pure, step
 from .horner import (
-    CharPolyQuad,
-    CharPolyQuartic,
-    f_quad,
-    f_quad_sequence,
-    f_quartic,
-    f_quartic_sequence,
+    f_explicit,
+    f_sequence,
     quad_coeffs,
     quartic_coeffs,
     superop,
@@ -84,12 +80,8 @@ __all__ = [
     "u_k_power",
     "quad_coeffs",
     "quartic_coeffs",
-    "f_quad",
-    "f_quad_sequence",
-    "f_quartic",
-    "f_quartic_sequence",
-    "CharPolyQuad",
-    "CharPolyQuartic",
+    "f_explicit",
+    "f_sequence",
     "superop",
     "superop_power",
     "amplitude",

@@ -17,14 +17,7 @@ from dataclasses import replace
 from . import closedform_mixed, closedform_pure, direct, spectral
 from .config import ConfigError, WalkConfig, check_plan
 from .core import Distribution
-from .horner import (
-    CharPolyQuad,
-    CharPolyQuartic,
-    f_quad,
-    f_quad_sequence,
-    f_quartic,
-    f_quartic_sequence,
-)
+from .horner import f_explicit, f_sequence
 from .verify import compare_mixed, compare_pure
 
 __all__ = [
@@ -205,8 +198,11 @@ def cmd_compare(args) -> int:
     return 1 if failures else 0
 
 
-def _parse_coeffs(text: str, kind: str) -> tuple[float, ...]:
-    want = 2 if kind == "quad" else 4
+# the order r of the characteristic relation each --kind tabulates
+_FT_ORDERS = {"quad": 2, "quartic": 4}
+
+
+def _parse_coeffs(text: str, kind: str, want: int) -> tuple[float, ...]:
     try:
         values = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
@@ -219,26 +215,20 @@ def _parse_coeffs(text: str, kind: str) -> tuple[float, ...]:
 def cmd_ft_table(args) -> int:
     if args.t_max < 0:
         raise ConfigError("--t-max must be non-negative")
+    r = _FT_ORDERS[args.kind]
     if args.coeffs:
-        values = _parse_coeffs(args.coeffs, args.kind)
+        values = _parse_coeffs(args.coeffs, args.kind, r)
     else:
         rng = random.Random(args.seed)
-        n = 2 if args.kind == "quad" else 4
-        values = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
-    if args.kind == "quad":
-        coeffs = CharPolyQuad(*values)
-        explicit = [f_quad(coeffs, t) for t in range(args.t_max + 1)]
-        recurrence = f_quad_sequence(coeffs, args.t_max)
-    else:
-        coeffs = CharPolyQuartic(*values)
-        explicit = [f_quartic(coeffs, t) for t in range(args.t_max + 1)]
-        recurrence = f_quartic_sequence(coeffs, args.t_max)
+        values = tuple(rng.uniform(-1.0, 1.0) for _ in range(r))
+    explicit = [f_explicit(values, t) for t in range(args.t_max + 1)]
+    recurrence = f_sequence(values, args.t_max)
     lines = ["t,f_explicit,f_recurrence,abs_diff"]
     for t in range(args.t_max + 1):
-        e, r = complex(explicit[t]), complex(recurrence[t])
-        diff = abs(e - r)
+        e, rec = complex(explicit[t]), complex(recurrence[t])
+        diff = abs(e - rec)
         lines.append(
-            f"{t},{format_probability(e.real)},{format_probability(r.real)},"
+            f"{t},{format_probability(e.real)},{format_probability(rec.real)},"
             f"{format_probability(diff)}"
         )
     base = _out_base(args, None, "qwalk-ft")
@@ -399,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ft = sub.add_parser("ft-table", help="tabulate f_t explicit vs recurrence")
-    p_ft.add_argument("--kind", choices=("quad", "quartic"), default="quad")
+    p_ft.add_argument("--kind", choices=tuple(_FT_ORDERS), default="quad")
     p_ft.add_argument("--coeffs", help="comma-separated coefficients")
     p_ft.add_argument("--t-max", type=int, default=20, dest="t_max")
     p_ft.add_argument("--seed", type=int, default=0, help="seed for random coeffs")

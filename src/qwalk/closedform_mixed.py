@@ -21,7 +21,7 @@ kept so the discrepancy it produces can be measured. The direct
 density-matrix oracle adjudicates: ``consistent`` matches it.
 
 Each f_{t-j} is an integer polynomial in X = cos(delta) and Y = cos(sigma):
-one run of the quartic recurrence of horner.f_quartic_sequence, over a
+one run of the r = 4 recurrence of horner.f_sequence, over a
 small bivariate polynomial type with c0 = c2 = X - Y, c1 = 2XY, c3 = -1,
 keeps only f_{t-3} .. f_t. Against the Fourier factors of an integral
 identity, a monomial X^A1 Y^A2 selects one binomial in A1 that depends on
@@ -44,7 +44,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .core import Distribution, MixedLocalizedState
-from .horner import CharPolyQuartic, _f_quartic_terms
+from .horner import _f_terms
 
 __all__ = [
     "half_binom",
@@ -259,19 +259,15 @@ class _Poly2:
         return f"_Poly2({self.terms!r})"
 
 
-# Hadamard pair superoperator coefficients (horner.quartic_coeffs) in X, Y.
-_QUARTIC = CharPolyQuartic(
-    c0=_Poly2([[0, -1], [1]]),
-    c1=_Poly2([[], [0, 2]]),
-    c2=_Poly2([[0, -1], [1]]),
-    c3=-1,
-)
+# Hadamard pair superoperator coefficients (horner.quartic_coeffs) in X, Y:
+# c0 = c2 = X - Y, c1 = 2XY, c3 = -1.
+_QUARTIC = (_Poly2([[0, -1], [1]]), _Poly2([[], [0, 2]]), _Poly2([[0, -1], [1]]), -1)
 
 
 def _f_window(t: int) -> tuple[_Poly2, ...]:
     """(f_t, f_{t-1}, f_{t-2}, f_{t-3}) as polynomials in X, Y, by one run
     of the quartic recurrence; orders below f_0 are left out."""
-    window = deque(_f_quartic_terms(_QUARTIC, t), maxlen=4)
+    window = deque(_f_terms(_QUARTIC, t), maxlen=4)
     return tuple(_Poly2.lift(f) for f in reversed(window))
 
 

@@ -12,6 +12,7 @@ to construct valid core objects.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -149,7 +150,7 @@ def _parse_mixed(spec, where: str) -> MixedLocalizedState:
             raise ConfigError(f"{where}.pauli: expected [r0, r1, r2, r3]")
         try:
             state = MixedLocalizedState.from_pauli(*(float(v) for v in pauli))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}.pauli: {exc}") from exc
         return _validated_mixed(state, f"{where}.pauli")
     rows = spec["rho"]
@@ -160,14 +161,17 @@ def _parse_mixed(spec, where: str) -> MixedLocalizedState:
         if not isinstance(row, list) or len(row) != 2:
             raise ConfigError(f"{where}.rho: expected a 2x2 matrix")
         for j, cell in enumerate(row):
+            here = f"{where}.rho[{i}][{j}]"
             if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                m[i, j] = cell
+                parts = (cell, 0)
             elif isinstance(cell, list) and len(cell) == 2:
-                m[i, j] = complex(float(cell[0]), float(cell[1]))
+                parts = cell
             else:
-                raise ConfigError(
-                    f"{where}.rho[{i}][{j}]: expected a number or [re, im]"
-                )
+                raise ConfigError(f"{here}: expected a number or [re, im]")
+            try:
+                m[i, j] = complex(float(parts[0]), float(parts[1]))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{here}: {exc}") from exc
     try:
         state = MixedLocalizedState.from_rho(m)
     except ValueError as exc:
@@ -189,7 +193,15 @@ def _parse_tolerances(spec, where: str) -> Tolerances:
     for key, value in spec.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
             raise ConfigError(f"{where}.{key}: expected a non-negative number")
-        kwargs[key] = float(value)
+        # json.load also yields NaN, Infinity and overflowing literals
+        # (1e400 is inf); a NaN bound would switch its gate off
+        try:
+            bound = float(value)
+        except OverflowError:
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ConfigError(f"{where}.{key}: expected a finite number, got {bound}")
+        kwargs[key] = bound
     return Tolerances(**kwargs)
 
 

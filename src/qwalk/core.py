@@ -335,7 +335,8 @@ def max_pointwise_difference(p: Distribution, q: Distribution) -> float:
     if p.t != q.t:
         raise ValueError(f"cannot compare distributions at t={p.t} and t={q.t}")
     positions = set(p.positions) | set(q.positions)
-    return max(abs(p[x] - q[x]) for x in positions) if positions else 0.0
+    # np.max, unlike max(), keeps a NaN wherever it sits
+    return float(np.max([abs(p[x] - q[x]) for x in positions], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -352,8 +353,8 @@ class StateDiagnostics:
 def validate_state(state) -> StateDiagnostics:
     """Diagnose a PureState or MixedLocalizedState.
 
-    Checks normalization for pure states; trace, Hermiticity (by
-    construction) and positivity for mixed states.
+    Checks normalization for pure states; finite Pauli components, trace,
+    Hermiticity (by construction) and positivity for mixed states.
     """
     issues: list[tuple[str, str, float]] = []
     if isinstance(state, PureState):
@@ -363,6 +364,9 @@ def validate_state(state) -> StateDiagnostics:
                 ("normalization", f"|psi|^2 = {n!r}, expected 1", abs(n - 1.0))
             )
     elif isinstance(state, MixedLocalizedState):
+        for i, r in enumerate(state.pauli):
+            if not math.isfinite(r):
+                issues.append(("finite", f"r{i} = {r!r} is not finite", math.inf))
         r0 = state.pauli[0]
         if abs(r0 - 0.5) > NORM_ATOL:
             issues.append(("trace", f"r0 = {r0!r}, expected 1/2 (unit trace)", abs(r0 - 0.5)))

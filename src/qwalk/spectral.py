@@ -56,9 +56,8 @@ class MomentumField:
 
 def ring_size(t: int, support_radius: int) -> int:
     """Smallest odd ring that keeps a walk of t steps from a support of the
-    given radius strictly away from wrap-around."""
-    n = 2 * (t + support_radius) + 3
-    return n if n % 2 == 1 else n + 1
+    given radius strictly away from wrap-around: 2(t + r) + 3 sites."""
+    return 2 * (t + support_radius) + 3
 
 
 def forward(state: PureState, n: int) -> MomentumField:
@@ -83,7 +82,7 @@ def propagate(
 ) -> MomentumField:
     """Advance every mode by t steps.
 
-    power="horner" uses the quadratic characteristic identity
+    power="horner" uses the Fibonacci-Horner identity at order two,
     u^t = f_t I + f_{t-1} (u - c0 I); "repeated" multiplies the one-step
     matrix t times and is kept as the reference the tests hold it to.
     """

@@ -18,6 +18,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
+import numpy as np
+
 from . import closedform_mixed, closedform_pure, direct, spectral
 from .core import (
     CoinParams,
@@ -127,6 +129,11 @@ def _forbidden_mass(dist: Distribution, parities: set[int]) -> float:
     return sum(p for x, p in dist.items() if x % 2 != allowed)
 
 
+def _breaches(measure: float, bound: float) -> bool:
+    # "not within" rather than "above", so that a NaN measure fails
+    return not measure <= bound
+
+
 def _check_distributions(
     report: ComparisonReport,
     dists: dict[str, Distribution],
@@ -137,14 +144,14 @@ def _check_distributions(
     for name, dist in dists.items():
         norm_err = abs(dist.total() - 1.0)
         report.normalization_error[name] = norm_err
-        if norm_err > tol.normalization:
+        if _breaches(norm_err, tol.normalization):
             report.failures.append(
                 f"{name}: normalization off by {norm_err:.3e} "
                 f"(tolerance {tol.normalization:.3e})"
             )
         mass = _forbidden_mass(dist, parities)
         report.forbidden_mass[name] = mass
-        if mass > tol.forbidden_mass:
+        if _breaches(mass, tol.forbidden_mass):
             report.failures.append(
                 f"{name}: {mass:.3e} probability on parity-forbidden sites"
             )
@@ -154,21 +161,22 @@ def _check_distributions(
         pw = max_pointwise_difference(dists[a], dists[b])
         report.pairwise_tv[key] = tv
         report.pairwise_pointwise[key] = pw
-        if tv > tol.pairwise_tv:
+        if _breaches(tv, tol.pairwise_tv):
             report.failures.append(
                 f"{key}: total variation {tv:.3e} exceeds {tol.pairwise_tv:.3e}"
             )
-        if pw > tol.pointwise:
+        if _breaches(pw, tol.pointwise):
             report.failures.append(
                 f"{key}: pointwise deviation {pw:.3e} exceeds {tol.pointwise:.3e}"
             )
     if check_symmetry:
-        defect = 0.0
-        for dist in dists.values():
-            for x in dist.positions:
-                defect = max(defect, abs(dist[x] - dist[-x]))
+        # np.max, unlike max(), keeps a NaN wherever it sits
+        defect = float(np.max(
+            [abs(d[x] - d[-x]) for d in dists.values() for x in d.positions],
+            initial=0.0,
+        ))
         report.symmetry_defect = defect
-        if defect > tol.symmetry:
+        if _breaches(defect, tol.symmetry):
             report.failures.append(
                 f"symmetry defect {defect:.3e} exceeds {tol.symmetry:.3e}"
             )

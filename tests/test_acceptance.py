@@ -25,12 +25,8 @@ from qwalk.closedform_pure import distribution as cf_distribution
 from qwalk.core import CoinParams, MixedLocalizedState, max_pointwise_difference
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure, step
 from qwalk.horner import (
-    CharPolyQuad,
-    CharPolyQuartic,
-    f_quad,
-    f_quad_sequence,
-    f_quartic,
-    f_quartic_sequence,
+    f_explicit,
+    f_sequence,
     quartic_coeffs,
     superop,
     superop_power,
@@ -153,18 +149,16 @@ def test_matrix_powers_and_f_sequences():
 
     for _ in range(10):
         fc = quartic_coeffs(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        c = CharPolyQuartic(
-            *(Fraction(v.real) for v in (fc.c0, fc.c1, fc.c2, fc.c3))
-        )
+        c = tuple(Fraction(v.real) for v in fc)
         t = rng.randint(0, 50)
-        assert f_quartic(c, t) == f_quartic_sequence(c, t)[t]
+        assert f_explicit(c, t) == f_sequence(c, t)[t]
     for _ in range(10):
-        c = CharPolyQuad(
+        c = (
             SqrtTwoComplex(SqrtTwo(rr(), rr()), SqrtTwo(rr(), rr())),
             SqrtTwoComplex(SqrtTwo(rr(), rr()), SqrtTwo(rr(), rr())),
         )
         t = rng.randint(0, 50)
-        assert f_quad(c, t) == f_quad_sequence(c, t)[t]
+        assert f_explicit(c, t) == f_sequence(c, t)[t]
     print(
         f"\nPASS power identities: quad worst {worst_quad:.2e}, "
         f"quartic worst {worst_quartic:.2e}, f explicit == recurrence exactly"

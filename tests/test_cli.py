@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -90,6 +91,27 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert "unknown keys ['beta_cross_phase']" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_nan_pauli_rejected(self, tmp_path, capsys):
+        # NaN passed the trace and positivity checks, and direct stepping
+        # then wrote a CSV of nan
+        doc = mixed_doc([0.5, math.nan, 0, 0], method="direct")
+        cfg = write_config(tmp_path, "walk.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "config.initial.mixed.pauli" in err and "not finite" in err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("cell", [["a", 0], [None, 0]], ids=["string", "null"])
+    def test_bad_rho_cell_rejected(self, tmp_path, capsys, cell):
+        doc = mixed_doc(None, method="direct")
+        doc["initial"] = {"mixed": {"rho": [[cell, 0], [0, 0.5]]}}
+        cfg = write_config(tmp_path, "walk.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "config.initial.mixed.rho[0][0]" in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
 
@@ -188,6 +210,35 @@ class TestCompare:
         assert code == 1
         assert "expected a literal-method discrepancy" in capsys.readouterr().err
 
+    def test_nan_amplitude_exits_one(self, tmp_path, capsys):
+        doc = pure_doc(
+            coin={"theta": 0.7},
+            initial={"pure": [{"x": 0, "alpha": math.nan, "beta": 0.0}]},
+            steps=8,
+            mode="double",
+            method="direct,spectral,closed-form",
+        )
+        cfg = write_config(tmp_path, "walk.json", doc)
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--config", cfg, "--out", out]) == 1
+        assert "FAIL" in capsys.readouterr().err
+        assert json.loads((tmp_path / "cmp.json").read_text())["passed"] is False
+
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "1e400"], ids=["nan", "inf", "overflow"]
+    )
+    def test_non_finite_tolerance_rejected(self, tmp_path, capsys, literal):
+        # a NaN bound switched its gate off; json.load reads all three
+        doc = pure_doc(method="direct,spectral,closed-form")
+        text = json.dumps({**doc, "tolerances": {"pointwise": 0.0}})
+        path = tmp_path / "walk.json"
+        path.write_text(text.replace('"pointwise": 0.0', f'"pointwise": {literal}'))
+        out = str(tmp_path / "cmp")
+        assert main(["compare", "--config", str(path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config.tolerances.pointwise" in err and "finite" in err
+        assert not (tmp_path / "cmp.json").exists()
+
     def test_single_method_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "walk.json", pure_doc())
         assert main(["compare", "--config", cfg]) == 2
@@ -228,6 +279,28 @@ class TestFtTable:
         assert len(lines) == 14
         for line in lines[1:]:
             assert float(line.split(",")[3]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            (
+                ["--kind", "quartic", "--seed", "9", "--t-max", "12"],
+                "6a9d40ba0767e0f4b946ce07158a9b431098130aefbced9ff53ceb0380acc796",
+            ),
+            (
+                ["--kind", "quad", "--coeffs", "1,1", "--t-max", "20"],
+                "ccada828a725ef00d7679bf3166b73576dd3989ea55ab976d42eea12b51ccba8",
+            ),
+        ],
+        ids=["quartic-seed9", "fibonacci"],
+    )
+    def test_pinned_bytes(self, tmp_path, args, digest):
+        # SHA-256 of the tables written by the separate quadratic and
+        # quartic implementations that the order-generic one replaced
+        out = str(tmp_path / "ft")
+        assert main(["ft-table", *args, "--out", out]) == 0
+        data = (tmp_path / "ft.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_coeff_count_validated(self, tmp_path, capsys):
         assert main(["ft-table", "--kind", "quartic", "--coeffs", "1,2"]) == 2

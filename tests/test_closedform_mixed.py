@@ -37,7 +37,7 @@ from qwalk.core import (
     max_pointwise_difference,
 )
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure
-from qwalk.horner import f_quartic, f_quartic_sequence, quartic_coeffs, superop
+from qwalk.horner import f_explicit, f_sequence, quartic_coeffs, superop
 
 DIGESTS = Path(__file__).parent / "data" / "mixed_table_digests.json"
 
@@ -116,7 +116,7 @@ class TestTraceSeries:
             r = np.array(random_bloch(rng))
             t = rng.randint(0, 12)
             lhs = 2.0 * (np.linalg.matrix_power(superop(k, kp), t) @ r)[0]
-            seq = f_quartic_sequence(quartic_coeffs(k, kp), t)
+            seq = f_sequence(quartic_coeffs(k, kp), t)
             ws = trace_series("consistent", k, kp, tuple(r))
             rhs = sum(seq[t - j] * ws[j] for j in range(4) if t - j >= 0)
             assert rhs == pytest.approx(lhs, abs=1e-12)
@@ -246,11 +246,11 @@ class TestBasePolynomials:
             window = _f_window(m)
             assert len(window) == min(m, 3) + 1
             for j, f in enumerate(window):
-                assert f == f_quartic(_QUARTIC, m - j), (m, j)
+                assert f == f_explicit(_QUARTIC, m - j), (m, j)
 
     def test_window_is_tail_of_full_sequence(self):
         for t in range(41):
-            seq = f_quartic_sequence(_QUARTIC, t)
+            seq = f_sequence(_QUARTIC, t)
             tail = tuple(_Poly2.lift(f) for f in reversed(seq[-4:]))
             assert _f_window(t) == tail, t
 
@@ -273,7 +273,7 @@ class TestBasePolynomials:
         for _ in range(5):
             k, kp = rng.uniform(-3, 3), rng.uniform(-3, 3)
             cd, cs = math.cos(k - kp), math.cos(k + kp)
-            seq = f_quartic_sequence(quartic_coeffs(k, kp), 20)
+            seq = f_sequence(quartic_coeffs(k, kp), 20)
             value = sum(
                 w * cd**a1 * cs**a2 for (a1, a2), w in _f_window(20)[0].terms.items()
             )

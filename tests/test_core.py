@@ -154,6 +154,14 @@ class TestMixedLocalizedState:
         assert not diag.valid
         assert any(code == "psd" for code, _, _ in diag.violations)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_component_flagged(self, bad):
+        # NaN passes every comparison-based check, so it needs its own
+        s = MixedLocalizedState.from_pauli(0.5, bad, 0.0, 0.0)
+        diag = validate_state(s)
+        assert not diag.valid
+        assert any(code == "finite" and "r1" in msg for code, msg, _ in diag.violations)
+
     def test_bloch_norm(self):
         s = MixedLocalizedState.from_pauli(0.5, 0.3, 0.0, 0.4)
         assert math.isclose(s.bloch_norm, 0.5)
@@ -187,6 +195,14 @@ class TestDistribution:
             total_variation(p, q)
         with pytest.raises(ValueError):
             max_pointwise_difference(p, q)
+
+    def test_pointwise_keeps_nan_anywhere(self):
+        # max() drops a NaN that is not its first argument
+        p = Distribution({-2: 0.25, 0: 0.5, 2: 0.25}, t=2, method="a")
+        for x in (-2, 0, 2):
+            q = Distribution({**p.probs, x: math.nan}, t=2, method="b")
+            assert math.isnan(max_pointwise_difference(p, q))
+            assert math.isnan(max_pointwise_difference(q, p))
 
     def test_tv_bounds(self):
         p = Distribution({0: 1.0}, t=0, method="a")

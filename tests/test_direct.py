@@ -232,6 +232,12 @@ class TestEvolveMixed:
                 MixedLocalizedState.from_pauli(0.5, 0.0, 0.0, 0.0), hadamard, -1
             )
 
+    def test_non_finite_pauli_rejected(self, hadamard):
+        with pytest.raises(ValueError, match="finite"):
+            evolve_mixed(
+                MixedLocalizedState.from_pauli(0.5, math.nan, 0.0, 0.0), hadamard, 3
+            )
+
     def test_random_bloch_normalized(self, hadamard):
         rng = random.Random(41)
         for _ in range(10):

@@ -9,16 +9,13 @@ from hypothesis import given, strategies as st
 from conftest import random_params
 from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.horner import (
-    CharPolyQuad,
-    CharPolyQuartic,
-    f_quad,
-    f_quad_sequence,
-    f_quartic,
-    f_quartic_sequence,
+    f_explicit,
+    f_sequence,
     horner_basis,
+    matrix_power,
+    partitions,
     quad_coeffs,
     quartic_coeffs,
-    quartic_partitions,
     superop,
     superop_power,
     u_k,
@@ -33,73 +30,83 @@ class TestQuadCoeffs:
             params = random_params(rng)
             k = rng.uniform(-math.pi, math.pi)
             u = u_k(params, k)
-            c = quad_coeffs(params, k)
-            assert c.c0 == pytest.approx(np.trace(u), abs=1e-14)
-            assert c.c1 == pytest.approx(-np.linalg.det(u), abs=1e-14)
+            c0, c1 = quad_coeffs(params, k)
+            assert c0 == pytest.approx(np.trace(u), abs=1e-14)
+            assert c1 == pytest.approx(-np.linalg.det(u), abs=1e-14)
 
     def test_c1_unimodular(self):
         rng = random.Random(5)
         for _ in range(25):
-            c = quad_coeffs(random_params(rng), rng.uniform(-4, 4))
-            assert abs(c.c1) == pytest.approx(1.0)
+            _, c1 = quad_coeffs(random_params(rng), rng.uniform(-4, 4))
+            assert abs(c1) == pytest.approx(1.0)
 
     def test_eigenvalues_satisfy_quadratic(self):
         rng = random.Random(7)
         for _ in range(10):
             params = random_params(rng)
             k = rng.uniform(-math.pi, math.pi)
-            c = quad_coeffs(params, k)
+            c0, c1 = quad_coeffs(params, k)
             for lam in np.linalg.eigvals(u_k(params, k)):
-                assert lam * lam - c.c0 * lam - c.c1 == pytest.approx(
+                assert lam * lam - c0 * lam - c1 == pytest.approx(
                     0, abs=1e-12
                 )
+
+
+class TestFSequence:
+    """The checks that read the same at every order r, run at r = 2 and 4."""
+
+    @pytest.mark.parametrize(
+        "coeffs, head",
+        [((2, 3), [1, 2, 7, 20, 61, 182]), ((1, 1, 1, 1), [1, 1, 2, 4, 8, 15])],
+        ids=["2", "4"],
+    )
+    def test_boundary(self, coeffs, head):
+        # f_{-1} = 0, f_0 = 1, f_1 = c0; (1, 1, 1, 1) is tetranacci with
+        # this seeding
+        assert f_explicit(coeffs, -1) == 0
+        assert [f_explicit(coeffs, t) for t in range(6)] == head
+        assert f_sequence(coeffs, 5) == head
+
+    @pytest.mark.parametrize(
+        "r, bound, t_max", [(2, 3, 50), (4, 2, 40)], ids=["2", "4"]
+    )
+    @given(data=st.data())
+    def test_explicit_equals_recurrence_integers(self, r, bound, t_max, data):
+        # Integer coefficients keep both paths in exact arithmetic, so
+        # equality is literal, not approximate.
+        c = data.draw(st.tuples(*[st.integers(-bound, bound)] * r))
+        t = data.draw(st.integers(min_value=0, max_value=t_max))
+        assert f_explicit(c, t) == f_sequence(c, t)[t]
 
 
 class TestFQuad:
     def test_fibonacci_convention(self):
         # c0 = c1 = 1 turns the recurrence into plain Fibonacci with
         # f_0 = f_1 = 1.
-        seq = f_quad_sequence(CharPolyQuad(1, 1), 7)
+        seq = f_sequence((1, 1), 7)
         assert seq == [1, 1, 2, 3, 5, 8, 13, 21]
 
     def test_alternating_convention(self):
-        seq = f_quad_sequence(CharPolyQuad(0, 1), 6)
+        seq = f_sequence((0, 1), 6)
         assert seq == [1, 0, 1, 0, 1, 0, 1]
-
-    def test_boundary(self):
-        c = CharPolyQuad(2, 3)
-        assert f_quad(c, -1) == 0
-        assert f_quad(c, 0) == 1
-        assert f_quad(c, 1) == 2
-
-    @given(
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=-3, max_value=3),
-        st.integers(min_value=0, max_value=50),
-    )
-    def test_explicit_equals_recurrence_integers(self, c0, c1, t):
-        # Integer coefficients keep both paths in exact arithmetic, so
-        # equality is literal, not approximate.
-        c = CharPolyQuad(c0, c1)
-        assert f_quad(c, t) == f_quad_sequence(c, t)[t]
 
     def test_explicit_equals_recurrence_complex(self):
         rng = random.Random(11)
         for _ in range(30):
-            c = CharPolyQuad(
+            c = (
                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                 complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
             )
             t = rng.randint(0, 30)
-            seq = f_quad_sequence(c, t)
-            assert f_quad(c, t) == pytest.approx(seq[t], abs=1e-10, rel=1e-10)
+            seq = f_sequence(c, t)
+            assert f_explicit(c, t) == pytest.approx(seq[t], abs=1e-10, rel=1e-10)
 
     def test_explicit_equals_recurrence_exact_complex_ring(self):
         # both f paths are scalar-generic: feeding ring elements keeps all
         # 50 steps exact, so == is literal equality
         rng = random.Random(12)
         for _ in range(5):
-            c = CharPolyQuad(
+            c = (
                 SqrtTwoComplex(
                     SqrtTwo(Fraction(rng.randint(-2, 2), 4),
                             Fraction(rng.randint(-2, 2), 4)),
@@ -114,7 +121,7 @@ class TestFQuad:
                 ),
             )
             t = rng.randint(40, 50)
-            assert f_quad(c, t) == f_quad_sequence(c, t)[t]
+            assert f_explicit(c, t) == f_sequence(c, t)[t]
 
 
 class TestUkPower:
@@ -171,13 +178,13 @@ class TestSuperop:
         for _ in range(15):
             k, kp = rng.uniform(-math.pi, math.pi), rng.uniform(-math.pi, math.pi)
             ell = superop(k, kp)
-            c = quartic_coeffs(k, kp)
+            c0, c1, c2, c3 = quartic_coeffs(k, kp)
             lhs = np.linalg.matrix_power(ell, 4)
             rhs = (
-                c.c0 * np.linalg.matrix_power(ell, 3)
-                + c.c1 * (ell @ ell)
-                + c.c2 * ell
-                + c.c3 * np.eye(4)
+                c0 * np.linalg.matrix_power(ell, 3)
+                + c1 * (ell @ ell)
+                + c2 * ell
+                + c3 * np.eye(4)
             )
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -189,9 +196,7 @@ class TestSuperop:
             # numpy returns monic coefficients [1, a3, a2, a1, a0] for
             # lambda^4 + a3 l^3 + ...; ours are the negated tail.
             monic = np.poly(superop(k, kp))
-            assert monic[1:] == pytest.approx(
-                [-c.c0, -c.c1, -c.c2, -c.c3], abs=1e-12
-            )
+            assert monic[1:] == pytest.approx([-x for x in c], abs=1e-12)
 
     def test_depends_only_on_delta_and_sigma(self):
         # shifting both momenta by pi keeps delta and moves sigma by 2 pi,
@@ -211,9 +216,9 @@ class TestSuperop:
 
 class TestQuarticPartitions:
     def test_small_values(self):
-        assert quartic_partitions(0) == [(0, 0, 0, 0)]
-        assert quartic_partitions(1) == [(1, 0, 0, 0)]
-        assert quartic_partitions(4) == [
+        assert partitions(0, 4) == [(0, 0, 0, 0)]
+        assert partitions(1, 4) == [(1, 0, 0, 0)]
+        assert partitions(4, 4) == [
             (4, 0, 0, 0),
             (2, 1, 0, 0),
             (1, 0, 1, 0),
@@ -221,9 +226,14 @@ class TestQuarticPartitions:
             (0, 0, 0, 1),
         ]
 
+    def test_quadratic_order_is_descending_in_h1(self):
+        for t in range(12):
+            assert partitions(t, 2) == [(t - 2 * h, h) for h in range(t // 2 + 1)]
+        assert partitions(-1, 2) == []
+
     @given(st.integers(min_value=0, max_value=24))
     def test_weights_sum_and_uniqueness(self, m):
-        parts = quartic_partitions(m)
+        parts = partitions(m, 4)
         assert len(set(parts)) == len(parts)
         for h0, h1, h2, h3 in parts:
             assert h0 >= 0 and h1 >= 0 and h2 >= 0 and h3 >= 0
@@ -231,25 +241,6 @@ class TestQuarticPartitions:
 
 
 class TestFQuartic:
-    def test_boundary(self):
-        c = CharPolyQuartic(1, 1, 1, 1)
-        assert f_quartic(c, -1) == 0
-        assert f_quartic(c, 0) == 1
-        assert f_quartic(c, 1) == 1
-        # tetranacci with this seeding: 1, 1, 2, 4, 8, 15
-        assert f_quartic_sequence(c, 5) == [1, 1, 2, 4, 8, 15]
-
-    @given(
-        st.integers(min_value=-2, max_value=2),
-        st.integers(min_value=-2, max_value=2),
-        st.integers(min_value=-2, max_value=2),
-        st.integers(min_value=-2, max_value=2),
-        st.integers(min_value=0, max_value=40),
-    )
-    def test_explicit_equals_recurrence_integers(self, c0, c1, c2, c3, t):
-        c = CharPolyQuartic(c0, c1, c2, c3)
-        assert f_quartic(c, t) == f_quartic_sequence(c, t)[t]
-
     def test_explicit_equals_recurrence_walk_coeffs_exact(self):
         # Walk coefficients are real floats, i.e. dyadic rationals; lifting
         # them to Fraction runs both scalar-generic paths in exact
@@ -258,10 +249,9 @@ class TestFQuartic:
         rng = random.Random(23)
         for _ in range(10):
             fc = quartic_coeffs(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            c = CharPolyQuartic(*(Fraction(x.real) for x in
-                                  (fc.c0, fc.c1, fc.c2, fc.c3)))
+            c = tuple(Fraction(x.real) for x in fc)
             t = rng.randint(30, 50)
-            assert f_quartic(c, t) == f_quartic_sequence(c, t)[t]
+            assert f_explicit(c, t) == f_sequence(c, t)[t]
 
     def test_explicit_equals_recurrence_walk_coeffs_double(self):
         # pure double agrees while t is small enough that cancellation in
@@ -270,8 +260,46 @@ class TestFQuartic:
         for _ in range(20):
             c = quartic_coeffs(rng.uniform(-3, 3), rng.uniform(-3, 3))
             t = rng.randint(0, 10)
-            seq = f_quartic_sequence(c, t)
-            assert f_quartic(c, t) == pytest.approx(seq[t], abs=1e-12, rel=1e-12)
+            seq = f_sequence(c, t)
+            assert f_explicit(c, t) == pytest.approx(seq[t], abs=1e-12, rel=1e-12)
+
+
+def _char_coeffs(m: np.ndarray) -> tuple:
+    # numpy's monic characteristic polynomial [1, a_1, ..., a_r] has
+    # M^r = -a_1 M^{r-1} - ... - a_r I
+    return tuple(-np.poly(m)[1:])
+
+
+class TestMatrixPower:
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_any_order_matches_repeated_multiplication(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(10):
+            m = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+            m /= 2 * math.sqrt(r)
+            basis = horner_basis(m, _char_coeffs(m))
+            assert len(basis) == r
+            for t in range(13):
+                got = matrix_power(m, _char_coeffs(m), t)
+                want = np.linalg.matrix_power(m, t)
+                assert np.max(np.abs(got - want)) < 1e-10, (r, t)
+
+    def test_stack_equals_each_matrix(self):
+        # a (3, 4) stack of 3x3 matrices, with one coefficient per matrix
+        rng = np.random.default_rng(41)
+        ms = rng.normal(size=(3, 4, 3, 3)) / 3
+        per = [_char_coeffs(m) for m in ms.reshape(-1, 3, 3)]
+        coeffs = tuple(np.reshape([c[j] for c in per], (3, 4)) for j in range(3))
+        for t in (0, 1, 2, 9):
+            got = matrix_power(ms, coeffs, t)
+            assert got.shape == ms.shape
+            for i, m in enumerate(ms.reshape(-1, 3, 3)):
+                want = matrix_power(m, per[i], t)
+                assert np.max(np.abs(got.reshape(-1, 3, 3)[i] - want)) < 1e-14
+
+    def test_negative_t_rejected(self):
+        with pytest.raises(ValueError):
+            matrix_power(np.eye(3), (1, 0, 0), -1)
 
 
 class TestSuperopPower:
@@ -280,7 +308,8 @@ class TestSuperopPower:
         assert superop_power(0.3, -0.9, 1) == pytest.approx(superop(0.3, -0.9))
 
     def test_basis_leading_term_is_identity(self):
-        assert horner_basis(1.1, 0.2)[0] == pytest.approx(np.eye(4))
+        basis = horner_basis(superop(1.1, 0.2), quartic_coeffs(1.1, 0.2))
+        assert basis[0] == pytest.approx(np.eye(4))
 
     def test_matches_repeated_multiplication(self):
         rng = random.Random(29)

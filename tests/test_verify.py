@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from conftest import random_bloch
 from qwalk import closedform_pure, horner, verify
-from qwalk.core import Distribution
+from qwalk.arithmetic import Angle
+from qwalk.core import CoinParams, Distribution, PureState
 from qwalk.verify import (
     MIXED_COMPARE_METHODS,
     PURE_METHODS,
@@ -200,6 +202,25 @@ class TestForbiddenMassHelper:
         assert any("normalization" in msg for msg in fresh.failures)
 
 
+class TestNonFinite:
+    def test_nan_amplitude_fails_every_gate(self):
+        # every gate is "measure <= bound", which a NaN measure never meets
+        state = PureState({0: (complex(math.nan, 0.0), 0j)})
+        params = CoinParams(theta=Angle.parse(0.7))
+        report = compare_pure(state, params, 8, mode="double", check_symmetry=True)
+        assert report.passed is False
+        failures = " ".join(report.failures)
+        for gate in (
+            "normalization",
+            "parity-forbidden",
+            "total variation",
+            "pointwise",
+            "symmetry",
+        ):
+            assert gate in failures, gate
+        assert math.isnan(report.symmetry_defect)
+
+
 class TestMutationDetection:
     def test_sign_flip_in_cos_family_detected(self, monkeypatch, hadamard, plus_i):
         # flip the sign of every coefficient in one of the six term
@@ -235,14 +256,24 @@ class TestMutationDetection:
         assert report.pairwise_tv["direct|spectral"] < 1e-11
 
     def test_wrong_f_boundary_detected(self, monkeypatch, hadamard):
-        # the power identity needs f_{-1} = 0; smuggling in f_{-1} = 1
-        # must break U^0 = I visibly
-        def bad_pair(seq, t):
-            return seq[t], (seq[t - 1] if t >= 1 else 1)
+        # the power identity needs f_j = 0 for j < 0; a recurrence seeded
+        # with f_{-1} = 1 must break U^1 = U, and L^1, L^2 at order four,
+        # where the boundary enters visibly
+        def seeded_terms(coeffs, t_max):
+            hist = [0] * (len(coeffs) - 2) + [1, 1]  # ..., f_{-1} = 1, f_0
+            yield 1
+            for _ in range(t_max):
+                nxt = sum(c * f for c, f in zip(coeffs, reversed(hist)))
+                hist = hist[1:] + [nxt]
+                yield nxt
 
-        monkeypatch.setattr(horner, "_f_pair", bad_pair)
-        u = horner.u_k_power(hadamard, 0.7, 0)
-        assert np.max(np.abs(u - np.eye(2))) > 0.1
+        monkeypatch.setattr(horner, "_f_terms", seeded_terms)
+        u = horner.u_k_power(hadamard, 0.7, 1)
+        assert np.max(np.abs(u - horner.u_k(hadamard, 0.7))) > 0.1
+        ell = horner.superop(0.3, -0.9)
+        for t in (1, 2):
+            got = horner.superop_power(0.3, -0.9, t)
+            assert np.max(np.abs(got - np.linalg.matrix_power(ell, t))) > 0.1
 
 
 class TestInvariantSuite:
