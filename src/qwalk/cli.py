@@ -14,11 +14,10 @@ import random
 import sys
 from dataclasses import replace
 
-from . import closedform_mixed, closedform_pure, direct, spectral
 from .config import ConfigError, WalkConfig, check_plan
 from .core import Distribution
 from .horner import f_explicit, f_sequence
-from .verify import compare_mixed, compare_pure
+from .verify import MODES, compare_mixed, compare_pure, evaluate, reachable_parities
 
 __all__ = [
     "main",
@@ -34,12 +33,6 @@ __all__ = [
 def format_probability(p: float) -> str:
     """Shortest decimal string that round-trips the double exactly."""
     return repr(float(p))
-
-
-def _reachable_parities(cfg: WalkConfig) -> set[int]:
-    if cfg.is_mixed:
-        return {cfg.steps % 2}
-    return {(x + cfg.steps) % 2 for x in cfg.initial_pure.support}
 
 
 def _csv_positions(dist: Distribution, parities: set[int]) -> list[int]:
@@ -88,23 +81,6 @@ def _out_base(args, cfg: WalkConfig | None, default: str) -> str:
     return base
 
 
-def _run_distribution(cfg: WalkConfig, method: str) -> Distribution:
-    if cfg.is_mixed:
-        if method == "direct":
-            return direct.evolve_mixed(cfg.initial_mixed, cfg.params, cfg.steps)
-        return closedform_mixed.distribution_mixed(
-            cfg.steps, cfg.initial_mixed.pauli, mode=method
-        )
-    if method == "direct":
-        final = direct.evolve_pure(cfg.initial_pure, cfg.params, cfg.steps)
-        return direct.distribution_of(final, cfg.steps)
-    if method == "spectral":
-        return spectral.simulate(cfg.initial_pure, cfg.params, cfg.steps)
-    return closedform_pure.distribution(
-        cfg.steps, cfg.initial_pure, cfg.params, mode=cfg.mode
-    )
-
-
 def _load_config(args) -> WalkConfig:
     if not args.config:
         raise ConfigError("--config PATH is required")
@@ -132,8 +108,9 @@ def cmd_run(args) -> int:
     cfg = _load_config(args)
     if len(cfg.methods) != 1:
         raise ConfigError("run takes exactly one method (use compare for several)")
-    dist = _run_distribution(cfg, cfg.methods[0])
-    pairs = [(x, dist[x]) for x in _csv_positions(dist, _reachable_parities(cfg))]
+    dist = evaluate(cfg.methods[0], cfg.initial, cfg.params, cfg.steps, cfg.mode)
+    parities = reachable_parities(cfg.initial, cfg.steps)
+    pairs = [(x, dist[x]) for x in _csv_positions(dist, parities)]
     base = _out_base(args, cfg, "qwalk-run")
     csv_path, json_path = base + ".csv", base + ".json"
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -150,7 +127,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two methods")
     if cfg.is_mixed:
         report = compare_mixed(
-            cfg.initial_mixed,
+            cfg.initial,
             cfg.steps,
             methods=cfg.methods,
             params=cfg.params,
@@ -158,7 +135,7 @@ def cmd_compare(args) -> int:
         )
     else:
         report = compare_pure(
-            cfg.initial_pure,
+            cfg.initial,
             cfg.params,
             cfg.steps,
             methods=cfg.methods,
@@ -332,9 +309,9 @@ def cmd_plot_data(args) -> int:
     cfg = _load_config(args)
     if len(cfg.methods) != 1:
         raise ConfigError("plot-data takes exactly one method")
-    dist = _run_distribution(cfg, cfg.methods[0])
+    dist = evaluate(cfg.methods[0], cfg.initial, cfg.params, cfg.steps, cfg.mode)
     if args.drop_forbidden_sites:
-        xs = _csv_positions(dist, _reachable_parities(cfg))
+        xs = _csv_positions(dist, reachable_parities(cfg.initial, cfg.steps))
     else:
         xs = sorted(dist.positions)
     pairs = [(x, dist[x]) for x in xs]
@@ -363,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if mode_flag:
             p.add_argument(
                 "--mode",
-                choices=("exact", "adaptive", "double"),
+                choices=MODES,
                 default=None,
                 help="closed-form arithmetic mode",
             )

@@ -243,8 +243,7 @@ class WalkConfig:
     """A fully validated walk description."""
 
     params: CoinParams
-    initial_pure: PureState | None
-    initial_mixed: MixedLocalizedState | None
+    initial: PureState | MixedLocalizedState
     steps: int
     methods: tuple[str, ...]
     mode: str
@@ -253,11 +252,7 @@ class WalkConfig:
 
     @property
     def is_mixed(self) -> bool:
-        return self.initial_mixed is not None
-
-    @property
-    def initial(self):
-        return self.initial_mixed if self.is_mixed else self.initial_pure
+        return isinstance(self.initial, MixedLocalizedState)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "WalkConfig":
@@ -283,15 +278,14 @@ class WalkConfig:
             phi2=_parse_angle(coin.get("phi2", 0.0), "config.coin.phi2"),
         )
 
-        initial = doc["initial"]
-        _require_keys(initial, {"pure", "mixed"}, set(), "config.initial")
-        if ("pure" in initial) == ("mixed" in initial):
+        spec = doc["initial"]
+        _require_keys(spec, {"pure", "mixed"}, set(), "config.initial")
+        if ("pure" in spec) == ("mixed" in spec):
             raise ConfigError("config.initial: give exactly one of 'pure' or 'mixed'")
-        pure = mixed = None
-        if "pure" in initial:
-            pure = _parse_pure(initial["pure"], "config.initial.pure")
+        if "pure" in spec:
+            initial = _parse_pure(spec["pure"], "config.initial.pure")
         else:
-            mixed = _parse_mixed(initial["mixed"], "config.initial.mixed")
+            initial = _parse_mixed(spec["mixed"], "config.initial.mixed")
 
         steps = doc["steps"]
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
@@ -309,7 +303,7 @@ class WalkConfig:
         mode = doc.get("mode", "adaptive")
         if mode not in MODES:
             raise ConfigError(f"config.mode: expected one of {list(MODES)}")
-        check_plan(params, mixed if mixed is not None else pure, methods, mode)
+        check_plan(params, initial, methods, mode)
 
         output = doc.get("output")
         if output is not None and not isinstance(output, str):
@@ -319,8 +313,7 @@ class WalkConfig:
 
         return cls(
             params=params,
-            initial_pure=pure,
-            initial_mixed=mixed,
+            initial=initial,
             steps=steps,
             methods=methods,
             mode=mode,

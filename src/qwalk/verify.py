@@ -21,6 +21,7 @@ from itertools import combinations
 import numpy as np
 
 from . import closedform_mixed, closedform_pure, direct, spectral
+from .closedform_pure import MODES
 from .core import (
     CoinParams,
     Distribution,
@@ -33,12 +34,15 @@ from .core import (
 __all__ = [
     "Tolerances",
     "ComparisonReport",
+    "evaluate",
+    "reachable_parities",
     "compare_pure",
     "compare_mixed",
     "InvariantSuiteReport",
     "run_invariant_suite",
     "PURE_METHODS",
     "MIXED_COMPARE_METHODS",
+    "MODES",
 ]
 
 PURE_METHODS = ("direct", "spectral", "closed-form")
@@ -182,6 +186,40 @@ def _check_distributions(
             )
 
 
+def reachable_parities(initial, t: int) -> set[int]:
+    """Parities of the sites a walk from ``initial`` can occupy at time t:
+    x + t for each source x. A mixed state starts at the origin."""
+    if isinstance(initial, MixedLocalizedState):
+        return {t % 2}
+    return {(x + t) % 2 for x in initial.support}
+
+
+def evaluate(
+    method: str,
+    initial,
+    params: CoinParams,
+    t: int,
+    mode: str = "adaptive",
+) -> Distribution:
+    """The distribution at time t by one named route: a method of
+    PURE_METHODS for a PureState, of MIXED_COMPARE_METHODS for a
+    MixedLocalizedState. ``mode`` (one of MODES) is the pure closed form's
+    arithmetic. Any other method raises ValueError before a route runs."""
+    if isinstance(initial, MixedLocalizedState):
+        if method == "direct":
+            return direct.evolve_mixed(initial, params, t)
+        if method in MIXED_COMPARE_METHODS:
+            return closedform_mixed.distribution_mixed(t, initial.pauli, mode=method)
+        raise ValueError(f"unknown mixed method {method!r}")
+    if method == "direct":
+        return direct.distribution_of(direct.evolve_pure(initial, params, t), t)
+    if method == "spectral":
+        return spectral.simulate(initial, params, t)
+    if method == "closed-form":
+        return closedform_pure.distribution(t, initial, params, mode=mode)
+    raise ValueError(f"unknown pure method {method!r}")
+
+
 def compare_pure(
     init: PureState,
     params: CoinParams,
@@ -198,32 +236,7 @@ def compare_pure(
     when the initial state and coin support it, and the momentum method is
     always double precision.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    unknown = [m for m in methods if m not in PURE_METHODS]
-    if unknown:
-        raise ValueError(f"unknown pure methods: {unknown}")
-    report = ComparisonReport(
-        kind="pure",
-        t=t,
-        methods=tuple(methods),
-        tolerances=tolerances or Tolerances(),
-    )
-    dists: dict[str, Distribution] = {}
-    for name in methods:
-        start = time.perf_counter()
-        if name == "direct":
-            dist = direct.distribution_of(direct.evolve_pure(init, params, t), t)
-        elif name == "spectral":
-            dist = spectral.simulate(init, params, t)
-        else:
-            dist = closedform_pure.distribution(t, init, params, mode=mode)
-        report.timings[name] = time.perf_counter() - start
-        dists[name] = dist
-        report.distributions[name] = dict(dist.items())
-    parities = {(x + t) % 2 for x in init.support}
-    _check_distributions(report, dists, parities, check_symmetry)
-    return report
+    return _compare(init, params, t, methods, mode, tolerances, check_symmetry)
 
 
 def compare_mixed(
@@ -237,18 +250,32 @@ def compare_mixed(
     (r0, r1, r2, r3) or a MixedLocalizedState. The closed forms are
     Hadamard-specific; ``params`` only affects the "direct" oracle and
     defaults to the Hadamard coin."""
+    if not isinstance(r, MixedLocalizedState):
+        r = MixedLocalizedState.from_pauli(*(float(v) for v in r))
+    params = params or CoinParams.hadamard()
+    return _compare(r, params, t, methods, "adaptive", tolerances, False)
+
+
+def _compare(
+    initial,
+    params: CoinParams,
+    t: int,
+    methods: tuple[str, ...],
+    mode: str,
+    tolerances: Tolerances | None,
+    check_symmetry: bool,
+) -> ComparisonReport:
+    """The loop behind compare_pure and compare_mixed: evaluate and time
+    each method, then run the gates."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    unknown = [m for m in methods if m not in MIXED_COMPARE_METHODS]
+    kind = "mixed" if isinstance(initial, MixedLocalizedState) else "pure"
+    valid = MIXED_COMPARE_METHODS if kind == "mixed" else PURE_METHODS
+    unknown = [m for m in methods if m not in valid]
     if unknown:
-        raise ValueError(f"unknown mixed methods: {unknown}")
-    if isinstance(r, MixedLocalizedState):
-        state = r
-    else:
-        state = MixedLocalizedState.from_pauli(*(float(v) for v in r))
-    params = params or CoinParams.hadamard()
+        raise ValueError(f"unknown {kind} methods: {unknown}")
     report = ComparisonReport(
-        kind="mixed",
+        kind=kind,
         t=t,
         methods=tuple(methods),
         tolerances=tolerances or Tolerances(),
@@ -256,15 +283,12 @@ def compare_mixed(
     dists: dict[str, Distribution] = {}
     for name in methods:
         start = time.perf_counter()
-        if name == "direct":
-            dist = direct.evolve_mixed(state, params, t)
-        else:
-            dist = closedform_mixed.distribution_mixed(t, state.pauli, mode=name)
+        dist = evaluate(name, initial, params, t, mode)
         report.timings[name] = time.perf_counter() - start
         dists[name] = dist
         report.distributions[name] = dict(dist.items())
-    parities = {t % 2}
-    _check_distributions(report, dists, parities, check_symmetry=False)
+    parities = reachable_parities(initial, t)
+    _check_distributions(report, dists, parities, check_symmetry)
     return report
 
 

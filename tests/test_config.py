@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qwalk.arithmetic import SqrtTwo
+from qwalk.core import MixedLocalizedState, PureState
 from qwalk.config import (
     ConfigError,
     WalkConfig,
@@ -48,16 +49,16 @@ class TestPureInitial:
     def test_exact_state_built(self):
         cfg = WalkConfig.from_dict(base_doc())
         assert not cfg.is_mixed
-        assert cfg.initial_pure.exact
-        assert float(cfg.initial_pure.norm_sq_exact()) == 1.0
+        assert cfg.initial.exact
+        assert float(cfg.initial.norm_sq_exact()) == 1.0
 
     def test_float_state_built(self):
         doc = base_doc(
             initial={"pure": [{"x": 1, "alpha": 0.6, "beta": [0.0, 0.8]}]}
         )
         cfg = WalkConfig.from_dict(doc)
-        assert not cfg.initial_pure.exact
-        a, b = cfg.initial_pure.amplitude(1)
+        assert not cfg.initial.exact
+        a, b = cfg.initial.amplitude(1)
         assert a == 0.6 and b == 0.8j
 
     def test_mixing_strings_and_floats_rejected(self):
@@ -89,7 +90,7 @@ class TestPureInitial:
             }
         )
         cfg = WalkConfig.from_dict(doc)
-        assert cfg.initial_pure.support == (-1, 2)
+        assert cfg.initial.support == (-1, 2)
 
     def test_non_integer_x(self):
         doc = base_doc(initial={"pure": [{"x": 0.5, "alpha": 1}]})
@@ -102,14 +103,14 @@ class TestMixedInitial:
         doc = base_doc(initial={"mixed": {"pauli": [0.5, 0.1, 0.2, 0.3]}})
         cfg = WalkConfig.from_dict(doc)
         assert cfg.is_mixed
-        assert cfg.initial_mixed.pauli == (0.5, 0.1, 0.2, 0.3)
+        assert cfg.initial.pauli == (0.5, 0.1, 0.2, 0.3)
 
     def test_rho_form(self):
         doc = base_doc(
             initial={"mixed": {"rho": [[0.5, [0, -0.1]], [[0, 0.1], 0.5]]}}
         )
         cfg = WalkConfig.from_dict(doc)
-        r = cfg.initial_mixed.pauli
+        r = cfg.initial.pauli
         assert r[0] == pytest.approx(0.5)
         assert r[2] == pytest.approx(0.1)
 
@@ -281,11 +282,12 @@ class TestMisc:
 
     def test_initial_property(self):
         cfg = WalkConfig.from_dict(base_doc())
-        assert cfg.initial is cfg.initial_pure
+        assert isinstance(cfg.initial, PureState) and not cfg.is_mixed
         mixed_cfg = WalkConfig.from_dict(
             base_doc(initial={"mixed": {"pauli": [0.5, 0, 0, 0]}})
         )
-        assert mixed_cfg.initial is mixed_cfg.initial_mixed
+        assert isinstance(mixed_cfg.initial, MixedLocalizedState)
+        assert mixed_cfg.is_mixed
 
 
 class TestFromFile:
