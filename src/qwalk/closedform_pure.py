@@ -219,12 +219,16 @@ def coefficient_row(t: int, family: str, d: int) -> list[int]:
 
 
 def _float_horner(c2: float) -> Callable:
-    """Row evaluation by Horner's rule in floats."""
+    """Row evaluation by Horner's rule in floats. A row with a coefficient
+    past the float range (t near 1000) has no float value: NaN."""
 
     def evaluate(row):
         acc = 0
-        for c in reversed(row):
-            acc = acc * c2 + c
+        try:
+            for c in reversed(row):
+                acc = acc * c2 + c
+        except OverflowError:
+            return math.nan
         return acc
 
     return evaluate
@@ -386,6 +390,15 @@ def _site(x: int, sources: list, s: _Scalars):
     return alpha, beta
 
 
+def _abs_sq(z: complex) -> float:
+    """|z|^2, or inf where it passes the float range (double mode far past
+    its cliff, as at t=600)."""
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str) -> list:
     """Amplitude pairs at the sites xs: ring elements in exact mode,
     complex otherwise. The bundle and the working precision are set up
@@ -443,8 +456,9 @@ def distribution(
     support, parity-forbidden sites included as exact zeros.
 
     In the float modes a RuntimeWarning reports a total probability that
-    misses the initial norm by more than NORM_TOLERANCE (relative): the
-    sums have then lost their precision, as ``double`` does past t ~ 40.
+    is not within NORM_TOLERANCE (relative) of the initial norm: the sums
+    have then lost their precision, as ``double`` does past t ~ 40, or
+    left the float range (an inf or NaN total).
     """
     lo, hi = init.span
     grid = range(lo - t, hi + t + 1)
@@ -453,13 +467,16 @@ def distribution(
         exact = {x: a.abs_sq() + b.abs_sq() for x, (a, b) in pairs}
         probs = {x: float(v) for x, v in exact.items()}
         return Distribution(probs, t=t, method="closed-form", mode="exact", exact=exact)
-    probs = {x: abs(a) ** 2 + abs(b) ** 2 for x, (a, b) in pairs}
-    total, norm = math.fsum(probs.values()), init.norm_sq()
-    if abs(total - norm) > NORM_TOLERANCE * norm:
+    probs = {x: _abs_sq(a) + _abs_sq(b) for x, (a, b) in pairs}
+    dist = Distribution(probs, t=t, method="closed-form", mode=mode)
+    # a plain sum, as fsum raises where finite terms overflow it; "not
+    # within" rather than "off by more", so that a NaN total warns too
+    total, norm = dist.total(), init.norm_sq()
+    if not abs(total - norm) <= NORM_TOLERANCE * norm:
         warnings.warn(
             f"closed form in {mode} mode at t={t}: probabilities sum to "
             f"{total:.10g}, not {norm:.10g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return Distribution(probs, t=t, method="closed-form", mode=mode)
+    return dist

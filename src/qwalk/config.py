@@ -60,7 +60,8 @@ def parse_amplitude_component(value, where: str = "amplitude"):
     """One real component of an amplitude.
 
     Strings ("1/2", "-1/2 sqrt2") and ints parse to exact SqrtTwo values;
-    floats parse to floats. The caller decides whether mixing is allowed.
+    finite floats parse to floats. The caller decides whether mixing is
+    allowed.
     """
     if isinstance(value, bool):
         raise ConfigError(f"{where}: expected a number or string")
@@ -76,6 +77,9 @@ def parse_amplitude_component(value, where: str = "amplitude"):
     if isinstance(value, int):
         return SqrtTwo(value, 0)
     if isinstance(value, float):
+        # json.load yields NaN, Infinity and overflowing literals (1e400)
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {value}")
         return value
     raise ConfigError(f"{where}: expected a number or string, got {type(value).__name__}")
 

@@ -49,16 +49,21 @@ PSD_ATOL = 1e-12
 @dataclass(frozen=True)
 class CoinParams:
     """Coin angles. Each field is an Angle (exact rational multiple of pi
-    plus an optional float remainder)."""
+    plus an optional float remainder); the constructor also takes numbers
+    (radians) and strings like "1/4 pi", and parses them to Angles."""
 
     theta: Angle
     phi1: Angle = Angle(0)
     phi2: Angle = Angle(0)
 
+    def __post_init__(self) -> None:
+        for name in ("theta", "phi1", "phi2"):
+            object.__setattr__(self, name, Angle.parse(getattr(self, name)))
+
     @classmethod
     def make(cls, theta, phi1=0, phi2=0) -> "CoinParams":
         """Build from Angles, numbers (radians) or strings like "1/4 pi"."""
-        return cls(Angle.parse(theta), Angle.parse(phi1), Angle.parse(phi2))
+        return cls(theta, phi1, phi2)
 
     @classmethod
     def hadamard(cls) -> "CoinParams":
@@ -359,7 +364,8 @@ def validate_state(state) -> StateDiagnostics:
     issues: list[tuple[str, str, float]] = []
     if isinstance(state, PureState):
         n = state.norm_sq()
-        if abs(n - 1.0) > NORM_ATOL:
+        # "not within" rather than "off by more", so that a NaN norm is flagged
+        if not abs(n - 1.0) <= NORM_ATOL:
             issues.append(
                 ("normalization", f"|psi|^2 = {n!r}, expected 1", abs(n - 1.0))
             )

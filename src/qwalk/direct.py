@@ -16,6 +16,7 @@ import numpy as np
 
 from .arithmetic import SqrtTwo, SqrtTwoComplex
 from .core import (
+    PSD_ATOL,
     CoinParams,
     Distribution,
     MixedLocalizedState,
@@ -123,34 +124,25 @@ def evolve_mixed(
     if t < 0:
         raise ValueError("t must be non-negative")
     r = state.pauli
-    exact_ok = r[1] == 0.0 and r[2] == 0.0 and params.exact_capable
-    branches = _exact_basis_branches(r) if exact_ok else _numeric_branches(state.rho)
-
-    grid = range(-t, t + 1)
-    if exact_ok:
-        acc_exact: dict[int, SqrtTwo] = {x: SqrtTwo() for x in grid}
-        for weight, branch in branches:
-            if weight == 0.0:
-                continue
-            if weight < 0.0:
-                raise ValueError(f"negative branch weight {weight!r}")
-            frac = Fraction(weight)
-            d = distribution_of(evolve_pure(branch, params, t), t)
-            for x in acc_exact:
-                acc_exact[x] = acc_exact[x] + frac * d.exact_value(x)
-        probs = {x: float(v) for x, v in acc_exact.items()}
-        return Distribution(
-            probs, t=t, method="mixed-direct", mode="exact", exact=acc_exact
-        )
-
-    acc = {x: 0.0 for x in grid}
+    exact = r[1] == 0.0 and r[2] == 0.0 and params.exact_capable
+    if exact:
+        branches, zero, lift = _exact_basis_branches(r), SqrtTwo(), Fraction
+    else:
+        branches, zero, lift = _numeric_branches(state.rho), 0.0, float
+    acc = {x: zero for x in range(-t, t + 1)}
     for weight, branch in branches:
+        # validate_state admits a Bloch norm up to PSD_ATOL past r0, so an
+        # eigenvalue down to -PSD_ATOL is rounding of a zero weight
         if weight <= 0.0:
-            if weight < -1e-12:
+            if weight < -PSD_ATOL:
                 raise ValueError(f"negative branch weight {weight!r}")
             continue
-        # Branch vectors from eigh are unit; no renormalization needed.
+        # Branch vectors are unit; no renormalization needed.
         d = distribution_of(evolve_pure(branch, params, t), t)
-        for x in acc:
-            acc[x] += weight * d[x]
+        w = lift(weight)
+        for x, p in (d.exact if exact else d.probs).items():
+            acc[x] += w * p
+    if exact:
+        probs = {x: float(v) for x, v in acc.items()}
+        return Distribution(probs, t=t, method="mixed-direct", mode="exact", exact=acc)
     return Distribution(acc, t=t, method="mixed-direct", mode="double")

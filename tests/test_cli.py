@@ -15,6 +15,8 @@ from qwalk.cli import (
     main,
     parse_distribution_csv,
 )
+from qwalk.config import WalkConfig
+from qwalk.verify import MIXED_COMPARE_METHODS, PURE_METHODS, evaluate
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -159,6 +161,28 @@ class TestRun:
         assert doc["method"] == "mixed-consistent"
         assert doc["mode"] == "double"
 
+    @pytest.mark.parametrize(
+        "method, doc",
+        [(m, pure_doc(steps=7)) for m in PURE_METHODS]
+        + [(m, mixed_doc([0.5, 0.3, 0.1, -0.2], steps=7))
+           for m in MIXED_COMPARE_METHODS],
+        ids=[f"pure-{m}" for m in PURE_METHODS]
+        + [f"mixed-{m}" for m in MIXED_COMPARE_METHODS],
+    )
+    def test_run_writes_what_evaluate_returns(self, tmp_path, method, doc):
+        path = write_config(tmp_path, "walk.json", doc)
+        out = str(tmp_path / "r")
+        assert main(["run", "--config", path, "--method", method, "--out", out]) == 0
+        cfg = WalkConfig.from_file(path)
+        want = evaluate(method, cfg.initial, cfg.params, cfg.steps, cfg.mode)
+        # seven steps from the origin reach the odd sites only
+        sites = [x for x in want.positions if x % 2 == 1]
+        rows = parse_distribution_csv((tmp_path / "r.csv").read_text())
+        assert rows == [(x, want[x]) for x in sites]
+        doc = json.loads((tmp_path / "r.json").read_text())
+        assert doc["method"] == want.method and doc["mode"] == want.mode
+        assert doc["probabilities"] == {str(x): want[x] for x in sites}
+
     def test_mixed_closed_form_rejects_other_coins(self, tmp_path, capsys):
         # the mixed closed forms hold for the Hadamard coin only; without
         # the check this run wrote the Hadamard distribution with exit 0
@@ -210,7 +234,9 @@ class TestCompare:
         assert code == 1
         assert "expected a literal-method discrepancy" in capsys.readouterr().err
 
-    def test_nan_amplitude_exits_one(self, tmp_path, capsys):
+    def test_nan_amplitude_rejected(self, tmp_path, capsys):
+        # the config used to parse; compare then failed its gates with
+        # exit 1 and run wrote a CSV of nan with exit 0
         doc = pure_doc(
             coin={"theta": 0.7},
             initial={"pure": [{"x": 0, "alpha": math.nan, "beta": 0.0}]},
@@ -220,9 +246,11 @@ class TestCompare:
         )
         cfg = write_config(tmp_path, "walk.json", doc)
         out = str(tmp_path / "cmp")
-        assert main(["compare", "--config", cfg, "--out", out]) == 1
-        assert "FAIL" in capsys.readouterr().err
-        assert json.loads((tmp_path / "cmp.json").read_text())["passed"] is False
+        assert main(["compare", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "config.initial.pure[0].alpha" in err and "finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "cmp.json").exists()
 
     @pytest.mark.parametrize(
         "literal", ["NaN", "Infinity", "1e400"], ids=["nan", "inf", "overflow"]

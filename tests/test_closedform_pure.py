@@ -168,6 +168,19 @@ class TestLostPrecision:
             dist = distribution(150, plus_i, self.PARAMS, mode="double")
         assert sum(p for _, p in dist.items()) > 1e70
 
+    @pytest.mark.parametrize("t", [600, 1000])
+    def test_double_past_float_range_warns(self, plus_i, t):
+        # |amplitude|^2 passes the float range at t=600, and the row
+        # coefficients themselves at t=1000; both raised OverflowError
+        with pytest.warns(RuntimeWarning, match=rf"t={t}: probabilities sum to"):
+            dist = distribution(t, plus_i, CoinParams.make(0.7), mode="double")
+        assert not math.isfinite(dist.total())
+
+    def test_nan_amplitude_warns(self):
+        init = PureState({0: (complex(math.nan, 0.0), 0j)})
+        with pytest.warns(RuntimeWarning, match="probabilities sum to nan"):
+            distribution(8, init, CoinParams.make(0.7), mode="double")
+
     def test_adaptive_does_not_warn(self, plus_i):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -92,6 +92,19 @@ class TestPureInitial:
         cfg = WalkConfig.from_dict(doc)
         assert cfg.initial.support == (-1, 2)
 
+    @pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "1e400"], ids=["nan", "inf", "overflow"]
+    )
+    def test_non_finite_amplitude_rejected(self, literal):
+        # json.load reads all three as floats; a NaN state used to parse
+        text = json.dumps(
+            base_doc(initial={"pure": [{"x": 0, "alpha": [0.5, 0.0], "beta": 0.0}]})
+        ).replace("0.5", literal)
+        with pytest.raises(
+            ConfigError, match=r"config.initial.pure\[0\].alpha\[0\]: expected a finite"
+        ):
+            WalkConfig.from_dict(json.loads(text))
+
     def test_non_integer_x(self):
         doc = base_doc(initial={"pure": [{"x": 0.5, "alpha": 1}]})
         with pytest.raises(ConfigError, match="x must be an integer"):

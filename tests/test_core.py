@@ -18,6 +18,7 @@ from qwalk.core import (
     total_variation,
     validate_state,
 )
+from qwalk.verify import evaluate
 
 angles = st.floats(
     min_value=0.0, max_value=2 * math.pi, allow_nan=False, allow_infinity=False
@@ -30,6 +31,16 @@ class TestCoinParams:
     def test_coin_matrix_unitary(self, theta, phi1, phi2):
         c = coin_matrix(CoinParams.make(theta, phi1, phi2))
         assert np.allclose(c @ c.conj().T, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("method", ["direct", "spectral", "closed-form"])
+    def test_constructor_parses_bare_angles(self, method):
+        # CoinParams(0.7) built, then failed in every route with AttributeError
+        params = CoinParams(0.7, "1/4 pi", 2)
+        want = CoinParams.make(0.7, "1/4 pi", 2)
+        assert params == want and hash(params) == hash(want)
+        init = PureState.plus_i().to_float()
+        got = evaluate(method, init, params, 9)
+        assert got.probs == evaluate(method, init, want, 9).probs
 
     def test_hadamard_matrix(self):
         c = coin_matrix(CoinParams.hadamard())
@@ -221,6 +232,11 @@ class TestValidateState:
         diag = validate_state(s)
         assert not diag.valid
         assert any("norm" in code for code, _, _ in diag.violations)
+
+    def test_flags_nan_norm(self):
+        diag = validate_state(PureState({0: (complex(math.nan, 0.0), 0j)}))
+        assert not diag.valid
+        assert [code for code, _, _ in diag.violations] == ["normalization"]
 
     def test_flags_zero_amplitudes(self):
         diag = validate_state(PureState({0: (0j, 0j)}))

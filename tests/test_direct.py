@@ -232,6 +232,21 @@ class TestEvolveMixed:
                 MixedLocalizedState.from_pauli(0.5, 0.0, 0.0, 0.0), hadamard, -1
             )
 
+    @pytest.mark.parametrize(
+        "params", [CoinParams.hadamard(), CoinParams.make(0.7, 1.1, 2.3)],
+        ids=["exact", "float"],
+    )
+    def test_weight_just_below_zero_skipped(self, params):
+        # valid within PSD_ATOL, so the |1> branch weighs -1e-13: the float
+        # loop skipped it, the exact loop raised "negative branch weight"
+        state = MixedLocalizedState.from_pauli(0.5, 0.0, 0.0, 0.5000000000001)
+        dist = evolve_mixed(state, params, 7)
+        assert dist.mode == ("exact" if params.exact_capable else "double")
+        up = PureState.localized(0, 1.0, 0.0)
+        up = distribution_of(evolve_pure(up, params, 7), 7)
+        for x in dist.positions:
+            assert dist[x] == pytest.approx(up[x], abs=1e-12)
+
     def test_non_finite_pauli_rejected(self, hadamard):
         with pytest.raises(ValueError, match="finite"):
             evolve_mixed(

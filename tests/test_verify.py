@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import random_bloch
-from qwalk import closedform_pure, horner, verify
+from qwalk import closedform_mixed, closedform_pure, direct, horner, spectral, verify
 from qwalk.arithmetic import Angle
-from qwalk.core import CoinParams, Distribution, PureState
+from qwalk.core import CoinParams, Distribution, MixedLocalizedState, PureState
 from qwalk.verify import (
     MIXED_COMPARE_METHODS,
     PURE_METHODS,
@@ -80,6 +80,43 @@ class TestComparePure:
         assert report.passed
         for tv in report.pairwise_tv.values():
             assert tv < 1e-15
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize(
+        "initial, method",
+        [
+            (PureState.plus_i(), "umklapp"),
+            (PureState.plus_i(), "consistent"),
+            (MixedLocalizedState.from_pauli(0.5, 0, 0, 0), "kraus"),
+            (MixedLocalizedState.from_pauli(0.5, 0, 0, 0), "closed-form"),
+        ],
+        ids=["pure-unknown", "pure-mixed-name", "mixed-unknown", "mixed-pure-name"],
+    )
+    def test_unknown_name_rejected_before_any_route(
+        self, monkeypatch, hadamard, initial, method
+    ):
+        def route(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        for module, name in [
+            (direct, "evolve_pure"),
+            (direct, "evolve_mixed"),
+            (spectral, "simulate"),
+            (closedform_pure, "distribution"),
+            (closedform_mixed, "distribution_mixed"),
+        ]:
+            monkeypatch.setattr(module, name, route)
+        kind = "mixed" if isinstance(initial, MixedLocalizedState) else "pure"
+        with pytest.raises(ValueError, match=f"unknown {kind} method '{method}'"):
+            verify.evaluate(method, initial, hadamard, 3)
+
+    def test_reachable_parities(self):
+        assert verify.reachable_parities(PureState.plus_i(3), 4) == {1}
+        two = PureState({0: (0.6 + 0j, 0j), 1: (0j, 0.8 + 0j)})
+        assert verify.reachable_parities(two, 5) == {0, 1}
+        mixed = MixedLocalizedState.from_pauli(0.5, 0, 0, 0)
+        assert verify.reachable_parities(mixed, 5) == {1}
 
 
 class TestCompareMixed:
@@ -207,7 +244,11 @@ class TestNonFinite:
         # every gate is "measure <= bound", which a NaN measure never meets
         state = PureState({0: (complex(math.nan, 0.0), 0j)})
         params = CoinParams(theta=Angle.parse(0.7))
-        report = compare_pure(state, params, 8, mode="double", check_symmetry=True)
+        # the closed form also warns of its NaN total
+        with pytest.warns(RuntimeWarning, match="probabilities sum to nan"):
+            report = compare_pure(
+                state, params, 8, mode="double", check_symmetry=True
+            )
         assert report.passed is False
         failures = " ".join(report.failures)
         for gate in (
