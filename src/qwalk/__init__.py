@@ -8,7 +8,7 @@ other (:mod:`qwalk.verify`). Exact arithmetic over the ring Q(sqrt(2), i)
 is available whenever the coin angles lie on the eighth-turn grid.
 """
 
-from .arithmetic import Angle, SqrtTwo, SqrtTwoComplex, guard_bits
+from .arithmetic import Angle, SqrtTwo, SqrtTwoComplex
 from .closedform_mixed import (
     MIXED_METHODS,
     distribution_mixed,
@@ -57,7 +57,6 @@ __all__ = [
     "Angle",
     "SqrtTwo",
     "SqrtTwoComplex",
-    "guard_bits",
     "CoinParams",
     "PureState",
     "MixedLocalizedState",

@@ -28,7 +28,6 @@ exactly as float(Fraction) does.
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,40 +39,20 @@ __all__ = [
     "Angle",
     "SqrtTwo",
     "SqrtTwoComplex",
-    "guard_bits",
     "precision_for",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-DEFAULT_GUARD_BITS = 64
-GUARD_BITS_ENV = "QWALK_PRECISION_GUARD_BITS"
-
-
-def guard_bits() -> int:
-    """Guard bits added on top of the coefficient-size estimate.
-
-    Overridable through the QWALK_PRECISION_GUARD_BITS environment variable.
-    """
-    raw = os.environ.get(GUARD_BITS_ENV)
-    if raw is None:
-        return DEFAULT_GUARD_BITS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{GUARD_BITS_ENV} must be an integer, got {raw!r}"
-        ) from exc
-    if value < 0:
-        raise ValueError(f"{GUARD_BITS_ENV} must be non-negative, got {value}")
-    return value
+# bits of the adaptive working precision above the largest coefficient
+GUARD_BITS = 64
 
 
 def precision_for(coefficient_bits: int) -> int:
     """Working precision (bits) for a sum whose largest term needs
     ``coefficient_bits`` bits."""
-    return max(53, coefficient_bits + guard_bits())
+    return max(53, coefficient_bits + GUARD_BITS)
 
 
 _ANGLE_RE = re.compile(

@@ -20,12 +20,11 @@ from fractions import Fraction
 import numpy as np
 
 from .arithmetic import Angle, SqrtTwo, SqrtTwoComplex
-from .closedform_mixed import MIXED_METHODS
 from .closedform_pure import MODES
 from .core import CoinParams, MixedLocalizedState, PureState, validate_state
-from .verify import MIXED_COMPARE_METHODS, PURE_METHODS, Tolerances
+from .verify import Tolerances, check_plan
 
-__all__ = ["ConfigError", "WalkConfig", "check_plan", "parse_amplitude_component"]
+__all__ = ["ConfigError", "WalkConfig", "parse_amplitude_component"]
 
 
 class ConfigError(ValueError):
@@ -139,9 +138,10 @@ def _parse_pure(entries, where: str) -> PureState:
                 complex(float(beta[0]), float(beta[1])),
             )
     try:
-        return PureState(amplitudes)
+        state = PureState(amplitudes)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    return _validated(state, where, "normalized state")
 
 
 def _parse_mixed(spec, where: str) -> MixedLocalizedState:
@@ -156,7 +156,7 @@ def _parse_mixed(spec, where: str) -> MixedLocalizedState:
             state = MixedLocalizedState.from_pauli(*(float(v) for v in pauli))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{where}.pauli: {exc}") from exc
-        return _validated_mixed(state, f"{where}.pauli")
+        return _validated(state, f"{where}.pauli", "coin density matrix")
     rows = spec["rho"]
     if not isinstance(rows, list) or len(rows) != 2:
         raise ConfigError(f"{where}.rho: expected a 2x2 matrix")
@@ -180,14 +180,14 @@ def _parse_mixed(spec, where: str) -> MixedLocalizedState:
         state = MixedLocalizedState.from_rho(m)
     except ValueError as exc:
         raise ConfigError(f"{where}.rho: {exc}") from exc
-    return _validated_mixed(state, f"{where}.rho")
+    return _validated(state, f"{where}.rho", "coin density matrix")
 
 
-def _validated_mixed(state: MixedLocalizedState, where: str) -> MixedLocalizedState:
+def _validated(state, where: str, what: str):
     diag = validate_state(state)
     if not diag.valid:
         problems = "; ".join(f"{code}: {msg}" for code, msg, _ in diag.violations)
-        raise ConfigError(f"{where}: not a valid coin density matrix ({problems})")
+        raise ConfigError(f"{where}: not a valid {what} ({problems})")
     return state
 
 
@@ -209,39 +209,6 @@ def _parse_tolerances(spec, where: str) -> Tolerances:
     return Tolerances(**kwargs)
 
 
-def check_plan(params: CoinParams, initial, methods, mode: str) -> None:
-    """Reject methods and a mode that the coin and the initial state do not
-    support. Config files and command-line overrides both pass through here."""
-    mixed = isinstance(initial, MixedLocalizedState)
-    valid = MIXED_COMPARE_METHODS if mixed else PURE_METHODS
-    bad = [m for m in methods if m not in valid]
-    if bad:
-        raise ConfigError(
-            f"method: {bad} not valid for a {'mixed' if mixed else 'pure'} walk "
-            f"(choose from {list(valid)})"
-        )
-    closed = [m for m in methods if m in MIXED_METHODS]
-    if mixed and closed and params != CoinParams.hadamard():
-        raise ConfigError(
-            f"method: the mixed closed forms {closed} hold for the Hadamard coin "
-            'only; write theta = "1/4 pi" and phi1 = phi2 = 0, or use method direct'
-        )
-    if mode != "exact":
-        return
-    if mixed:
-        raise ConfigError("mode: exact mode applies to pure closed-form walks")
-    if not params.exact_capable:
-        raise ConfigError(
-            "mode: exact mode needs all coin angles on the eighth-turn grid "
-            "(write them as 'p/q pi' strings)"
-        )
-    if not initial.exact:
-        raise ConfigError(
-            "mode: exact mode needs exact initial amplitudes "
-            "(write them as 'p/q' or 'p/q sqrt2' strings)"
-        )
-
-
 @dataclass(frozen=True)
 class WalkConfig:
     """A fully validated walk description."""
@@ -253,6 +220,14 @@ class WalkConfig:
     mode: str
     output: str | None
     tolerances: Tolerances
+
+    def __post_init__(self) -> None:
+        # from_dict and dataclasses.replace (the CLI's flag overrides) both
+        # land here, so every config is checked against the same plan rules
+        try:
+            check_plan(self.params, self.initial, self.methods, self.mode)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @property
     def is_mixed(self) -> bool:
@@ -307,7 +282,6 @@ class WalkConfig:
         mode = doc.get("mode", "adaptive")
         if mode not in MODES:
             raise ConfigError(f"config.mode: expected one of {list(MODES)}")
-        check_plan(params, initial, methods, mode)
 
         output = doc.get("output")
         if output is not None and not isinstance(output, str):

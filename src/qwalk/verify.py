@@ -34,6 +34,8 @@ from .core import (
 __all__ = [
     "Tolerances",
     "ComparisonReport",
+    "canonical_json",
+    "check_plan",
     "evaluate",
     "reachable_parities",
     "compare_pure",
@@ -60,6 +62,24 @@ class Tolerances:
     # parity-forbidden sites; a genuine parity leak deposits O(1) mass.
     forbidden_mass: float = 1e-24
     symmetry: float = 1e-12
+
+
+def _finite_or_null(value):
+    """``value`` with each NaN or infinite float replaced by None, which
+    json.dumps writes as null; strict JSON has no spelling for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def canonical_json(doc) -> str:
+    """Strict JSON with sorted keys and no whitespace, so that equal
+    documents serialize to equal bytes."""
+    return json.dumps(_finite_or_null(doc), sort_keys=True, separators=(",", ":"))
 
 
 def _pair_key(a: str, b: str) -> str:
@@ -118,11 +138,7 @@ class ComparisonReport:
     def to_json(self, include_timings: bool = False) -> str:
         """Canonical JSON: sorted keys, no whitespace, timings omitted
         unless explicitly requested."""
-        return json.dumps(
-            self.to_dict(include_timings=include_timings),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json(self.to_dict(include_timings=include_timings))
 
 
 def _forbidden_mass(dist: Distribution, parities: set[int]) -> float:
@@ -194,6 +210,40 @@ def reachable_parities(initial, t: int) -> set[int]:
     return {(x + t) % 2 for x in initial.support}
 
 
+def check_plan(params: CoinParams, initial, methods, mode: str) -> None:
+    """Raise ValueError for methods or a mode that the coin and the initial
+    state do not admit. ``evaluate``, the comparisons and ``WalkConfig``
+    all check here before any route runs."""
+    mixed = isinstance(initial, MixedLocalizedState)
+    valid = MIXED_COMPARE_METHODS if mixed else PURE_METHODS
+    bad = [m for m in methods if m not in valid]
+    if bad:
+        raise ValueError(
+            f"method: {bad} not valid for a {'mixed' if mixed else 'pure'} walk "
+            f"(choose from {list(valid)})"
+        )
+    closed = [m for m in methods if m in closedform_mixed.MIXED_METHODS]
+    if closed and params != CoinParams.hadamard():
+        raise ValueError(
+            f"method: the mixed closed forms {closed} hold for the Hadamard coin "
+            'only; write theta = "1/4 pi" and phi1 = phi2 = 0, or use method direct'
+        )
+    if mode != "exact":
+        return
+    if mixed:
+        raise ValueError("mode: exact mode applies to pure closed-form walks")
+    if not params.exact_capable:
+        raise ValueError(
+            "mode: exact mode needs all coin angles on the eighth-turn grid "
+            "(write them as 'p/q pi' strings)"
+        )
+    if not initial.exact:
+        raise ValueError(
+            "mode: exact mode needs exact initial amplitudes "
+            "(write them as 'p/q' or 'p/q sqrt2' strings)"
+        )
+
+
 def evaluate(
     method: str,
     initial,
@@ -204,20 +254,23 @@ def evaluate(
     """The distribution at time t by one named route: a method of
     PURE_METHODS for a PureState, of MIXED_COMPARE_METHODS for a
     MixedLocalizedState. ``mode`` (one of MODES) is the pure closed form's
-    arithmetic. Any other method raises ValueError before a route runs."""
+    arithmetic. A plan that ``check_plan`` refuses raises ValueError
+    before a route runs."""
+    check_plan(params, initial, (method,), mode)
+    return _route(method, initial, params, t, mode)
+
+
+def _route(method: str, initial, params: CoinParams, t: int, mode: str) -> Distribution:
+    """Run one method that check_plan has admitted."""
     if isinstance(initial, MixedLocalizedState):
         if method == "direct":
             return direct.evolve_mixed(initial, params, t)
-        if method in MIXED_COMPARE_METHODS:
-            return closedform_mixed.distribution_mixed(t, initial.pauli, mode=method)
-        raise ValueError(f"unknown mixed method {method!r}")
+        return closedform_mixed.distribution_mixed(t, initial.pauli, mode=method)
     if method == "direct":
         return direct.distribution_of(direct.evolve_pure(initial, params, t), t)
     if method == "spectral":
         return spectral.simulate(initial, params, t)
-    if method == "closed-form":
-        return closedform_pure.distribution(t, initial, params, mode=mode)
-    raise ValueError(f"unknown pure method {method!r}")
+    return closedform_pure.distribution(t, initial, params, mode=mode)
 
 
 def compare_pure(
@@ -247,9 +300,9 @@ def compare_mixed(
     tolerances: Tolerances | None = None,
 ) -> ComparisonReport:
     """Compare mixed-coin evaluations. ``r`` is the Pauli vector
-    (r0, r1, r2, r3) or a MixedLocalizedState. The closed forms are
-    Hadamard-specific; ``params`` only affects the "direct" oracle and
-    defaults to the Hadamard coin."""
+    (r0, r1, r2, r3) or a MixedLocalizedState. ``params`` defaults to the
+    Hadamard coin; the closed forms hold for it only, so with any other
+    coin ``methods`` may name "direct" alone."""
     if not isinstance(r, MixedLocalizedState):
         r = MixedLocalizedState.from_pauli(*(float(v) for v in r))
     params = params or CoinParams.hadamard()
@@ -265,17 +318,13 @@ def _compare(
     tolerances: Tolerances | None,
     check_symmetry: bool,
 ) -> ComparisonReport:
-    """The loop behind compare_pure and compare_mixed: evaluate and time
-    each method, then run the gates."""
+    """The loop behind compare_pure and compare_mixed: check the plan once,
+    route and time each method, then run the gates."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    kind = "mixed" if isinstance(initial, MixedLocalizedState) else "pure"
-    valid = MIXED_COMPARE_METHODS if kind == "mixed" else PURE_METHODS
-    unknown = [m for m in methods if m not in valid]
-    if unknown:
-        raise ValueError(f"unknown {kind} methods: {unknown}")
+    check_plan(params, initial, methods, mode)
     report = ComparisonReport(
-        kind=kind,
+        kind="mixed" if isinstance(initial, MixedLocalizedState) else "pure",
         t=t,
         methods=tuple(methods),
         tolerances=tolerances or Tolerances(),
@@ -283,7 +332,7 @@ def _compare(
     dists: dict[str, Distribution] = {}
     for name in methods:
         start = time.perf_counter()
-        dist = evaluate(name, initial, params, t, mode)
+        dist = _route(name, initial, params, t, mode)
         report.timings[name] = time.perf_counter() - start
         dists[name] = dist
         report.distributions[name] = dict(dist.items())
@@ -311,7 +360,7 @@ class InvariantSuiteReport:
         return not self.failures
 
     def to_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "seed": self.seed,
                 "pure_cases": self.pure_cases,
@@ -323,9 +372,7 @@ class InvariantSuiteReport:
                 "max_mixed_vs_direct": self.max_mixed_vs_direct,
                 "passed": self.passed,
                 "failures": list(self.failures),
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qwalk import arithmetic
 from qwalk.arithmetic import (
     Angle,
     SqrtTwo,
     SqrtTwoComplex,
-    guard_bits,
     precision_for,
 )
 
@@ -313,22 +313,10 @@ class TestRingAgainstFractionPairs:
 
 
 class TestPrecision:
-    def test_guard_bits_default(self, monkeypatch):
-        monkeypatch.delenv("QWALK_PRECISION_GUARD_BITS", raising=False)
-        assert guard_bits() == 64
+    def test_guard_bits_default(self):
+        assert arithmetic.GUARD_BITS == 64
 
-    def test_guard_bits_env_override(self, monkeypatch):
-        monkeypatch.setenv("QWALK_PRECISION_GUARD_BITS", "128")
-        assert guard_bits() == 128
-
-    @pytest.mark.parametrize("bad", ["-3", "zero", ""])
-    def test_guard_bits_rejects_invalid(self, monkeypatch, bad):
-        monkeypatch.setenv("QWALK_PRECISION_GUARD_BITS", bad)
-        with pytest.raises(ValueError):
-            guard_bits()
-
-    def test_precision_floor(self, monkeypatch):
-        monkeypatch.delenv("QWALK_PRECISION_GUARD_BITS", raising=False)
+    def test_precision_floor(self):
         assert precision_for(10) >= 53
         assert precision_for(1000) == 1000 + 64
 

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 
 import qwalk
 from qwalk.cli import (
+    _build_parser,
     emit_distribution_csv,
     format_probability,
     main,
@@ -18,7 +21,8 @@ from qwalk.cli import (
 from qwalk.config import WalkConfig
 from qwalk.verify import MIXED_COMPARE_METHODS, PURE_METHODS, evaluate
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def write_config(tmp_path, name, doc):
@@ -116,6 +120,50 @@ class TestRun:
         assert "config.initial.mixed.rho[0][0]" in err
         assert "Traceback" not in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(2.0, 0.0), (1, 1)], ids=["float", "exact"]
+    )
+    def test_unnormalized_pure_state_rejected(self, tmp_path, capsys, alpha, beta):
+        # |psi|^2 = 4 used to parse, and direct stepping then wrote
+        # probabilities summing to 4.000000000000001 with exit 0
+        doc = pure_doc(
+            coin={"theta": 0.7},
+            initial={"pure": [{"x": 0, "alpha": alpha, "beta": beta}]},
+            steps=4,
+            method="direct",
+        )
+        cfg = write_config(tmp_path, "walk.json", doc)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "config.initial.pure" in err and "normalization" in err
+        assert list(tmp_path.iterdir()) == [tmp_path / "walk.json"]
+
+    def test_non_finite_values_written_as_null(self, tmp_path):
+        # past the float range the double closed form holds inf and nan,
+        # which json.dumps writes as the bare tokens Infinity and NaN
+        doc = pure_doc(
+            coin={"theta": 0.7},
+            initial={"pure": [{"x": 0, "alpha": 0.6, "beta": [0.0, 0.8]}]},
+            steps=600,
+            mode="double",
+            method="direct,closed-form",
+        )
+        cfg = write_config(tmp_path, "walk.json", doc)
+        run, cmp = str(tmp_path / "run"), str(tmp_path / "cmp")
+        with pytest.warns(RuntimeWarning, match="probabilities sum to"):
+            code = main(["run", "--config", cfg, "--method", "closed-form", "--out", run])
+        assert code == 0
+        with pytest.warns(RuntimeWarning, match="probabilities sum to"):
+            assert main(["compare", "--config", cfg, "--out", cmp]) == 1
+
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        written = json.loads((tmp_path / "run.json").read_text(), parse_constant=refuse)
+        report = json.loads((tmp_path / "cmp.json").read_text(), parse_constant=refuse)
+        assert None in written["probabilities"].values()
+        assert None in report["distributions"]["closed-form"].values()
 
     def test_missing_config_flag(self, capsys):
         assert main(["run"]) == 2
@@ -403,6 +451,25 @@ class TestShippedConfigs:
         assert main(["compare", "--config", cfg, "--out", out]) == 0
         doc = json.loads((tmp_path / "unb.json").read_text())
         assert doc["passed"] is True
+
+
+def test_readme_synopsis_names_the_parser_flags():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.startswith("qwalk "):
+            command = line.split()[1]
+        documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    (sub,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    defined = {
+        name: {f for a in p._actions for f in a.option_strings if f.startswith("--")}
+        - {"--help"}
+        for name, p in sub.choices.items()
+    }
+    assert documented == defined
 
 
 def test_python_dash_m_runs_the_cli():

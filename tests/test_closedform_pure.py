@@ -7,6 +7,7 @@ import pytest
 from conftest import random_params, random_state
 from fractions import Fraction
 
+from qwalk import arithmetic
 from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_pure import (
     FAMILIES,
@@ -342,9 +343,8 @@ class TestAdaptivePrecision:
         t = 600
         peak = round(t * math.cos(0.9))
         sites = (-t, -t + 2, -peak, 0, peak, t - 2, t)
-        monkeypatch.delenv("QWALK_PRECISION_GUARD_BITS", raising=False)
         got = [amplitude(x, t, plus_i, self.PARAMS) for x in sites]
-        monkeypatch.setenv("QWALK_PRECISION_GUARD_BITS", "256")
+        monkeypatch.setattr(arithmetic, "GUARD_BITS", 256)
         for x, pair in zip(sites, got):
             _amps_close(pair, amplitude(x, t, plus_i, self.PARAMS), tol=1e-15)
 
@@ -352,8 +352,7 @@ class TestAdaptivePrecision:
         rng = random.Random(23)
         init = random_state(rng, radius=2)
         t = 140
-        monkeypatch.delenv("QWALK_PRECISION_GUARD_BITS", raising=False)
         got = distribution(t, init, self.PARAMS)
-        monkeypatch.setenv("QWALK_PRECISION_GUARD_BITS", "256")
+        monkeypatch.setattr(arithmetic, "GUARD_BITS", 256)
         want = distribution(t, init, self.PARAMS)
         assert max_pointwise_difference(got, want) < 1e-15

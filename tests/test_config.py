@@ -241,7 +241,7 @@ class TestMethodAndMode:
 
     def test_exact_mode_needs_exact_amplitudes(self):
         doc = base_doc(
-            initial={"pure": [{"x": 0, "alpha": 0.707, "beta": 0.707}]},
+            initial={"pure": [{"x": 0, "alpha": 0.6, "beta": 0.8}]},
             mode="exact",
         )
         with pytest.raises(ConfigError, match="exact initial amplitudes"):

@@ -63,7 +63,7 @@ class TestComparePure:
         assert report.forbidden_mass["spectral"] < 1e-24
 
     def test_unknown_method(self, hadamard, plus_i):
-        with pytest.raises(ValueError, match="unknown pure methods"):
+        with pytest.raises(ValueError, match="not valid for a pure"):
             compare_pure(plus_i, hadamard, 2, methods=("direct", "umklapp"))
 
     def test_negative_t(self, hadamard, plus_i):
@@ -82,6 +82,23 @@ class TestComparePure:
             assert tv < 1e-15
 
 
+@pytest.fixture
+def no_routes(monkeypatch):
+    """Make every route fail, so a test sees a refusal come before them."""
+
+    def route(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    for module, name in [
+        (direct, "evolve_pure"),
+        (direct, "evolve_mixed"),
+        (spectral, "simulate"),
+        (closedform_pure, "distribution"),
+        (closedform_mixed, "distribution_mixed"),
+    ]:
+        monkeypatch.setattr(module, name, route)
+
+
 class TestEvaluate:
     @pytest.mark.parametrize(
         "initial, method",
@@ -94,22 +111,44 @@ class TestEvaluate:
         ids=["pure-unknown", "pure-mixed-name", "mixed-unknown", "mixed-pure-name"],
     )
     def test_unknown_name_rejected_before_any_route(
-        self, monkeypatch, hadamard, initial, method
+        self, no_routes, hadamard, initial, method
     ):
-        def route(*args, **kwargs):
-            raise AssertionError("a route ran")
-
-        for module, name in [
-            (direct, "evolve_pure"),
-            (direct, "evolve_mixed"),
-            (spectral, "simulate"),
-            (closedform_pure, "distribution"),
-            (closedform_mixed, "distribution_mixed"),
-        ]:
-            monkeypatch.setattr(module, name, route)
         kind = "mixed" if isinstance(initial, MixedLocalizedState) else "pure"
-        with pytest.raises(ValueError, match=f"unknown {kind} method '{method}'"):
+        with pytest.raises(ValueError, match=rf"\['{method}'\] not valid for a {kind}"):
             verify.evaluate(method, initial, hadamard, 3)
+
+    def test_mixed_closed_form_refuses_other_coins(self, no_routes):
+        # both calls used to return the Hadamard table, P(0) = 0.125 at
+        # t=6, where direct stepping on this coin gives 0.0982
+        state = MixedLocalizedState.from_pauli(0.5, 0.3, 0, 0.2)
+        coin = CoinParams.make(0.7, 1.1, 2.3)
+        with pytest.raises(ValueError, match="Hadamard coin only"):
+            verify.evaluate("consistent", state, coin, 6)
+        with pytest.raises(ValueError, match="Hadamard coin only"):
+            compare_mixed(state, 6, methods=("direct", "consistent"), params=coin)
+
+    @pytest.mark.parametrize(
+        "initial, params, match",
+        [
+            (PureState.plus_i(), CoinParams.make(0.7), "eighth-turn grid"),
+            (PureState({0: (0.6, 0.8j)}), CoinParams.hadamard(), "exact initial"),
+            (MixedLocalizedState.from_pauli(0.5, 0, 0, 0), CoinParams.hadamard(),
+             "exact mode applies to pure"),
+        ],
+        ids=["float-coin", "float-state", "mixed"],
+    )
+    def test_exact_mode_refused_before_any_route(self, no_routes, initial, params, match):
+        with pytest.raises(ValueError, match=match):
+            verify.evaluate("direct", initial, params, 3, mode="exact")
+
+    def test_plan_checked_once_per_call(self, monkeypatch, hadamard, plus_i):
+        calls = []
+        check = verify.check_plan
+        monkeypatch.setattr(verify, "check_plan", lambda *a: calls.append(a) or check(*a))
+        compare_pure(plus_i, hadamard, 4)
+        assert len(calls) == 1
+        verify.evaluate("direct", plus_i, hadamard, 4)
+        assert len(calls) == 2
 
     def test_reachable_parities(self):
         assert verify.reachable_parities(PureState.plus_i(3), 4) == {1}
@@ -165,7 +204,7 @@ class TestCompareMixed:
             assert report.passed, report.failures
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown mixed methods"):
+        with pytest.raises(ValueError, match="not valid for a mixed"):
             compare_mixed((0.5, 0, 0, 0), 2, methods=("direct", "kraus"))
 
     def test_normalization_recorded_per_method(self):
