@@ -6,12 +6,14 @@ Three arithmetic modes are used across the package:
   angle is a rational multiple of pi with denominator dividing 4. Amplitudes
   are then sums of Gaussian-rational multiples of sqrt(2) and every equality
   test is exact.
-* ``adaptive``: mpmath arithmetic with the working precision sized from the
-  largest combinatorial coefficient that will appear, plus guard bits.
+* ``adaptive``: fixed-point integers (``FixedComplex``) at a working
+  precision sized from the largest combinatorial coefficient that will
+  appear, plus guard bits; mpmath makes the trigonometric values.
 * ``double``: ordinary Python floats/complex, kept as an honest baseline so
   cancellation failures stay observable.
 
-This module provides the ring, exact angles, and the precision policy.
+This module provides the ring, exact angles, the fixed-point complex type
+and the precision policy.
 
 Ring elements hold integers, not Fractions. ``SqrtTwo`` is
 (p + q*sqrt(2)) / d and ``SqrtTwoComplex`` is
@@ -37,6 +39,7 @@ import mpmath
 
 __all__ = [
     "Angle",
+    "FixedComplex",
     "SqrtTwo",
     "SqrtTwoComplex",
     "precision_for",
@@ -515,3 +518,50 @@ _C0 = SqrtTwoComplex(_R0, _R0)
 _C1 = SqrtTwoComplex(_R1, _R0)
 _CI = SqrtTwoComplex(_R0, _R1)
 
+
+class FixedComplex:
+    """A complex number (re + i*im) / 2^wp on two Python integers: a
+    Gaussian integer over a fixed power of 2. Both operands of an
+    operation have the same wp.
+
+    Sums and products by a plain int (the 0 of an empty row) are exact. A
+    product of two values is (a c - b d, a d + b c) shifted down by wp bits,
+    so each component is rounded down to a multiple of 2^-wp and values
+    below 2^-wp in modulus may become 0. ``complex()`` divides each integer
+    by 2^wp once: Python's int true division rounds correctly and does not
+    overflow, however large wp is.
+    """
+
+    __slots__ = ("re", "im", "wp")
+
+    def __init__(self, re: int, im: int, wp: int) -> None:
+        self.re, self.im, self.wp = re, im, wp
+
+    def __add__(self, other: "FixedComplex") -> "FixedComplex":
+        return FixedComplex(self.re + other.re, self.im + other.im, self.wp)
+
+    def __sub__(self, other: "FixedComplex") -> "FixedComplex":
+        return FixedComplex(self.re - other.re, self.im - other.im, self.wp)
+
+    def __neg__(self) -> "FixedComplex":
+        return FixedComplex(-self.re, -self.im, self.wp)
+
+    def __mul__(self, other):
+        if other.__class__ is not FixedComplex:
+            if not isinstance(other, int):
+                return NotImplemented
+            return FixedComplex(self.re * other, self.im * other, self.wp)
+        a, b, c, d, wp = self.re, self.im, other.re, other.im, self.wp
+        return FixedComplex((a * c - b * d) >> wp, (a * d + b * c) >> wp, wp)
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "FixedComplex":
+        return FixedComplex(self.re, -self.im, self.wp)
+
+    def __complex__(self) -> complex:
+        scale = 1 << self.wp
+        return complex(self.re / scale, self.im / scale)
+
+    def __repr__(self) -> str:
+        return f"FixedComplex({self.re}, {self.im}, wp={self.wp})"

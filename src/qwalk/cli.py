@@ -13,7 +13,7 @@ import random
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, WalkConfig
+from .config import MAX_STEPS, ConfigError, WalkConfig
 from .core import Distribution
 from .horner import f_explicit, f_sequence
 from .verify import (
@@ -100,6 +100,8 @@ def _load_config(args) -> WalkConfig:
     if args.steps is not None:
         if args.steps < 0:
             raise ConfigError("--steps must be non-negative")
+        if args.steps > MAX_STEPS:
+            raise ConfigError(f"--steps {args.steps} is above the limit of {MAX_STEPS}")
         overrides["steps"] = args.steps
     if args.mode:
         overrides["mode"] = args.mode
@@ -149,6 +151,9 @@ def cmd_compare(args) -> int:
     path = base + ".json"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
+    # wall times vary from run to run, so they stay out of the report
+    for name, seconds in report.timings.items():
+        print(f"time {name}: {seconds:.6f} s", file=sys.stderr)
 
     failures = list(report.failures)
     if args.expect_discrepancy:

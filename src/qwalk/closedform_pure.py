@@ -51,30 +51,44 @@ are equal because chi = e^{i(phi1+phi2)}, which the ring test
 only the first is used.
 
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
-only), ``adaptive`` (mpmath, precision sized from the largest trinomial
-plus guard bits), ``double`` (floats; cancellation-prone at large t by
-design, so the failure stays demonstrable). All three build the same
-kernels; a mode only supplies the scalars and the row-evaluation rule:
+only), ``adaptive`` (fixed-point integers, precision sized from the largest
+trinomial plus guard bits), ``double`` (floats; cancellation-prone at large
+t by design, so the failure stays demonstrable). All three build the same
+kernels; a mode only supplies the scalars and the rule that turns a row
+into R (its Horner sum times cos^h0):
 
 * exact: cos^2 is 0, 1/2 or 1, so Horner runs on one integer numerator
   over a power of its denominator and is reduced once;
 * adaptive: Horner on Python integers in fixed point, cos^2 taken as a
   wp-bit integer with wp the working precision, so the coefficients
-  enter exactly and a row of length L is off by about L 2^-guard;
+  enter exactly. Every value after that (R, cos, sin, e^{i phi1}, chi^e,
+  the kernel entries, the lifted source amplitudes and the site sums)
+  is a ``FixedComplex``, a Gaussian integer over 2^wp, converted to
+  complex once at the end. mpmath makes cos, sin, e^{i phi1} and chi
+  once per call, and cos^h0 once per h0, whose mantissa and exponent
+  multiply the Horner integer exactly;
 * double: Horner in floats.
 
 chi^e is an integer power of the ring element in exact mode and of the
-complex chi in double mode; in adaptive mode it is one
-``mpmath.expj(e (phi1 + phi2))`` at the working precision, which costs a
-fraction of mpmath's integer power at these precisions. In every mode it
-is a function of (t, d) alone, so a point query and a full distribution
-give the same bits.
+complex chi in double mode; in adaptive mode it is square-and-multiply of
+the fixed-point chi, each power kept for the call. In every mode it is a
+function of (t, d) alone, so a point query and a full distribution give
+the same bits.
 
-Powers of cos, the row values R and the kernels K_t(d) are made on first
-use and memoised for the rest of the call, so a full distribution sums
-about 1.5t rows (Rft at each |d|, Rc at each d) and builds each kernel
-once for all its sources and sites, and a single-site query sums 3 rows
-per kernel it needs.
+The adaptive error envelope is absolute. A row of length L is off by
+about L 2^-guard, its coefficients being up to 2^(wp - guard). Past the
+rows each fixed-point product rounds down to the 2^-wp grid: kernel
+entries have modulus at most 1 (the propagator is unitary) and |R| is at
+most about 1/|sin(theta)|, so these steps add a few units of 2^-wp, far
+below the rows' own error. A value below 2^-wp becomes 0; that happens
+only at the light-cone edge when |cos(theta)| is small, where cos^h0 is
+tiny, and stays inside the same envelope.
+
+Powers of cos (and in adaptive mode of chi), the row values R and the
+kernels K_t(d) are made on first use and memoised for the rest of the
+call, so a full distribution sums about 1.5t rows (Rft at each |d|, Rc at
+each d) and builds each kernel once for all its sources and sites, and a
+single-site query sums 3 rows per kernel it needs.
 """
 
 from __future__ import annotations
@@ -84,13 +98,13 @@ import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import mpmath
 from mpmath.libmp import to_fixed
 
-from .arithmetic import Angle, SqrtTwo, SqrtTwoComplex, precision_for
+from .arithmetic import Angle, FixedComplex, SqrtTwo, SqrtTwoComplex, precision_for
 from .core import CoinParams, Distribution, PureState
 
 __all__ = [
@@ -218,52 +232,63 @@ def coefficient_row(t: int, family: str, d: int) -> list[int]:
     return row
 
 
-def _float_horner(c2: float) -> Callable:
-    """Row evaluation by Horner's rule in floats. A row with a coefficient
-    past the float range (t near 1000) has no float value: NaN."""
+def _float_horner(cos: float) -> Callable:
+    """R by Horner's rule in floats. A row with a coefficient past the
+    float range (t near 1000) has no float value: NaN."""
+    c2, cos_pow = cos * cos, cache(cos.__pow__)
 
-    def evaluate(row):
+    def evaluate(row, h0):
         acc = 0
         try:
             for c in reversed(row):
                 acc = acc * c2 + c
         except OverflowError:
             return math.nan
-        return acc
+        return acc * cos_pow(h0)
 
     return evaluate
 
 
-def _rational_horner(c2: Fraction) -> Callable:
-    """Exact row evaluation by Horner's rule on one integer numerator over
-    a power of c2's denominator, reduced once at the end."""
-    num, den = c2.numerator, c2.denominator
+def _rational_horner(cos: SqrtTwo) -> Callable:
+    """Exact R by Horner's rule on one integer numerator over a power of
+    the denominator of cos^2, reduced once at the end."""
+    # cos^2 is 0, 1/2 or 1 on the eighth-turn grid
+    c2, cos_pow = cos * cos, cache(cos.__pow__)
+    assert c2.b == 0
+    num, den = c2.a.numerator, c2.a.denominator
 
-    def evaluate(row):
+    def evaluate(row, h0):
         acc, scale = 0, 1
         for c in reversed(row):
             acc = acc * num + c * scale
             scale *= den
-        return SqrtTwo(Fraction(acc, scale // den))
+        return SqrtTwo(Fraction(acc, scale // den)) * cos_pow(h0)
 
     return evaluate
 
 
-def _fixed_point_horner(c2: mpmath.mpf, wp: int) -> Callable:
-    """Row evaluation by Horner's rule on wp-bit fixed-point integers.
+def _fixed_point_horner(cos: mpmath.mpf, wp: int) -> Callable:
+    """R by Horner's rule on wp-bit fixed-point integers, as a FixedComplex.
 
-    c2 becomes the integer floor(c2 2^wp), and every product is shifted back
-    by wp bits, so the integer coefficients enter exactly and each step
-    loses at most one unit of 2^-wp. With wp = coefficient bits + guard
-    bits, the absolute error of a row of length L is about L 2^-guard.
+    cos^2 becomes the integer floor(cos^2 2^wp), and every product is
+    shifted back by wp bits, so the integer coefficients enter exactly and
+    each step loses at most one unit of 2^-wp. With wp = coefficient bits
+    + guard bits, the absolute error of a row of length L is about
+    L 2^-guard. The factor cos^h0 is an mpf of wp bits relative precision,
+    as a short edge row's sum can be huge exactly where cos^h0 is tiny:
+    its mantissa and exponent multiply the Horner integer exactly, and only
+    the product is rounded down to a multiple of 2^-wp.
     """
-    x = to_fixed(c2._mpf_, wp)
+    x, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
 
-    def evaluate(row):
+    def evaluate(row, h0):
         acc = 0
         for c in reversed(row):
             acc = ((acc * x) >> wp) + (c << wp)
-        return mpmath.mpf((acc, -wp))
+        # acc 2^-wp times (-1)^sign man 2^exp, on the 2^-wp grid
+        sign, man, exp, _ = cos_pow(h0)._mpf_
+        acc, exp = acc * (-int(man) if sign else int(man)), int(exp)
+        return FixedComplex(acc << exp if exp >= 0 else acc >> -exp, 0, wp)
 
     return evaluate
 
@@ -272,9 +297,9 @@ def _fixed_point_horner(c2: mpmath.mpf, wp: int) -> Callable:
 class _Scalars:
     """Every factor of the closed form in one arithmetic mode's number type.
 
-    Powers of cos, row values and kernels are made on first use and kept
-    in ``memo`` for the rest of the call, so a full distribution computes
-    each once and a point query pays only for what it needs.
+    Row values and kernels are made on first use and kept in ``memo`` for
+    the rest of the call, so a full distribution computes each once and a
+    point query pays only for what it needs.
     """
 
     t: int
@@ -283,7 +308,7 @@ class _Scalars:
     ephi1: object
     chi_pow: Callable    # e -> chi^e, a function of e alone
     lift: Callable       # source amplitude (or 0) -> the mode's complex type
-    evaluate: Callable   # integer row -> its value at cos^2(theta)
+    evaluate: Callable   # (integer row, its first h) -> R
     memo: dict = field(default_factory=dict)
 
     def _cached(self, key, make):
@@ -292,9 +317,6 @@ class _Scalars:
         except KeyError:
             value = self.memo[key] = make()
             return value
-
-    def cos_pow(self, k: int):
-        return self._cached(("cos", k), lambda: self.cos**k)
 
     def row_value(self, family: str, d: int):
         """sum_h term_coefficient(t, family, d, h) cos^h over one group's
@@ -305,7 +327,7 @@ class _Scalars:
             if not row:
                 return 0
             h0 = self.t - FAMILIES[family].dt - 2 * (len(row) - 1)
-            return self.evaluate(row) * self.cos_pow(h0)
+            return self.evaluate(row, h0)
 
         return self._cached((family, d), make)
 
@@ -351,30 +373,64 @@ def _mp_expj(angle: Angle):
     return value
 
 
+def _fixed(value, wp: int) -> FixedComplex:
+    """An mpf or mpc as a FixedComplex, each part rounded down to a
+    multiple of 2^-wp."""
+    re, im = mpmath.mpc(value)._mpc_
+    return FixedComplex(int(to_fixed(re, wp)), int(to_fixed(im, wp)), wp)
+
+
+def _lift_fixed(wp: int) -> Callable:
+    """Source amplitude (complex, or 0) -> FixedComplex, each part rounded
+    down to a multiple of 2^-wp (exactly, whatever the float's exponent)."""
+
+    def part(x) -> int:
+        num, den = x.as_integer_ratio()
+        return (num << wp) // den
+
+    return lambda z: FixedComplex(part(z.real), part(z.imag), wp)
+
+
+def _powers(z: FixedComplex) -> Callable:
+    """e -> z^e by square-and-multiply from the top bit down, each power
+    kept for the rest of the call: a full distribution pays one or two
+    products per exponent, a point query about 2 log2(e), and either way
+    the bits of z^e depend on e alone."""
+    one = FixedComplex(1 << z.wp, 0, z.wp)
+
+    @cache
+    def power(e: int) -> FixedComplex:
+        if not e:
+            return one
+        half = power(e >> 1)
+        return half * half * z if e & 1 else half * half
+
+    return power
+
+
 def _scalars(params: CoinParams, t: int, mode: str) -> _Scalars:
     """The scalar bundle of one mode; adaptive values are made at the
-    current mpmath working precision."""
+    current mpmath working precision and kept as FixedComplex."""
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
         cos, sin = params.theta.cos_exact(), params.theta.sin_exact()
         chi_pow, ephi1 = params.chi_exact().__pow__, params.phi1.exp_i_exact()
-        # cos^2 is 0, 1/2 or 1 on the eighth-turn grid
-        c2 = cos * cos
-        assert c2.b == 0
-        lift, evaluate = _to_ring, _rational_horner(c2.a)
+        lift, evaluate = _to_ring, _rational_horner(cos)
     elif mode == "adaptive":
+        wp = mpmath.mp.prec
         th = params.theta.mp_radians()
-        cos, sin = mpmath.cos(th), mpmath.sin(th)
-        ephi1 = _mp_expj(params.phi1)
+        mp_cos = mpmath.cos(th)
+        evaluate = _fixed_point_horner(mp_cos, wp)
+        cos, sin = _fixed(mp_cos, wp), _fixed(mpmath.sin(th), wp)
+        ephi1 = _fixed(_mp_expj(params.phi1), wp)
         phi_sum = params.phi1.mp_radians() + params.phi2.mp_radians()
-        chi_pow = lambda e: mpmath.expj(e * phi_sum)
-        lift, evaluate = mpmath.mpc, _fixed_point_horner(cos * cos, mpmath.mp.prec)
+        chi_pow, lift = _powers(_fixed(mpmath.expj(phi_sum), wp)), _lift_fixed(wp)
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
         chi_pow, ephi1 = params.chi.__pow__, _expj(params.phi1)
-        lift, evaluate = complex, _float_horner(cos * cos)
+        lift, evaluate = complex, _float_horner(cos)
     return _Scalars(t, cos, sin, ephi1, chi_pow, lift, evaluate)
 
 

@@ -24,7 +24,12 @@ from .closedform_pure import MODES
 from .core import CoinParams, MixedLocalizedState, PureState, validate_state
 from .verify import Tolerances, check_plan
 
-__all__ = ["ConfigError", "WalkConfig", "parse_amplitude_component"]
+__all__ = ["ConfigError", "MAX_STEPS", "WalkConfig", "parse_amplitude_component"]
+
+# The largest step count a config or the --steps flag may ask for. Every
+# route costs at least t^2 site updates, so a larger count is a typo, not
+# a walk, and is refused before any work starts.
+MAX_STEPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -269,6 +274,8 @@ class WalkConfig:
         steps = doc["steps"]
         if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
             raise ConfigError("config.steps: expected a non-negative integer")
+        if steps > MAX_STEPS:
+            raise ConfigError(f"config.steps: {steps} is above the limit of {MAX_STEPS}")
 
         method = doc.get("method", "direct")
         if isinstance(method, str):
@@ -308,4 +315,7 @@ class WalkConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:
+            # an integer literal past Python's limit of 4300 digits
+            raise ConfigError(f"config {path}: {exc}") from exc
         return cls.from_dict(doc)

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import qwalk
+from qwalk import verify
 from qwalk.cli import (
     _build_parser,
     emit_distribution_csv,
@@ -18,7 +19,7 @@ from qwalk.cli import (
     main,
     parse_distribution_csv,
 )
-from qwalk.config import WalkConfig
+from qwalk.config import MAX_STEPS, WalkConfig
 from qwalk.verify import MIXED_COMPARE_METHODS, PURE_METHODS, evaluate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -169,6 +170,42 @@ class TestRun:
         assert main(["run"]) == 2
         assert "--config PATH is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare", "plot-data"])
+    def test_absurd_steps_refused_before_any_route(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_route(*args):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(verify, "_route", no_route)
+        ok = write_config(tmp_path, "ok.json", pure_doc(method="direct,closed-form"))
+        huge = write_config(
+            tmp_path, "huge.json", pure_doc(method="direct,closed-form", steps=10**11)
+        )
+        out = str(tmp_path / "o")
+        one_method = [] if command == "compare" else ["--method", "direct"]
+        for argv, where in (
+            (["--config", ok, "--steps", "100000000000"], "--steps 100000000000"),
+            (["--config", ok, "--steps", str(MAX_STEPS + 1)], f"--steps {MAX_STEPS + 1}"),
+            (["--config", huge], "config.steps: 100000000000"),
+        ):
+            assert main([command, *argv, *one_method, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert f"{where} is above the limit of {MAX_STEPS}" in err
+            assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "ok.json"]
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, capsys):
+        # json.load refuses an integer literal of more than 4300 digits
+        # with a plain ValueError, not a JSONDecodeError (where Python has
+        # no such limit, MAX_STEPS refuses it)
+        text = json.dumps(pure_doc(steps=7)).replace('"steps": 7', '"steps": 1' + "0" * 5000)
+        path = tmp_path / "walk.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "limit" in err and "Traceback" not in err
+
     def test_method_and_steps_overrides(self, tmp_path):
         cfg = write_config(tmp_path, "walk.json", pure_doc())
         out = str(tmp_path / "o")
@@ -254,6 +291,27 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", out]) == 0
         doc = json.loads((tmp_path / "cmp.json").read_text())
         assert doc["passed"] is True
+
+    def test_timings_on_stderr_only(self, tmp_path, capsys):
+        # one line per route on stderr; the report file and stdout are
+        # those of a comparison without timings
+        methods = ("direct", "spectral", "closed-form")
+        cfg = write_config(tmp_path, "walk.json", pure_doc(method=",".join(methods)))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out}.json\n"
+        lines = captured.err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"time {m}" for m in methods]
+        for line in lines:
+            assert re.fullmatch(r"time [a-z-]+: \d+\.\d{6} s", line), line
+        written = (tmp_path / "cmp.json").read_text()
+        assert "timings" not in written
+        cfg_obj = WalkConfig.from_file(cfg)
+        report = verify.compare_pure(
+            cfg_obj.initial, cfg_obj.params, cfg_obj.steps, methods=methods, mode=cfg_obj.mode
+        )
+        assert written == report.to_json() + "\n"
 
     def test_breach_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "mixed.json", mixed_doc([0.5, 0.5, 0, 0], steps=2))

@@ -2,16 +2,20 @@ import math
 import random
 import warnings
 
+import mpmath
 import pytest
 
 from conftest import random_params, random_state
 from fractions import Fraction
 
 from qwalk import arithmetic
-from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
+from qwalk.arithmetic import FixedComplex, SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_pure import (
     FAMILIES,
     MODES,
+    _amplitudes,
+    _scalars,
+    _site,
     admissible_terms,
     amplitude,
     coefficient_bits,
@@ -334,10 +338,87 @@ class TestTermBookkeeping:
         self._row_identities(301)
 
 
+def _ring(a, b=0, c=0, d=0):
+    return SqrtTwoComplex(SqrtTwo(a, b), SqrtTwo(c, d))
+
+
+_HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
+# ring-valued starts on 1, 2 and 3 sites, of both parities
+_RING_STARTS = (
+    PureState({0: (_ring(0, _HALF), _ring(0, 0, 0, _HALF))}),
+    PureState({-1: (_ring(_HALF), _ring(0, 0, _HALF)), 2: (_ring(-_HALF), _ring(_HALF))}),
+    PureState({
+        -2: (_ring(_HALF), _ring(0, 0, 0, _HALF)),
+        0: (_ring(0, _QUARTER), _ring(-_QUARTER, 0, _HALF)),
+        3: (_ring(0), _ring(Fraction(1, 3), Fraction(-1, 5))),
+    }),
+)
+
+
+def _every_site(init: PureState, t: int) -> range:
+    lo, hi = init.span
+    return range(lo - t - 1, hi + t + 2)
+
+
+class TestAdaptiveAgainstExact:
+    # on the eighth-turn grid the exact closed form is the truth; the
+    # fixed-point kernels and site sums must land within 1e-15 of it
+    @pytest.mark.parametrize("t", [140, 301])
+    @pytest.mark.parametrize(
+        "n_sources,coin",
+        [
+            (1, ("1/4 pi", "3/4 pi", "3/2 pi")),
+            (2, ("3/4 pi", "1/4 pi", "1/2 pi")),
+            (3, ("1/2 pi", "5/4 pi", "0 pi")),
+            (3, ("1/4 pi", "7/4 pi", "1/4 pi")),
+        ],
+    )
+    def test_every_site_within_1e15(self, t, n_sources, coin):
+        init, params = _RING_STARTS[n_sources - 1], CoinParams.make(*coin)
+        sites = _every_site(init, t)
+        exact = _amplitudes(sites, t, init, params, "exact")
+        adaptive = _amplitudes(sites, t, init, params, "adaptive")
+        for x, got, want in zip(sites, adaptive, exact):
+            for g, w in zip(got, want):
+                assert abs(g - w.to_complex()) <= 1e-15, x
+
+    def test_kernels_and_sites_stay_fixed_point(self):
+        # past the rows nothing is an mpmath number: the kernel entries
+        # and the site sums are FixedComplex at the working precision
+        t = 60
+        init = PureState({-1: (0.6 + 0j, 0.8j), 2: (0j, 1.0 + 0j)})
+        wp = arithmetic.precision_for(coefficient_bits(t))
+        with mpmath.workprec(wp):
+            s = _scalars(CoinParams.make(0.7, 1.1, 2.3), t, "adaptive")
+            sources = [
+                (xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()
+            ]
+            for d in range(-t, t + 1, 2):
+                for entry in (e for row in s.kernel(d) for e in row):
+                    assert type(entry) is FixedComplex and entry.wp == wp, d
+            for x in _every_site(init, t):
+                for value in _site(x, sources, s):
+                    assert type(value) is FixedComplex and value.wp == wp, x
+
+
 class TestAdaptivePrecision:
     # the adaptive rows are summed on fixed-point integers; at 256 guard
     # bits instead of 64 the amplitudes must not move
     PARAMS = CoinParams.make(0.9, 0.4, 1.3)
+
+    @pytest.mark.parametrize("theta", [0.05, math.pi / 2 - 0.01, math.pi - 0.05])
+    def test_every_site_at_t301_matches_256_guard_bits(self, monkeypatch, theta):
+        # near theta = 0 and pi |R| grows as 1/|sin theta|; near pi/2 the
+        # powers of cos fall below 2^-wp towards the light-cone edge
+        t = 301
+        init = random_state(random.Random(29), radius=2)
+        params = CoinParams.make(theta, 0.4, 1.3)
+        sites = _every_site(init, t)
+        got = _amplitudes(sites, t, init, params, "adaptive")
+        monkeypatch.setattr(arithmetic, "GUARD_BITS", 256)
+        want = _amplitudes(sites, t, init, params, "adaptive")
+        for x, g, w in zip(sites, got, want):
+            _amps_close(g, w, tol=1e-15)
 
     def test_amplitudes_at_t600_match_256_guard_bits(self, monkeypatch, plus_i):
         t = 600

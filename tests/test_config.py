@@ -7,6 +7,7 @@ import pytest
 from qwalk.arithmetic import SqrtTwo
 from qwalk.core import MixedLocalizedState, PureState
 from qwalk.config import (
+    MAX_STEPS,
     ConfigError,
     WalkConfig,
     parse_amplitude_component,
@@ -263,6 +264,12 @@ class TestMisc:
     def test_steps_validation(self):
         for bad in (-1, 2.5, "3", True):
             with pytest.raises(ConfigError, match="config.steps"):
+                WalkConfig.from_dict(base_doc(steps=bad))
+
+    def test_steps_limit(self):
+        assert WalkConfig.from_dict(base_doc(steps=MAX_STEPS)).steps == MAX_STEPS
+        for bad in (MAX_STEPS + 1, 10**11):
+            with pytest.raises(ConfigError, match=rf"config.steps: {bad} is above the limit"):
                 WalkConfig.from_dict(base_doc(steps=bad))
 
     def test_tolerances_override(self):
