@@ -33,6 +33,7 @@ __all__ = [
     "emit_distribution_json",
     "render_svg",
     "emit_gnuplot",
+    "FT_T_MAX",
 ]
 
 
@@ -186,6 +187,11 @@ def cmd_compare(args) -> int:
 # the order r of the characteristic relation each --kind tabulates
 _FT_ORDERS = {"quad": 2, "quartic": 4}
 
+# The largest --t-max ft-table accepts. The explicit sum over partitions
+# grows steeply with t for the quartic: on a 2-core Xeon it takes about
+# 1.3 s at t = 100 and 20 s at t = 200.
+FT_T_MAX = 100
+
 
 def _parse_coeffs(text: str, kind: str, want: int) -> tuple[float, ...]:
     try:
@@ -200,6 +206,8 @@ def _parse_coeffs(text: str, kind: str, want: int) -> tuple[float, ...]:
 def cmd_ft_table(args) -> int:
     if args.t_max < 0:
         raise ConfigError("--t-max must be non-negative")
+    if args.t_max > FT_T_MAX:
+        raise ConfigError(f"--t-max {args.t_max} is above the limit of {FT_T_MAX}")
     r = _FT_ORDERS[args.kind]
     if args.coeffs:
         values = _parse_coeffs(args.coeffs, args.kind, r)

@@ -4,7 +4,10 @@
 A step applies the coin at every occupied site, then routes the coin-0
 result to x+1 and the coin-1 result to x-1. Evolution is exact in
 Q[sqrt(2)][i] when both the state and the coin live on the eighth-turn grid,
-ordinary complex arithmetic otherwise.
+and steps site by site on that ring. Otherwise it is float stepping as array
+code: alpha and beta are two complex128 arrays over the light-cone window,
+and a step is two slice expressions, alpha'[x] = c00 alpha[x-1] +
+c01 beta[x-1] and beta'[x] = c10 alpha[x+1] + c11 beta[x+1].
 """
 
 from __future__ import annotations
@@ -32,18 +35,21 @@ __all__ = ["step", "evolve_pure", "distribution_of", "evolve_mixed"]
 def _walk(state: PureState, params: CoinParams, t: int) -> dict:
     """The amplitudes after t steps, as a plain {x: (alpha, beta)} dict.
 
-    Each output component has exactly one source site: alpha at x comes
-    from x-1 and beta at x from x+1, so no sums are accumulated. The dict
-    is left unvalidated; callers wrap it in one PureState at the end.
+    The keys are the sites x + t - 2k for each source x and 0 <= k <= t,
+    interference zeros included. Each output component has exactly one
+    source site: alpha at x comes from x-1 and beta at x from x+1, so no
+    sums are accumulated. The dict is left unvalidated; callers wrap it in
+    one PureState at the end.
     """
-    exact = state.exact and params.exact_capable
-    if exact:
-        coin, zero = coin_matrix_exact(params), SqrtTwoComplex.zero()
-    else:
-        coin, zero = coin_matrix(params).tolist(), 0j
-        state = state.to_float()
+    if state.exact and params.exact_capable:
+        return _ring_walk(state.amplitudes, coin_matrix_exact(params), t)
+    return _float_walk(state.to_float().amplitudes, coin_matrix(params).tolist(), t)
+
+
+def _ring_walk(amps: dict, coin, t: int) -> dict:
+    """Exact stepping, one dict of ring elements per step."""
     (c00, c01), (c10, c11) = coin
-    amps = state.amplitudes
+    zero = SqrtTwoComplex.zero()
     for _ in range(t):
         up = {x + 1: c00 * a + c01 * b for x, (a, b) in amps.items()}
         down = {x - 1: c10 * a + c11 * b for x, (a, b) in amps.items()}
@@ -51,6 +57,34 @@ def _walk(state: PureState, params: CoinParams, t: int) -> dict:
             x: (up.get(x, zero), down.get(x, zero)) for x in up.keys() | down.keys()
         }
     return amps
+
+
+def _float_walk(amps: dict, coin, t: int) -> dict:
+    """Float stepping on two complex128 arrays over [lo - t, hi + t].
+
+    Cell i holds site lo - t + i. After s steps every nonzero amplitude lies
+    in [lo - s, hi + s], so step s + 1 reads only that stretch, writes alpha
+    one cell right and beta one cell left, and zeroes the cell each one
+    leaves behind. Cells off the output sites (wrong parity, or between
+    cones that have not met) hold zeros and are not returned.
+    """
+    (c00, c01), (c10, c11) = coin
+    lo, hi = min(amps), max(amps)
+    base = lo - t
+    alpha = np.zeros(hi - lo + 2 * t + 1, dtype=complex)
+    beta = np.zeros_like(alpha)
+    for x, (a, b) in amps.items():
+        alpha[x - base], beta[x - base] = a, b
+    for s in range(t):
+        i, j = t - s, hi - lo + t + s + 1
+        a, b = alpha[i:j], beta[i:j]
+        up = c00 * a + c01 * b
+        beta[i - 1 : j - 1] = c10 * a + c11 * b
+        alpha[i + 1 : j + 1] = up
+        alpha[i] = beta[j - 1] = 0
+    alpha, beta = alpha.tolist(), beta.tolist()
+    sites = set().union(*(range(x - t, x + t + 1, 2) for x in amps))
+    return {x: (alpha[x - base], beta[x - base]) for x in sites}
 
 
 def step(state: PureState, params: CoinParams) -> PureState:

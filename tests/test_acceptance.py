@@ -343,3 +343,21 @@ def test_spectral_reaches_t2000(plus_i):
         f"\nPASS spectral reach: closed form at t=2000 {worst_cf:.2e}, "
         f"direct at t=1000 {worst_direct:.2e}, {elapsed:.2f}s"
     )
+
+
+def test_direct_reaches_t4000(plus_i):
+    # float direct stepping against the momentum route on the off-grid coin
+    # of the spectral reach gate, every amplitude of the whole window
+    params = CoinParams.make(0.9, 0.4, 1.3)
+    t = 4000
+    start = time.perf_counter()
+    oracle = evolve_pure(plus_i, params, t)
+    elapsed = time.perf_counter() - start
+    spec = evolve_spectral(plus_i, params, t)
+    worst = max(
+        abs(u - v)
+        for x in range(-t, t + 1)
+        for u, v in zip(oracle.amplitude(x), spec.amplitude(x))
+    )
+    assert worst <= 1e-12, f"direct deviation {worst:.2e}"
+    print(f"\nPASS direct reach: spectral at t=4000 {worst:.2e}, direct {elapsed:.2f}s")

@@ -11,8 +11,9 @@ import sys
 import pytest
 
 import qwalk
-from qwalk import verify
+from qwalk import cli, verify
 from qwalk.cli import (
+    FT_T_MAX,
     _build_parser,
     emit_distribution_csv,
     format_probability,
@@ -439,6 +440,26 @@ class TestFtTable:
     def test_coeff_count_validated(self, tmp_path, capsys):
         assert main(["ft-table", "--kind", "quartic", "--coeffs", "1,2"]) == 2
         assert "quartic needs 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["quad", "quartic"])
+    def test_t_max_above_the_limit_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, kind
+    ):
+        def no_table(*args):
+            raise AssertionError("f_t was tabulated")
+
+        monkeypatch.setattr(cli, "f_explicit", no_table)
+        out = str(tmp_path / "ft")
+        for t_max in (FT_T_MAX + 1, 100000000):
+            argv = ["ft-table", "--kind", kind, "--t-max", str(t_max), "--out", out]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"--t-max {t_max} is above the limit of {FT_T_MAX}" in err
+            assert "Traceback" not in err
+        # the limit itself passes the check and reaches the table
+        with pytest.raises(AssertionError, match="tabulated"):
+            main(["ft-table", "--kind", kind, "--t-max", str(FT_T_MAX), "--out", out])
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPlotData:

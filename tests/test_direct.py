@@ -2,13 +2,48 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_bloch, random_params, random_state
-from qwalk.core import CoinParams, MixedLocalizedState, PureState
+from qwalk.core import CoinParams, MixedLocalizedState, PureState, coin_matrix
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure, step
 
 RT2 = math.sqrt(2)
+
+
+def dict_walk(state: PureState, params: CoinParams, t: int) -> dict:
+    """Reference float stepper: one dict per step, CPython complex
+    arithmetic, every site the light cone reaches kept as a key."""
+    (c00, c01), (c10, c11) = coin_matrix(params).tolist()
+    amps = state.to_float().amplitudes
+    for _ in range(t):
+        up = {x + 1: c00 * a + c01 * b for x, (a, b) in amps.items()}
+        down = {x - 1: c10 * a + c11 * b for x, (a, b) in amps.items()}
+        amps = {x: (up.get(x, 0j), down.get(x, 0j)) for x in up.keys() | down.keys()}
+    return amps
+
+
+def unit_state(rng: random.Random, sources) -> PureState:
+    sites = {
+        x: tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2))
+        for x in sources
+    }
+    norm = math.sqrt(sum(abs(a) ** 2 + abs(b) ** 2 for a, b in sites.values()))
+    return PureState({x: (a / norm, b / norm) for x, (a, b) in sites.items()})
+
+
+def worst_amplitude_gap(amps: dict, ref: dict) -> float:
+    return max(
+        max(abs(a - ra), abs(b - rb))
+        for (a, b), (ra, rb) in ((amps[x], ref[x]) for x in ref)
+    )
+
+
+# one source; two of equal parity far enough apart that the cones start
+# disjoint; two of opposite parity; three
+SOURCES = {"one": (0,), "two-even": (-4, 4), "two-odd": (-1, 2), "three": (-3, 0, 5)}
+TIMES = (*range(8), 150, 600)
 
 
 class TestStep:
@@ -262,3 +297,45 @@ class TestEvolveMixed:
                 rng.randint(0, 12),
             )
             assert math.isclose(dist.total(), 1.0, abs_tol=1e-12)
+
+
+class TestArrayWalkAgainstDicts:
+    """The float walk is array code; the dict stepper above pins it. Complex
+    multiplies round differently in numpy than in CPython, so amplitudes
+    agree within 1e-15, not bit for bit."""
+
+    @pytest.mark.parametrize("t", TIMES)
+    @pytest.mark.parametrize("sources", SOURCES.values(), ids=SOURCES.keys())
+    def test_evolve_pure_matches_dict_walk(self, sources, t):
+        rng = random.Random(f"{sources}-{t}")
+        params, init = random_params(rng), unit_state(rng, sources)
+        ref = dict_walk(init, params, t)
+        final = evolve_pure(init, params, t)
+        assert final.amplitudes.keys() == ref.keys()
+        gap = worst_amplitude_gap(final.amplitudes, ref)
+        assert gap <= 1e-15, f"t={t}: {gap:.2e}"
+
+    @pytest.mark.parametrize("sources", SOURCES.values(), ids=SOURCES.keys())
+    def test_step_is_one_dict_step(self, sources):
+        rng = random.Random(f"step-{sources}")
+        params, init = random_params(rng), unit_state(rng, sources)
+        ref = dict_walk(init, params, 1)
+        stepped = step(init, params)
+        assert stepped.amplitudes.keys() == ref.keys()
+        assert worst_amplitude_gap(stepped.amplitudes, ref) <= 1e-15
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_evolve_mixed_non_diagonal_matches_dict_walk(self, t):
+        rng = random.Random(f"mixed-{t}")
+        params = random_params(rng)
+        state = MixedLocalizedState.from_pauli(0.5, 0.21, -0.17, 0.3)
+        evals, evecs = np.linalg.eigh(state.rho)
+        ref = {x: 0.0 for x in range(-t, t + 1)}
+        for w, v in zip(evals, evecs.T):
+            branch = PureState.localized(0, complex(v[0]), complex(v[1]))
+            for x, (a, b) in dict_walk(branch, params, t).items():
+                ref[x] += float(w) * (abs(a) ** 2 + abs(b) ** 2)
+        dist = evolve_mixed(state, params, t)
+        assert dist.mode == "double" and dist.positions == tuple(ref)
+        gap = max(abs(dist[x] - p) for x, p in ref.items())
+        assert gap <= 1e-15, f"t={t}: {gap:.2e}"
