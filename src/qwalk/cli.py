@@ -13,6 +13,8 @@ import random
 import sys
 from dataclasses import replace
 
+from .arithmetic import precision_for
+from .closedform_pure import coefficient_bits
 from .config import MAX_STEPS, ConfigError, WalkConfig
 from .core import Distribution
 from .horner import f_explicit, f_sequence
@@ -155,6 +157,13 @@ def cmd_compare(args) -> int:
     # wall times vary from run to run, so they stay out of the report
     for name, seconds in report.timings.items():
         print(f"time {name}: {seconds:.6f} s", file=sys.stderr)
+    if "closed-form" in report.timings and cfg.mode == "adaptive":
+        bits = coefficient_bits(cfg.steps)
+        wp = precision_for(bits)
+        print(
+            f"precision closed-form: {wp} bits ({bits} + {wp - bits} guard)",
+            file=sys.stderr,
+        )
 
     failures = list(report.failures)
     if args.expect_discrepancy:

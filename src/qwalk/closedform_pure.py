@@ -26,14 +26,14 @@ sum over sources of K_t(x - x') (alpha_{x'}, beta_{x'}).
 The terms of one (family, d) group share every factor but their signed
 trinomial and cos^h, and h steps by 2, so each group is one integer row
 c_0, c_1, .. (``coefficient_row``: the first from ``term_coefficient``,
-the rest by the exact multinomial ratio) evaluated as a polynomial in
-cos^2(theta) by Horner's rule. Let R(f, d) be that value times cos^h0,
-h0 the row's first h (the extra cos of the cos_plus families left out),
-and 0 for an empty row. The six rows are only two distinct ones, mirrored
-in d: beta_ft = alpha_ft, beta_sin = alpha_cos, beta_cos = -alpha_sin,
-alpha_ft(-d) = (-1)^t alpha_ft(d) and alpha_sin(d) = (-1)^(t-1)
-alpha_cos(-d) (``test_row_identities`` checks all five). So with
-e = (t - d)/2,
+the rest by the exact multinomial ratio), a polynomial in c2 =
+cos^2(theta). Let P(f, d) = sum_j c_j c2^j be its bare sum and
+R(f, d) = P(f, d) cos^h0, h0 the row's first h (the extra cos of the
+cos_plus families left out), both 0 for an empty row. The six rows are
+only two distinct ones, mirrored in d: beta_ft = alpha_ft, beta_sin =
+alpha_cos, beta_cos = -alpha_sin, alpha_ft(-d) = (-1)^t alpha_ft(d) and
+alpha_sin(d) = (-1)^(t-1) alpha_cos(-d) (``test_row_identities`` checks
+all five). So with e = (t - d)/2,
 
     Rft  = R(alpha_ft, |d|), negated when d < 0 and t is odd,
     Rc   = R(alpha_cos, d),
@@ -50,45 +50,89 @@ are equal because chi = e^{i(phi1+phi2)}, which the ring test
 ``test_cross_phase_spellings_agree`` checks on every eighth-turn pair, so
 only the first is used.
 
+P is a terminating hypergeometric sum in c2, a Jacobi polynomial in the
+walk literature (Konno, Quantum Inf. Process. 1, 345 (2002)), so its
+values at neighbouring d obey three-term recurrences, of the kind that
+Zeilberger's creative telescoping (Petkovsek, Wilf & Zeilberger, "A = B",
+ch. 6) or Gauss's contiguous relations prove. For d of the parity of t:
+
+    alpha_ft, from d = t down to 0 or 1 (d < 0 by the mirror identity):
+      (d+1)(d+t)(d-t-2) P(d-2) = -[(d-1)(d-t)(d+t+2) c2^2 P(d+2)
+                                   + d((4-2c2)(d^2-1) - 2(t+1)^2 c2) P(d)]
+    alpha_cos, from d = t-2 down to 0 or -1:
+      (d+2)(d-t)(d+t) P(d-2) = -[d(d+2-t)(d+2+t) c2^2 P(d+2)
+                                 + (d+1)((4-2c2) d(d+2) - 2t^2 c2) P(d)]
+    alpha_cos, from d = -t up to -2 or -3:
+      d(d+2-t)(d+2+t) P(d+2) = -[(d+1)((4-2c2) d(d+2) - 2t^2 c2) P(d)
+                                 + (d+2)(d-t)(d+t) c2^2 P(d-2)]
+
+Each sweep takes its two outermost values from their rows, of length 1
+and 2, and the rest from the recurrence (``_sweep_rows``). On its range
+every divisor on the left is a nonzero integer and none is c2, so
+theta = pi/2 (c2 = 0) needs no case of its own. Inward from a light-cone
+edge the wanted solution is the growing one, so each sweep runs inward
+and they meet near d = 0. Run on past the far peak into the other edge's
+tail, where it decays, the recurrence would amplify its rounding (by
+1e71 in floats at t=1600). The recurrences were fitted, not derived;
+``TestRowSweeps`` checks them exactly in Fractions against the Horner
+sums, for every d at t <= 60, 301 and 400 on seven values of c2.
+
+Which path a row takes is set by the call. A full distribution
+(``distribution``) needs every d, and in ``exact`` and ``adaptive`` mode
+takes them all from the three sweeps, about 1.5t recurrence steps in
+place of about 1.5t Horner rows of up to t/2 terms. A point query
+(``amplitude``) needs three rows per kernel and sums each by Horner's
+rule, which costs less than the sweeps would: in fixed point at
+theta = 0.9 the three rows of the centre kernel took 0.86 ms at t = 300
+and 3.7 ms at t = 600, the three sweeps 3.2 and 13.5 ms, and a kernel
+nearer the edge has shorter rows. ``double`` keeps Horner everywhere, so
+its precision cliff stays demonstrable.
+
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
 only), ``adaptive`` (fixed-point integers, precision sized from the largest
 trinomial plus guard bits), ``double`` (floats; cancellation-prone at large
 t by design, so the failure stays demonstrable). All three build the same
-kernels; a mode only supplies the scalars and the rule that turns a row
-into R (its Horner sum times cos^h0):
+kernels; a mode only supplies the scalars and the rules that make P
+(Horner, sweeps) and turn it into R:
 
-* exact: cos^2 is 0, 1/2 or 1, so Horner runs on one integer numerator
-  over a power of its denominator and is reduced once;
-* adaptive: Horner on Python integers in fixed point, cos^2 taken as a
-  wp-bit integer with wp the working precision, so the coefficients
-  enter exactly. Every value after that (R, cos, sin, e^{i phi1}, chi^e,
-  the kernel entries, the lifted source amplitudes and the site sums)
-  is a ``FixedComplex``, a Gaussian integer over 2^wp, converted to
-  complex once at the end. mpmath makes cos, sin, e^{i phi1} and chi
-  once per call, and cos^h0 once per h0, whose mantissa and exponent
-  multiply the Horner integer exactly;
+* exact: c2 is 0, 1/2 or 1, so P is one integer over a power of 2 that
+  no row outgrows; Horner and the sweeps are exact on it, and R is
+  reduced once;
+* adaptive: P on Python integers in fixed point, c2 taken as the wp-bit
+  integer floor(c2 2^wp) with wp the working precision, so the
+  coefficients enter exactly. Every value after that (R, cos, sin,
+  e^{i phi1}, chi^e, the kernel entries, the lifted source amplitudes and
+  the site sums) is a ``FixedComplex``, a Gaussian integer over 2^wp,
+  converted to complex once at the end. mpmath makes cos, sin,
+  e^{i phi1} and chi once per call, and cos^h0 once per h0, whose
+  mantissa and exponent multiply the integer P exactly;
 * double: Horner in floats.
 
 chi^e is an integer power of the ring element in exact mode and of the
 complex chi in double mode; in adaptive mode it is square-and-multiply of
 the fixed-point chi, each power kept for the call. In every mode it is a
-function of (t, d) alone, so a point query and a full distribution give
-the same bits.
+function of (t, d) alone, so it has the same bits in a point query and a
+full distribution; their row values agree exactly in ``exact`` mode and
+within the envelope below in ``adaptive`` mode.
 
 The adaptive error envelope is absolute. A row of length L is off by
-about L 2^-guard, its coefficients being up to 2^(wp - guard). Past the
-rows each fixed-point product rounds down to the 2^-wp grid: kernel
-entries have modulus at most 1 (the propagator is unitary) and |R| is at
-most about 1/|sin(theta)|, so these steps add a few units of 2^-wp, far
-below the rows' own error. A value below 2^-wp becomes 0; that happens
-only at the light-cone edge when |cos(theta)| is small, where cos^h0 is
-tiny, and stays inside the same envelope.
+about L 2^-guard, its coefficients being up to 2^(wp - guard). A sweep
+step rounds once, and inward from the edge its error stays on the same
+scale: at t = 140 and 301 over theta from 0.05 to pi - 0.05, every swept
+P was within 1e-71 of sum_j |c_j| c2^j of its exact value, as Horner's
+was. Past the rows each fixed-point product rounds down to the 2^-wp
+grid: kernel entries have modulus at most 1 (the propagator is unitary)
+and |R| is at most about 1/|sin(theta)|, so these steps add a few units
+of 2^-wp, far below the rows' own error. A value below 2^-wp becomes 0;
+that happens only at the light-cone edge when |cos(theta)| is small,
+where cos^h0 is tiny, and stays inside the same envelope.
 
 Powers of cos (and in adaptive mode of chi), the row values R and the
 kernels K_t(d) are made on first use and memoised for the rest of the
-call, so a full distribution sums about 1.5t rows (Rft at each |d|, Rc at
-each d) and builds each kernel once for all its sources and sites, and a
-single-site query sums 3 rows per kernel it needs.
+call, so a full distribution fills every R (Rft at each |d|, Rc at each
+d) before any site is summed and builds each kernel once for all its
+sources and sites, and a single-site query sums 3 rows per kernel it
+needs.
 """
 
 from __future__ import annotations
@@ -249,48 +293,116 @@ def _float_horner(cos: float) -> Callable:
     return evaluate
 
 
-def _rational_horner(cos: SqrtTwo) -> Callable:
-    """Exact R by Horner's rule on one integer numerator over a power of
-    the denominator of cos^2, reduced once at the end."""
-    # cos^2 is 0, 1/2 or 1 on the eighth-turn grid
-    c2, cos_pow = cos * cos, cache(cos.__pow__)
-    assert c2.b == 0
-    num, den = c2.a.numerator, c2.a.denominator
+def _sweep_rows(t: int, num: int, den: int, unit: int) -> dict:
+    """The bare sums P(f, d) that a full distribution needs, by the three
+    sweeps of the module docstring: {(family, d): P unit} for alpha_ft at
+    every d >= 0 and alpha_cos at every d, with cos^2 = num / den.
 
-    def evaluate(row, h0):
-        acc, scale = 0, 1
-        for c in reversed(row):
-            acc = acc * num + c * scale
-            scale *= den
-        return SqrtTwo(Fraction(acc, scale // den)) * cos_pow(h0)
-
-    return evaluate
-
-
-def _fixed_point_horner(cos: mpmath.mpf, wp: int) -> Callable:
-    """R by Horner's rule on wp-bit fixed-point integers, as a FixedComplex.
-
-    cos^2 becomes the integer floor(cos^2 2^wp), and every product is
-    shifted back by wp bits, so the integer coefficients enter exactly and
-    each step loses at most one unit of 2^-wp. With wp = coefficient bits
-    + guard bits, the absolute error of a row of length L is about
-    L 2^-guard. The factor cos^h0 is an mpf of wp bits relative precision,
-    as a short edge row's sum can be huge exactly where cos^h0 is tiny:
-    its mantissa and exponent multiply the Horner integer exactly, and only
-    the product is rounded down to a multiple of 2^-wp.
+    Each sweep takes its two outermost values from their rows (of length 1
+    and 2) and each next one from the recurrence, dividing by its leading
+    coefficient times den^2 and rounding down. The divisions are exact
+    when every P unit is an integer (den^K divides unit, K the longest
+    row's length less one), so then the values are exact; with
+    unit = den = 2^wp it is fixed point, each step off by less than one
+    unit of 2^-wp on top of what it inherits.
     """
-    x, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
+    n2, nd, d2 = num * num, num * den, den * den
+    values = {}
+
+    def run(family, ds, coefficients):
+        rows = [coefficient_row(t, family, d) for d in ds[:2]]
+        if not rows or not rows[0]:
+            return  # alpha_cos has no terms at t = 0
+        held = []
+        for row in rows:
+            n = 0
+            for c in reversed(row):
+                n = n * num // den + c * unit
+            held.append(n)
+        for d in ds[1:-1]:
+            far, mid, mid_c2, near = coefficients(d)
+            held.append(-(far * n2 * held[-2] + (mid * d2 - mid_c2 * nd) * held[-1])
+                        // (near * d2))
+        values.update(zip([(family, d) for d in ds], held))
+
+    u, v = (t + 1) ** 2, t * t
+    # coefficients(d) = (far, mid, mid_c2, near) of the recurrence at d:
+    # near P(ahead) = -(far c2^2 P(behind) + (mid - mid_c2 c2) P(d)), where
+    # behind is one step nearer the sweep's edge and ahead one step further
+    run("alpha_ft", range(t, -1, -2), lambda d: (
+        (d - 1) * (d - t) * (d + t + 2), 4 * d * (d * d - 1),
+        2 * d * (d * d - 1 + u), (d + 1) * (d + t) * (d - t - 2)))
+    run("alpha_cos", range(t - 2, -2, -2), lambda d: (
+        d * (d + 2 - t) * (d + 2 + t), 4 * d * (d + 1) * (d + 2),
+        2 * (d + 1) * (d * (d + 2) + v), (d + 2) * (d - t) * (d + t)))
+    run("alpha_cos", range(-t, -1, 2), lambda d: (
+        (d + 2) * (d - t) * (d + t), 4 * d * (d + 1) * (d + 2),
+        2 * (d + 1) * (d * (d + 2) + v), d * (d + 2 - t) * (d + 2 + t)))
+    return values
+
+
+def _integer_rows(t: int, num: int, shift: int, unit: int, finish: Callable):
+    """(evaluate, sweep) for a mode that holds each bare sum P on one
+    integer N = P 2^unit, with cos^2 = num / 2^shift; finish(N, h0) turns
+    N into R = P cos^h0 in the mode's number type.
+
+    evaluate(row, h0) is Horner's rule, each product shifted back by
+    ``shift`` bits; sweep() is every R a distribution needs, by
+    ``_sweep_rows``, as {(family, d): R}.
+    """
 
     def evaluate(row, h0):
         acc = 0
         for c in reversed(row):
-            acc = ((acc * x) >> wp) + (c << wp)
-        # acc 2^-wp times (-1)^sign man 2^exp, on the 2^-wp grid
-        sign, man, exp, _ = cos_pow(h0)._mpf_
-        acc, exp = acc * (-int(man) if sign else int(man)), int(exp)
-        return FixedComplex(acc << exp if exp >= 0 else acc >> -exp, 0, wp)
+            acc = ((acc * num) >> shift) + (c << unit)
+        return finish(acc, h0)
 
-    return evaluate
+    def sweep():
+        return {
+            (family, d): finish(n, next(admissible_terms(d, t, 0, family)))
+            for (family, d), n in _sweep_rows(t, num, 1 << shift, 1 << unit).items()
+        }
+
+    return evaluate, sweep
+
+
+def _rational_rows(cos: SqrtTwo, t: int):
+    """Exact rows: cos^2 is 0, 1/2 or 1 on the eighth-turn grid, so
+    num / 2^shift with shift 0 or 1. No row is longer than t//2 + 1, so
+    with unit = shift (t//2) every N is an integer, every shift in Horner
+    and every division in the sweeps is exact, and R is reduced once."""
+    c2, cos_pow = cos * cos, cache(cos.__pow__)
+    assert c2.b == 0
+    num, shift = c2.a.numerator, c2.a.denominator.bit_length() - 1
+    unit = shift * (t // 2)
+
+    def finish(n, h0):
+        return SqrtTwo(Fraction(n, 1 << unit)) * cos_pow(h0)
+
+    return _integer_rows(t, num, shift, unit, finish)
+
+
+def _fixed_point_rows(cos: mpmath.mpf, wp: int, t: int):
+    """Rows on wp-bit fixed-point integers, R as a FixedComplex.
+
+    cos^2 becomes the integer floor(cos^2 2^wp), so the integer
+    coefficients enter exactly and each Horner or sweep step loses at most
+    one unit of 2^-wp. With wp = coefficient bits + guard bits, the
+    absolute error of a row of length L is about L 2^-guard. The factor
+    cos^h0 is an mpf of wp bits relative precision, as a short edge row's
+    sum can be huge exactly where cos^h0 is tiny: its mantissa and
+    exponent multiply N exactly, and only the product is rounded down to a
+    multiple of 2^-wp.
+    """
+    x, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
+
+    def finish(n, h0):
+        # n 2^-wp times (-1)^sign man 2^exp, on the 2^-wp grid
+        sign, man, exp, _ = cos_pow(h0)._mpf_
+        n, exp = n * (-int(man) if sign else int(man)), int(exp)
+        return FixedComplex(n << exp if exp >= 0 else n >> -exp, 0, wp)
+
+    return _integer_rows(t, x, wp, wp, finish)
 
 
 @dataclass(frozen=True)
@@ -299,7 +411,8 @@ class _Scalars:
 
     Row values and kernels are made on first use and kept in ``memo`` for
     the rest of the call, so a full distribution computes each once and a
-    point query pays only for what it needs.
+    point query pays only for what it needs. ``sweep`` fills in every row
+    value at once, before the first kernel is built.
     """
 
     t: int
@@ -309,6 +422,7 @@ class _Scalars:
     chi_pow: Callable    # e -> chi^e, a function of e alone
     lift: Callable       # source amplitude (or 0) -> the mode's complex type
     evaluate: Callable   # (integer row, its first h) -> R
+    sweep: Callable | None   # () -> {(family, d): R} for every d; None in double
     memo: dict = field(default_factory=dict)
 
     def _cached(self, key, make):
@@ -416,12 +530,12 @@ def _scalars(params: CoinParams, t: int, mode: str) -> _Scalars:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
         cos, sin = params.theta.cos_exact(), params.theta.sin_exact()
         chi_pow, ephi1 = params.chi_exact().__pow__, params.phi1.exp_i_exact()
-        lift, evaluate = _to_ring, _rational_horner(cos)
+        lift, (evaluate, sweep) = _to_ring, _rational_rows(cos, t)
     elif mode == "adaptive":
         wp = mpmath.mp.prec
         th = params.theta.mp_radians()
         mp_cos = mpmath.cos(th)
-        evaluate = _fixed_point_horner(mp_cos, wp)
+        evaluate, sweep = _fixed_point_rows(mp_cos, wp, t)
         cos, sin = _fixed(mp_cos, wp), _fixed(mpmath.sin(th), wp)
         ephi1 = _fixed(_mp_expj(params.phi1), wp)
         phi_sum = params.phi1.mp_radians() + params.phi2.mp_radians()
@@ -430,8 +544,8 @@ def _scalars(params: CoinParams, t: int, mode: str) -> _Scalars:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
         chi_pow, ephi1 = params.chi.__pow__, _expj(params.phi1)
-        lift, evaluate = complex, _float_horner(cos)
-    return _Scalars(t, cos, sin, ephi1, chi_pow, lift, evaluate)
+        lift, evaluate, sweep = complex, _float_horner(cos), None
+    return _Scalars(t, cos, sin, ephi1, chi_pow, lift, evaluate, sweep)
 
 
 def _site(x: int, sources: list, s: _Scalars):
@@ -455,10 +569,15 @@ def _abs_sq(z: complex) -> float:
         return math.inf
 
 
-def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str) -> list:
+def _amplitudes(
+    xs, t: int, init: PureState, params: CoinParams, mode: str, sweep: bool = False
+) -> list:
     """Amplitude pairs at the sites xs: ring elements in exact mode,
     complex otherwise. The bundle and the working precision are set up
-    once for all sites."""
+    once for all sites. With ``sweep`` (a full distribution) the exact and
+    adaptive modes make every row value by the sweeps before any site is
+    summed; otherwise each row a kernel needs is summed by Horner's rule.
+    """
     if t < 0:
         raise ValueError("t must be non-negative")
     if mode not in MODES:
@@ -476,6 +595,8 @@ def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str) -> l
         precision = nullcontext()
     with precision:
         s = _scalars(params, t, mode)
+        if sweep and s.sweep:
+            s.memo.update(s.sweep())
         sources = [
             (xp, (s.lift(alpha), s.lift(beta)))
             for xp, (alpha, beta) in init.amplitudes.items()
@@ -518,7 +639,7 @@ def distribution(
     """
     lo, hi = init.span
     grid = range(lo - t, hi + t + 1)
-    pairs = zip(grid, _amplitudes(grid, t, init, params, mode))
+    pairs = zip(grid, _amplitudes(grid, t, init, params, mode, sweep=True))
     if mode == "exact":
         exact = {x: a.abs_sq() + b.abs_sq() for x, (a, b) in pairs}
         probs = {x: float(v) for x, v in exact.items()}

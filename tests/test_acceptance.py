@@ -33,7 +33,7 @@ from qwalk.horner import (
     u_k,
     u_k_power,
 )
-from qwalk.spectral import evolve_spectral
+from qwalk.spectral import evolve_spectral, simulate
 from qwalk.verify import compare_mixed, compare_pure
 
 
@@ -342,6 +342,23 @@ def test_spectral_reaches_t2000(plus_i):
     print(
         f"\nPASS spectral reach: closed form at t=2000 {worst_cf:.2e}, "
         f"direct at t=1000 {worst_direct:.2e}, {elapsed:.2f}s"
+    )
+
+
+def test_closed_form_reaches_t1600(plus_i):
+    # the adaptive closed-form distribution, its rows by the sweeps in d,
+    # against the momentum route on the off-grid coin of the spectral
+    # reach gate, every site of the light cone within 1e-12
+    params = CoinParams.make(0.9, 0.4, 1.3)
+    t = 1600
+    start = time.perf_counter()
+    closed = cf_distribution(t, plus_i, params)
+    elapsed = time.perf_counter() - start
+    worst = max_pointwise_difference(closed, simulate(plus_i, params, t))
+    assert worst <= 1e-12, f"closed-form deviation {worst:.2e}"
+    print(
+        f"\nPASS closed-form reach: spectral at t=1600 {worst:.2e}, "
+        f"closed form {elapsed:.2f}s"
     )
 
 

@@ -294,18 +294,21 @@ class TestCompare:
         assert doc["passed"] is True
 
     def test_timings_on_stderr_only(self, tmp_path, capsys):
-        # one line per route on stderr; the report file and stdout are
-        # those of a comparison without timings
+        # one line per route on stderr, then the adaptive closed form's
+        # working precision; the report file and stdout are those of a
+        # comparison without either
         methods = ("direct", "spectral", "closed-form")
         cfg = write_config(tmp_path, "walk.json", pure_doc(method=",".join(methods)))
         out = tmp_path / "cmp"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         captured = capsys.readouterr()
         assert captured.out == f"wrote {out}.json\n"
-        lines = captured.err.splitlines()
+        *lines, precision = captured.err.splitlines()
         assert [line.split(":")[0] for line in lines] == [f"time {m}" for m in methods]
         for line in lines:
             assert re.fullmatch(r"time [a-z-]+: \d+\.\d{6} s", line), line
+        # steps 6: the largest trinomial has 5 bits
+        assert precision == "precision closed-form: 69 bits (5 + 64 guard)"
         written = (tmp_path / "cmp.json").read_text()
         assert "timings" not in written
         cfg_obj = WalkConfig.from_file(cfg)
@@ -313,6 +316,16 @@ class TestCompare:
             cfg_obj.initial, cfg_obj.params, cfg_obj.steps, methods=methods, mode=cfg_obj.mode
         )
         assert written == report.to_json() + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [pure_doc(method="direct,spectral"), pure_doc(method="direct,closed-form", mode="exact"),
+         mixed_doc([0.5, 0, 0, 0])],
+    )
+    def test_precision_only_for_the_adaptive_closed_form(self, tmp_path, capsys, doc):
+        cfg = write_config(tmp_path, "walk.json", doc)
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "cmp")]) == 0
+        assert "precision" not in capsys.readouterr().err
 
     def test_breach_exits_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "mixed.json", mixed_doc([0.5, 0.5, 0, 0], steps=2))

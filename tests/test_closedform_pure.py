@@ -4,6 +4,7 @@ import warnings
 
 import mpmath
 import pytest
+from mpmath.libmp import to_fixed
 
 from conftest import random_params, random_state
 from fractions import Fraction
@@ -16,6 +17,7 @@ from qwalk.closedform_pure import (
     _amplitudes,
     _scalars,
     _site,
+    _sweep_rows,
     admissible_terms,
     amplitude,
     coefficient_bits,
@@ -253,6 +255,25 @@ class TestStructure:
             a, b = amplitude(x, t, init, params, mode)
             assert dist[x] == abs(a) ** 2 + abs(b) ** 2, x
 
+    @pytest.mark.parametrize(
+        "coin",
+        [("0 pi", "1/4 pi", "1/2 pi"), ("1/4 pi", "3/4 pi", "3/2 pi"),
+         ("1/2 pi", "5/4 pi", "0 pi"), ("3/4 pi", "1/4 pi", "7/4 pi")],
+    )
+    def test_exact_distribution_matches_point_queries_t60(self, coin):
+        # an exact distribution takes its rows from the sweeps, a point
+        # query from Horner; both are exact, so ring-equal at every site,
+        # theta = 0 (cos^2 = 1) and pi/2 (cos^2 = 0) included
+        t, init, params = 60, _RING_STARTS[2], CoinParams.make(*coin)
+        sites = _every_site(init, t)
+        swept = _amplitudes(sites, t, init, params, "exact", sweep=True)
+        dist = distribution(t, init, params, "exact")
+        for x, pair in zip(sites, swept):
+            a, b = amplitude(x, t, init, params, "exact")
+            assert pair == (a, b), x
+            if x in dist.exact:
+                assert dist.exact_value(x) == a.abs_sq() + b.abs_sq(), x
+
     def test_bad_mode_and_phase_rejected(self, hadamard, plus_i):
         with pytest.raises(ValueError, match="unknown mode"):
             distribution(1, plus_i, hadamard, mode="quad")
@@ -338,6 +359,68 @@ class TestTermBookkeeping:
         self._row_identities(301)
 
 
+class TestRowSweeps:
+    # the three-term recurrences in d against the Horner sums of
+    # coefficient_row: exactly on rational cos^2, the eighth-turn values
+    # and off-grid ones, and in fixed point at the working precision
+    C2 = tuple(
+        Fraction(c) for c in ("0", "1/2", "1", "1/3", "7/11", "1/100", "999/1000")
+    )
+
+    @staticmethod
+    def _keys(t):
+        # alpha_ft at every d >= 0 (the mirror gives d < 0), alpha_cos at
+        # every d with a non-empty row
+        return {
+            (family, d)
+            for family in ("alpha_ft", "alpha_cos")
+            for d in range(0 if family == "alpha_ft" else -t, t + 1)
+            if coefficient_row(t, family, d)
+        }
+
+    @classmethod
+    def _sweeps_match_horner(cls, t):
+        for c2 in cls.C2:
+            num, den = c2.numerator, c2.denominator
+            unit = den ** (t // 2)
+            values = _sweep_rows(t, num, den, unit)
+            assert set(values) == cls._keys(t), (t, c2)
+            for (family, d), n in values.items():
+                # Horner on one numerator over den^(len - 1)
+                row, acc = coefficient_row(t, family, d), 0
+                for j, c in enumerate(reversed(row)):
+                    acc = acc * num + c * den**j
+                want = Fraction(acc, den ** (len(row) - 1))
+                assert Fraction(n, unit) == want, (t, c2, family, d)
+
+    def test_sweeps_match_horner(self):
+        for t in range(61):
+            self._sweeps_match_horner(t)
+
+    @pytest.mark.parametrize("t", [301, 400])
+    def test_sweeps_match_horner_large_t(self, t):
+        self._sweeps_match_horner(t)
+
+    @pytest.mark.parametrize("theta", [0.05, math.pi / 2 - 0.01, math.pi / 2, math.pi - 0.05])
+    def test_fixed_point_sweeps_match_horner(self, theta):
+        # the same x = floor(cos^2 2^wp) as the adaptive mode; each value
+        # within L 2^-wp of its row's scale sum_j |c_j| cos^2j
+        t = 301
+        wp = arithmetic.precision_for(coefficient_bits(t))
+        with mpmath.workprec(wp):
+            cos = mpmath.cos(CoinParams.make(theta).theta.mp_radians())
+            x = int(to_fixed((cos * cos)._mpf_, wp))
+        values = _sweep_rows(t, x, 1 << wp, 1 << wp)
+        assert set(values) == self._keys(t)
+        for (family, d), n in values.items():
+            row = coefficient_row(t, family, d)
+            horner = scale = 0
+            for c in reversed(row):
+                horner = ((horner * x) >> wp) + (c << wp)
+                scale = ((scale * x) >> wp) + (abs(c) << wp)
+            assert abs(n - horner) << wp <= len(row) * scale, (theta, family, d)
+
+
 def _ring(a, b=0, c=0, d=0):
     return SqrtTwoComplex(SqrtTwo(a, b), SqrtTwo(c, d))
 
@@ -360,27 +443,41 @@ def _every_site(init: PureState, t: int) -> range:
     return range(lo - t - 1, hi + t + 2)
 
 
+_EVERY_SITE_CASES = pytest.mark.parametrize(
+    "n_sources,coin",
+    [
+        (1, ("1/4 pi", "3/4 pi", "3/2 pi")),
+        (2, ("3/4 pi", "1/4 pi", "1/2 pi")),
+        (3, ("1/2 pi", "5/4 pi", "0 pi")),
+        (3, ("1/4 pi", "7/4 pi", "1/4 pi")),
+    ],
+)
+
+
 class TestAdaptiveAgainstExact:
     # on the eighth-turn grid the exact closed form is the truth; the
-    # fixed-point kernels and site sums must land within 1e-15 of it
-    @pytest.mark.parametrize("t", [140, 301])
-    @pytest.mark.parametrize(
-        "n_sources,coin",
-        [
-            (1, ("1/4 pi", "3/4 pi", "3/2 pi")),
-            (2, ("3/4 pi", "1/4 pi", "1/2 pi")),
-            (3, ("1/2 pi", "5/4 pi", "0 pi")),
-            (3, ("1/4 pi", "7/4 pi", "1/4 pi")),
-        ],
-    )
-    def test_every_site_within_1e15(self, t, n_sources, coin):
+    # fixed-point kernels and site sums must land within 1e-15 of it,
+    # with the rows by Horner (point queries) and by the sweeps (full
+    # distributions)
+    @staticmethod
+    def _every_site_within_1e15(t, n_sources, coin, sweep):
         init, params = _RING_STARTS[n_sources - 1], CoinParams.make(*coin)
         sites = _every_site(init, t)
-        exact = _amplitudes(sites, t, init, params, "exact")
-        adaptive = _amplitudes(sites, t, init, params, "adaptive")
+        exact = _amplitudes(sites, t, init, params, "exact", sweep)
+        adaptive = _amplitudes(sites, t, init, params, "adaptive", sweep)
         for x, got, want in zip(sites, adaptive, exact):
             for g, w in zip(got, want):
                 assert abs(g - w.to_complex()) <= 1e-15, x
+
+    @pytest.mark.parametrize("t", [140, 301])
+    @_EVERY_SITE_CASES
+    def test_every_site_within_1e15(self, t, n_sources, coin):
+        self._every_site_within_1e15(t, n_sources, coin, sweep=False)
+
+    @pytest.mark.parametrize("t", [140, 301])
+    @_EVERY_SITE_CASES
+    def test_every_site_within_1e15_by_sweeps(self, t, n_sources, coin):
+        self._every_site_within_1e15(t, n_sources, coin, sweep=True)
 
     def test_kernels_and_sites_stay_fixed_point(self):
         # past the rows nothing is an mpmath number: the kernel entries
@@ -406,19 +503,29 @@ class TestAdaptivePrecision:
     # bits instead of 64 the amplitudes must not move
     PARAMS = CoinParams.make(0.9, 0.4, 1.3)
 
-    @pytest.mark.parametrize("theta", [0.05, math.pi / 2 - 0.01, math.pi - 0.05])
-    def test_every_site_at_t301_matches_256_guard_bits(self, monkeypatch, theta):
+    THETAS = pytest.mark.parametrize("theta", [0.05, math.pi / 2 - 0.01, math.pi - 0.05])
+
+    @staticmethod
+    def _every_site_at_t301(monkeypatch, theta, sweep):
         # near theta = 0 and pi |R| grows as 1/|sin theta|; near pi/2 the
         # powers of cos fall below 2^-wp towards the light-cone edge
         t = 301
         init = random_state(random.Random(29), radius=2)
         params = CoinParams.make(theta, 0.4, 1.3)
         sites = _every_site(init, t)
-        got = _amplitudes(sites, t, init, params, "adaptive")
+        got = _amplitudes(sites, t, init, params, "adaptive", sweep)
         monkeypatch.setattr(arithmetic, "GUARD_BITS", 256)
-        want = _amplitudes(sites, t, init, params, "adaptive")
+        want = _amplitudes(sites, t, init, params, "adaptive", sweep)
         for x, g, w in zip(sites, got, want):
             _amps_close(g, w, tol=1e-15)
+
+    @THETAS
+    def test_every_site_at_t301_matches_256_guard_bits(self, monkeypatch, theta):
+        self._every_site_at_t301(monkeypatch, theta, sweep=False)
+
+    @THETAS
+    def test_every_site_at_t301_by_sweeps_matches_256_guard_bits(self, monkeypatch, theta):
+        self._every_site_at_t301(monkeypatch, theta, sweep=True)
 
     def test_amplitudes_at_t600_match_256_guard_bits(self, monkeypatch, plus_i):
         t = 600
