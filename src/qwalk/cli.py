@@ -13,8 +13,7 @@ import random
 import sys
 from dataclasses import replace
 
-from .arithmetic import precision_for
-from .closedform_pure import coefficient_bits
+from .closedform_pure import working_precision
 from .config import MAX_STEPS, ConfigError, WalkConfig
 from .core import Distribution
 from .horner import f_explicit, f_sequence
@@ -158,8 +157,7 @@ def cmd_compare(args) -> int:
     for name, seconds in report.timings.items():
         print(f"time {name}: {seconds:.6f} s", file=sys.stderr)
     if "closed-form" in report.timings and cfg.mode == "adaptive":
-        bits = coefficient_bits(cfg.steps)
-        wp = precision_for(bits)
+        wp, bits = working_precision(cfg.steps)
         print(
             f"precision closed-form: {wp} bits ({bits} + {wp - bits} guard)",
             file=sys.stderr,

@@ -157,6 +157,7 @@ __all__ = [
     "term_coefficient",
     "coefficient_row",
     "coefficient_bits",
+    "working_precision",
     "amplitude",
     "distribution",
 ]
@@ -246,6 +247,13 @@ def coefficient_bits(t: int) -> int:
             if c > worst:
                 worst = c
     return worst.bit_length()
+
+
+def working_precision(t: int) -> tuple[int, int]:
+    """The adaptive mode's working precision at time t, in bits, and the
+    coefficient bit size it is sized from: the one statement of that rule."""
+    bits = coefficient_bits(t)
+    return precision_for(bits), bits
 
 
 def coefficient_row(t: int, family: str, d: int) -> list[int]:
@@ -590,7 +598,7 @@ def _amplitudes(
     if t == 0:
         return [init.amplitude(x) for x in xs]
     if mode == "adaptive":
-        precision = mpmath.workprec(precision_for(coefficient_bits(t)))
+        precision = mpmath.workprec(working_precision(t)[0])
     else:
         precision = nullcontext()
     with precision:

@@ -50,7 +50,8 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
 def _parse_angle(value, where: str) -> Angle:
     try:
         return Angle.parse(value)
-    except (ValueError, TypeError) as exc:
+    # OverflowError: an integer past the float range
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 

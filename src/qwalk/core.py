@@ -235,13 +235,17 @@ def pauli_decompose(rho, atol: float = HERMITICITY_ATOL) -> tuple[float, float, 
     m = np.asarray(rho, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if np.max(np.abs(m - m.conj().T)) > atol:
-        raise ValueError("matrix is not Hermitian")
-    r0 = (m[0, 0] + m[1, 1]).real / 2.0
-    r1 = (m[0, 1] + m[1, 0]).real / 2.0
-    # Hermitian m has m[0,1] = r1 - i r2.
-    r2 = (m[1, 0].imag - m[0, 1].imag) / 2.0
-    r3 = (m[0, 0] - m[1, 1]).real / 2.0
+    # Entries near the float limit overflow to inf or nan here without a
+    # RuntimeWarning; the non-finite components that result are reported
+    # by validate_state.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.max(np.abs(m - m.conj().T)) > atol:
+            raise ValueError("matrix is not Hermitian")
+        r0 = (m[0, 0] + m[1, 1]).real / 2.0
+        r1 = (m[0, 1] + m[1, 0]).real / 2.0
+        # Hermitian m has m[0,1] = r1 - i r2.
+        r2 = (m[1, 0].imag - m[0, 1].imag) / 2.0
+        r3 = (m[0, 0] - m[1, 1]).real / 2.0
     return (float(r0), float(r1), float(r2), float(r3))
 
 
@@ -363,7 +367,11 @@ def validate_state(state) -> StateDiagnostics:
     """
     issues: list[tuple[str, str, float]] = []
     if isinstance(state, PureState):
-        n = state.norm_sq()
+        try:
+            n = state.norm_sq()
+        except OverflowError:
+            # an exact amplitude whose square is past the float range
+            n = math.inf
         # "not within" rather than "off by more", so that a NaN norm is flagged
         if not abs(n - 1.0) <= NORM_ATOL:
             issues.append(

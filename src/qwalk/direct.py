@@ -8,18 +8,21 @@ and steps site by site on that ring. Otherwise it is float stepping as array
 code: alpha and beta are two complex128 arrays over the light-cone window,
 and a step is two slice expressions, alpha'[x] = c00 alpha[x-1] +
 c01 beta[x-1] and beta'[x] = c10 alpha[x+1] + c11 beta[x+1].
+
+A mixed coin state rho is not stepped as a matrix. By linearity the walk
+from rho is known from the two basis walks psi_0 and psi_1, from |0, 0>
+and |0, 1>, and the distribution is the bilinear form
+sum_ab rho_ab <psi_b(y)|psi_a(y)> at each site y.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .arithmetic import SqrtTwo, SqrtTwoComplex
 from .core import (
-    PSD_ATOL,
     CoinParams,
     Distribution,
     MixedLocalizedState,
@@ -119,64 +122,42 @@ def distribution_of(state: PureState, t: int = 0, method: str = "direct") -> Dis
     return Distribution(probs, t=t, method=method, mode="double")
 
 
-def _exact_basis_branches(r: tuple[float, float, float, float]):
-    """Eigen-branches of a diagonal coin density matrix, kept exact.
-
-    Diagonal rho (r1 = r2 = 0) has eigenpairs (r0 + r3, |0>) and
-    (r0 - r3, |1>); the basis choice is pinned here so degenerate spectra
-    stay deterministic.
-    """
-    r0, _, _, r3 = r
-    one = SqrtTwoComplex.one()
-    zero = SqrtTwoComplex.zero()
-    return [
-        (r0 + r3, PureState.localized(0, one, zero)),
-        (r0 - r3, PureState.localized(0, zero, one)),
-    ]
-
-
-def _numeric_branches(rho: np.ndarray):
-    evals, evecs = np.linalg.eigh(rho)
-    branches = []
-    for i in range(2):
-        w = float(evals[i])
-        v = evecs[:, i]
-        branches.append((w, PureState.localized(0, complex(v[0]), complex(v[1]))))
-    return branches
-
-
 def evolve_mixed(
     state: MixedLocalizedState, params: CoinParams, t: int
 ) -> Distribution:
     """Distribution at time t for a walker started at the origin with a
-    mixed coin state, by evolving the (at most two) eigen-branches of the
-    coin density matrix as pure states and mixing their distributions.
+    mixed coin state, by the definition P_y = Tr(Pi_y U^t rho U^t+).
+
+    With psi_a the walk from |0, a>, that trace is the bilinear form
+    P_y = rho_00 |psi_0(y)|^2 + rho_11 |psi_1(y)|^2
+    + 2 Re(rho_10 <psi_0(y)|psi_1(y)>), where rho_10 = r1 + i r2. So two
+    walks by ``evolve_pure`` give every rho. A diagonal rho on an
+    eighth-turn coin stays exact, with the weights r0 +- r3 lifted by
+    Fraction; otherwise the walks and the form are in floats.
     """
     diag = validate_state(state)
     if not diag.valid:
         raise ValueError(f"invalid mixed state: {diag.violations}")
     if t < 0:
         raise ValueError("t must be non-negative")
-    r = state.pauli
-    exact = r[1] == 0.0 and r[2] == 0.0 and params.exact_capable
+    r0, r1, r2, r3 = state.pauli
+    exact = r1 == 0.0 and r2 == 0.0 and params.exact_capable
     if exact:
-        branches, zero, lift = _exact_basis_branches(r), SqrtTwo(), Fraction
+        one, zero, lift = SqrtTwoComplex.one(), SqrtTwoComplex.zero(), Fraction
     else:
-        branches, zero, lift = _numeric_branches(state.rho), 0.0, float
-    acc = {x: zero for x in range(-t, t + 1)}
-    for weight, branch in branches:
-        # validate_state admits a Bloch norm up to PSD_ATOL past r0, so an
-        # eigenvalue down to -PSD_ATOL is rounding of a zero weight
-        if weight <= 0.0:
-            if weight < -PSD_ATOL:
-                raise ValueError(f"negative branch weight {weight!r}")
-            continue
-        # Branch vectors are unit; no renormalization needed.
-        d = distribution_of(evolve_pure(branch, params, t), t)
-        w = lift(weight)
-        for x, p in (d.exact if exact else d.probs).items():
-            acc[x] += w * p
+        one, zero, lift = 1.0, 0.0, float
+    psi0 = evolve_pure(PureState.localized(0, one, zero), params, t)
+    psi1 = evolve_pure(PureState.localized(0, zero, one), params, t)
+    d0, d1 = distribution_of(psi0, t), distribution_of(psi1, t)
+    w0, w1 = lift(r0 + r3), lift(r0 - r3)
     if exact:
+        acc = {x: w0 * p + w1 * d1.exact[x] for x, p in d0.exact.items()}
         probs = {x: float(v) for x, v in acc.items()}
         return Distribution(probs, t=t, method="mixed-direct", mode="exact", exact=acc)
-    return Distribution(acc, t=t, method="mixed-direct", mode="double")
+    rho10 = complex(r1, r2)
+    probs = {}
+    for x, p in d0.probs.items():
+        (a0, b0), (a1, b1) = psi0.amplitude(x), psi1.amplitude(x)
+        cross = rho10 * (a0.conjugate() * a1 + b0.conjugate() * b1)
+        probs[x] = w0 * p + w1 * d1.probs[x] + 2.0 * cross.real
+    return Distribution(probs, t=t, method="mixed-direct", mode="double")

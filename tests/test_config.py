@@ -1,8 +1,11 @@
+import copy
 import json
 from fractions import Fraction
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qwalk.arithmetic import SqrtTwo
 from qwalk.core import MixedLocalizedState, PureState
@@ -272,6 +275,20 @@ class TestMisc:
             with pytest.raises(ConfigError, match=rf"config.steps: {bad} is above the limit"):
                 WalkConfig.from_dict(base_doc(steps=bad))
 
+    @pytest.mark.parametrize(
+        "overrides, where",
+        [
+            ({"coin": {"theta": 10**400}}, "config.coin.theta"),
+            ({"initial": {"pure": [{"x": 0, "alpha": 10**400}]}}, "config.initial.pure"),
+            ({"initial": {"mixed": {"rho": [[1e308, 0], [0, 1e308]]}}}, "config.initial.mixed.rho"),
+        ],
+        ids=["int-angle", "exact-amplitude", "rho-entries"],
+    )
+    def test_values_past_the_float_range(self, overrides, where):
+        # neither an OverflowError nor a numpy overflow warning may escape
+        with pytest.raises(ConfigError, match=where):
+            WalkConfig.from_dict(base_doc(**overrides))
+
     def test_tolerances_override(self):
         cfg = WalkConfig.from_dict(base_doc(tolerances={"pairwise_tv": 1e-8}))
         assert cfg.tolerances.pairwise_tv == 1e-8
@@ -333,3 +350,95 @@ class TestFromFile:
         root = pathlib.Path(__file__).resolve().parents[1] / "configs"
         parsed = [WalkConfig.from_file(str(p)) for p in sorted(root.glob("*.json"))]
         assert len(parsed) >= 3
+
+
+# Random JSON-like values for the fuzz test below. The leaves include what
+# json.load can hand over but a config must refuse: NaN, infinities,
+# integers far past the float range and "p/q pi" strings with huge or zero
+# denominators.
+_HUGE = st.integers() | st.sampled_from([10**400, -(2**1100), 10**4299, 3**600])
+_NUMBERS = (
+    _HUGE
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0, 1, -1, 0.0, 0.5, -0.25, 1e308, math.nan, math.inf])
+)
+_PI_STRINGS = st.builds(
+    lambda p, q, sep: f"{p}{sep}{q} pi", _HUGE, _HUGE, st.sampled_from(["/", " / "])
+)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | _NUMBERS
+    | _PI_STRINGS
+    | st.sampled_from(["1/4 pi", "1/2 sqrt2", "-1/2", "0", "nan", "1e400"])
+    | st.text(max_size=6)
+)
+_KEYS = st.sampled_from(
+    ["coin", "theta", "phi1", "initial", "pure", "mixed", "pauli", "rho", "x", "alpha",
+     "steps", "method", "mode", "tolerances", "pointwise"]
+) | st.text(max_size=4)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=8,
+)
+
+# Valid configs of each kind, to be mutated.
+_SEEDS = [
+    base_doc(),
+    base_doc(
+        coin={"theta": 0.7, "phi1": "1/3 pi", "phi2": -1.2},
+        initial={"pure": [{"x": -1, "beta": [0.6, 0.8]}, {"x": 2, "alpha": 0.0}]},
+        method=["direct", "spectral", "closed-form"],
+        mode="double",
+        output="walk",
+        tolerances={"pointwise": 1e-9},
+    ),
+    base_doc(initial={"mixed": {"pauli": [0.5, 0.1, -0.2, 0.3]}}, method="direct,literal"),
+    base_doc(initial={"mixed": {"rho": [[0.5, [0.25, 0.1]], [[0.25, -0.1], 0.5]]}}),
+]
+
+
+def _slots(node):
+    """Every (container, key) pair in a JSON-like tree."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        items = []
+    for key, child in items:
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def _documents(draw):
+    """A valid config with up to three fields replaced by random values,
+    dropped, or joined by a random key; or any value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_VALUES)
+    doc = copy.deepcopy(draw(st.sampled_from(_SEEDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "drop", "add"]))
+        if action == "replace" or not isinstance(node, dict):
+            node[key] = draw(_VALUES)
+        elif action == "drop":
+            del node[key]
+        else:
+            node[draw(_KEYS)] = draw(_VALUES)
+    return doc
+
+
+@given(_documents())
+@settings(max_examples=300, deadline=None)
+def test_from_dict_returns_config_or_raises_config_error(doc):
+    try:
+        cfg = WalkConfig.from_dict(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, WalkConfig)

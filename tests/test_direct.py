@@ -1,11 +1,13 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import random_bloch, random_params, random_state
+from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.core import CoinParams, MixedLocalizedState, PureState, coin_matrix
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure, step
 
@@ -272,8 +274,8 @@ class TestEvolveMixed:
         ids=["exact", "float"],
     )
     def test_weight_just_below_zero_skipped(self, params):
-        # valid within PSD_ATOL, so the |1> branch weighs -1e-13: the float
-        # loop skipped it, the exact loop raised "negative branch weight"
+        # valid within PSD_ATOL, so rho_11 = r0 - r3 = -1e-13; that weight
+        # enters the linear form like any other, with no skip and no raise
         state = MixedLocalizedState.from_pauli(0.5, 0.0, 0.0, 0.5000000000001)
         dist = evolve_mixed(state, params, 7)
         assert dist.mode == ("exact" if params.exact_capable else "double")
@@ -281,6 +283,30 @@ class TestEvolveMixed:
         up = distribution_of(evolve_pure(up, params, 7), 7)
         for x in dist.positions:
             assert dist[x] == pytest.approx(up[x], abs=1e-12)
+
+    @pytest.mark.parametrize("theta", ["1/4 pi", "3/4 pi"])
+    @pytest.mark.parametrize("phi1", ["0 pi", "1/4 pi", "1/2 pi"])
+    @pytest.mark.parametrize("phi2", ["0 pi", "1/4 pi", "1/2 pi"])
+    def test_exact_diagonal_is_weighted_basis_walks(self, theta, phi1, phi2):
+        # every eighth-turn coin, not only Hadamard, keeps a diagonal rho
+        # exact: w0 |psi_0|^2 + w1 |psi_1|^2 in the ring at every site
+        params = CoinParams.make(theta, phi1, phi2)
+        one, zero = SqrtTwoComplex.one(), SqrtTwoComplex.zero()
+        for t in (0, 1, 9, 30):
+            p0 = distribution_of(evolve_pure(PureState.localized(0, one, zero), params, t))
+            p1 = distribution_of(evolve_pure(PureState.localized(0, zero, one), params, t))
+            for r3 in (Fraction(1, 4), Fraction(-1, 8), Fraction(0)):
+                w0, w1 = Fraction(1, 2) + r3, Fraction(1, 2) - r3
+                dist = evolve_mixed(
+                    MixedLocalizedState.from_pauli(0.5, 0.0, 0.0, float(r3)), params, t
+                )
+                assert dist.mode == "exact"
+                assert dist.positions == p0.positions
+                for x in dist.positions:
+                    want = w0 * p0.exact[x] + w1 * p1.exact[x]
+                    assert isinstance(dist.exact[x], SqrtTwo)
+                    assert dist.exact[x] == want, (t, r3, x)
+                    assert dist[x] == float(want)
 
     def test_non_finite_pauli_rejected(self, hadamard):
         with pytest.raises(ValueError, match="finite"):
