@@ -21,10 +21,18 @@ Ring elements hold integers, not Fractions. ``SqrtTwo`` is
 denominator d > 0; both are kept in lowest terms, so equal values have
 equal fields and hash alike. Each operation is a handful of integer
 products and sums followed by one ``math.gcd`` reduction (a sum of equal
-denominators skips the cross products), so its cost follows the bit
-length of the numerators rather than the Fraction normalisation of every
-component. ``float`` divides each numerator by d once, which rounds
-exactly as float(Fraction) does.
+denominators skips the cross products). ``float`` divides each numerator
+by d once, which rounds exactly as float(Fraction) does.
+
+The exact routes do their long loops below that type, on the integer
+numerators alone. On the eighth-turn grid every coin entry, cos, sin and
+phase has a denominator dividing 2, so a walk, its closed-form kernels and
+its site sums stay integer numerators over one denominator: the initial
+state's common denominator D (``SqrtTwoComplex.numerators``) times a power
+of 2. Direct stepping holds them in integer arrays over D 2^t (over D
+alone when every coin entry is integral); the closed form holds them as
+``DyadicComplex`` values, numerators over 2^k that no operation reduces. Neither takes a gcd in its loops: each site is brought
+to lowest terms once, at the output, by ``SqrtTwoComplex.from_numerators``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import mpmath
 
 __all__ = [
     "Angle",
+    "DyadicComplex",
     "FixedComplex",
     "SqrtTwo",
     "SqrtTwoComplex",
@@ -383,6 +392,25 @@ class SqrtTwoComplex:
     def from_rational(cls, re, im=0) -> "SqrtTwoComplex":
         return cls(SqrtTwo.from_rational(re), SqrtTwo.from_rational(im))
 
+    @classmethod
+    def from_numerators(cls, p: int, q: int, r: int, s: int, d: int) -> "SqrtTwoComplex":
+        """(p + q*sqrt(2) + i*(r + s*sqrt(2))) / d for d > 0, brought to
+        lowest terms by one gcd."""
+        return _complex(p, q, r, s, d)
+
+    @property
+    def denominator(self) -> int:
+        """The positive denominator d in lowest terms."""
+        return self._d
+
+    def numerators(self, d: int) -> tuple[int, int, int, int]:
+        """The integers (p, q, r, s) with self = (p + q*sqrt(2) +
+        i*(r + s*sqrt(2))) / d, for d a multiple of ``denominator``."""
+        m, rest = divmod(d, self._d)
+        if rest or m <= 0:
+            raise ValueError(f"{d} is not a positive multiple of {self._d}")
+        return self._p * m, self._q * m, self._r * m, self._s * m
+
     @property
     def re(self) -> SqrtTwo:
         return _ring(self._p, self._q, self._d)
@@ -449,13 +477,8 @@ class SqrtTwoComplex:
             other = _coerce_ring_complex(other)
             if other is None:
                 return NotImplemented
-        p1, q1, r1, s1 = self._p, self._q, self._r, self._s
-        p2, q2, r2, s2 = other._p, other._q, other._r, other._s
         return _complex(
-            p1 * p2 - r1 * r2 + 2 * (q1 * q2 - s1 * s2),
-            p1 * q2 + q1 * p2 - r1 * s2 - s1 * r2,
-            p1 * r2 + r1 * p2 + 2 * (q1 * s2 + s1 * q2),
-            p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2,
+            *_product(self._p, self._q, self._r, self._s, other._p, other._q, other._r, other._s),
             self._d * other._d,
         )
 
@@ -485,6 +508,16 @@ class SqrtTwoComplex:
 
     def __repr__(self) -> str:
         return f"SqrtTwoComplex({self.re!r}, {self.im!r})"
+
+
+def _product(p1, q1, r1, s1, p2, q2, r2, s2) -> tuple[int, int, int, int]:
+    # the numerators of (p1 + q1 sqrt2 + i(r1 + s1 sqrt2)) (p2 + q2 sqrt2 + i(r2 + s2 sqrt2))
+    return (
+        p1 * p2 - r1 * r2 + 2 * (q1 * q2 - s1 * s2),
+        p1 * q2 + q1 * p2 - r1 * s2 - s1 * r2,
+        p1 * r2 + r1 * p2 + 2 * (q1 * s2 + s1 * q2),
+        p1 * s2 + s1 * p2 + q1 * r2 + r1 * q2,
+    )
 
 
 def _complex_reduced(p: int, q: int, r: int, s: int, d: int) -> SqrtTwoComplex:
@@ -517,6 +550,66 @@ def _coerce_ring_complex(value) -> SqrtTwoComplex | None:
 _C0 = SqrtTwoComplex(_R0, _R0)
 _C1 = SqrtTwoComplex(_R1, _R0)
 _CI = SqrtTwoComplex(_R0, _R1)
+
+
+class DyadicComplex:
+    """(p + q*sqrt(2) + i*(r + s*sqrt(2))) / 2^k on five Python integers:
+    an element of Q[sqrt(2)][i] whose denominator is a power of 2, never
+    reduced.
+
+    A sum shifts the numerators of the operand with the smaller k up to the
+    other's k, and a product adds the k, so no operation takes a gcd; the
+    numerators keep whatever factors of 2 the operations leave in them.
+    Products by a plain int (the 0 of an empty row) scale the numerators.
+    ``SqrtTwoComplex.from_numerators(p, q, r, s, d << k)`` reads the value
+    over d 2^k in lowest terms.
+    """
+
+    __slots__ = ("p", "q", "r", "s", "k")
+
+    def __init__(self, p: int, q: int, r: int, s: int, k: int) -> None:
+        self.p, self.q, self.r, self.s, self.k = p, q, r, s, k
+
+    @classmethod
+    def of(cls, z: SqrtTwoComplex) -> "DyadicComplex":
+        """The ring element z, whose denominator must be a power of 2."""
+        k = z._d.bit_length() - 1
+        if z._d != 1 << k:
+            raise ValueError(f"denominator {z._d} is not a power of 2")
+        return cls(z._p, z._q, z._r, z._s, k)
+
+    def __add__(self, other: "DyadicComplex") -> "DyadicComplex":
+        a, b = (self, other) if self.k >= other.k else (other, self)
+        n = a.k - b.k
+        return DyadicComplex(
+            a.p + (b.p << n), a.q + (b.q << n), a.r + (b.r << n), a.s + (b.s << n), a.k
+        )
+
+    def __sub__(self, other: "DyadicComplex") -> "DyadicComplex":
+        return self + -other
+
+    def __neg__(self) -> "DyadicComplex":
+        return DyadicComplex(-self.p, -self.q, -self.r, -self.s, self.k)
+
+    def __mul__(self, other):
+        if other.__class__ is not DyadicComplex:
+            if not isinstance(other, int):
+                return NotImplemented
+            return DyadicComplex(
+                self.p * other, self.q * other, self.r * other, self.s * other, self.k
+            )
+        return DyadicComplex(
+            *_product(self.p, self.q, self.r, self.s, other.p, other.q, other.r, other.s),
+            self.k + other.k,
+        )
+
+    __rmul__ = __mul__
+
+    def conjugate(self) -> "DyadicComplex":
+        return DyadicComplex(self.p, self.q, -self.r, -self.s, self.k)
+
+    def __repr__(self) -> str:
+        return f"DyadicComplex({self.p}, {self.q}, {self.r}, {self.s}, k={self.k})"
 
 
 class FixedComplex:

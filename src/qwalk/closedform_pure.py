@@ -96,8 +96,14 @@ kernels; a mode only supplies the scalars and the rules that make P
 (Horner, sweeps) and turn it into R:
 
 * exact: c2 is 0, 1/2 or 1, so P is one integer over a power of 2 that
-  no row outgrows; Horner and the sweeps are exact on it, and R is
-  reduced once;
+  no row outgrows; Horner and the sweeps are exact on it. On the
+  eighth-turn grid cos, sin and every phase have a denominator dividing
+  2, so R and every value after it (cos, sin, e^{i phi1}, chi^e, the
+  kernel entries and the site sums) is a ``DyadicComplex``: four integer
+  numerators of Z[sqrt(2)][i] over a power of 2, which sums align and
+  products multiply and no operation reduces. The sources are lifted as
+  their numerators over their common denominator D, and each amplitude
+  is brought to lowest terms once, over D 2^k, at the end;
 * adaptive: P on Python integers in fixed point, c2 taken as the wp-bit
   integer floor(c2 2^wp) with wp the working precision, so the
   coefficients enter exactly. Every value after that (R, cos, sin,
@@ -108,12 +114,13 @@ kernels; a mode only supplies the scalars and the rules that make P
   mantissa and exponent multiply the integer P exactly;
 * double: Horner in floats.
 
-chi^e is an integer power of the ring element in exact mode and of the
-complex chi in double mode; in adaptive mode it is square-and-multiply of
-the fixed-point chi, each power kept for the call. In every mode it is a
-function of (t, d) alone, so it has the same bits in a point query and a
-full distribution; their row values agree exactly in ``exact`` mode and
-within the envelope below in ``adaptive`` mode.
+chi^e is chi^(e mod 8) in exact mode, where chi is an eighth root of
+unity, and an integer power of the complex chi in double mode; in
+adaptive mode it is square-and-multiply of the fixed-point chi, each
+power kept for the call. In every mode it is a function of (t, d)
+alone, so it has the same bits in a point query and a full distribution;
+their row values agree exactly in ``exact`` mode and within the envelope
+below in ``adaptive`` mode.
 
 The adaptive error envelope is absolute. A row of length L is off by
 about L 2^-guard, its coefficients being up to 2^(wp - guard). A sweep
@@ -127,12 +134,12 @@ of 2^-wp, far below the rows' own error. A value below 2^-wp becomes 0;
 that happens only at the light-cone edge when |cos(theta)| is small,
 where cos^h0 is tiny, and stays inside the same envelope.
 
-Powers of cos (and in adaptive mode of chi), the row values R and the
-kernels K_t(d) are made on first use and memoised for the rest of the
-call, so a full distribution fills every R (Rft at each |d|, Rc at each
-d) before any site is summed and builds each kernel once for all its
-sources and sites, and a single-site query sums 3 rows per kernel it
-needs.
+The powers of cos in the float modes (and in adaptive mode of chi), the
+row values R and the kernels K_t(d) are made on first use and memoised
+for the rest of the call, so a full distribution fills every R (Rft at
+each |d|, Rc at each d) before any site is summed and builds each kernel
+once for all its sources and sites, and a single-site query sums 3 rows
+per kernel it needs.
 """
 
 from __future__ import annotations
@@ -141,14 +148,20 @@ import math
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import mpmath
 from mpmath.libmp import to_fixed
 
-from .arithmetic import Angle, FixedComplex, SqrtTwo, SqrtTwoComplex, precision_for
+from .arithmetic import (
+    Angle,
+    DyadicComplex,
+    FixedComplex,
+    SqrtTwo,
+    SqrtTwoComplex,
+    precision_for,
+)
 from .core import CoinParams, Distribution, PureState
 
 __all__ = [
@@ -377,15 +390,20 @@ def _integer_rows(t: int, num: int, shift: int, unit: int, finish: Callable):
 def _rational_rows(cos: SqrtTwo, t: int):
     """Exact rows: cos^2 is 0, 1/2 or 1 on the eighth-turn grid, so
     num / 2^shift with shift 0 or 1. No row is longer than t//2 + 1, so
-    with unit = shift (t//2) every N is an integer, every shift in Horner
-    and every division in the sweeps is exact, and R is reduced once."""
-    c2, cos_pow = cos * cos, cache(cos.__pow__)
+    with unit = shift (t//2) every N is an integer, and every shift in
+    Horner and every division in the sweeps is exact. R is the
+    DyadicComplex N / 2^unit times cos^h0 = (cos^2)^(h0//2) cos^(h0%2),
+    with no reduction."""
+    c2 = cos * cos
     assert c2.b == 0
     num, shift = c2.a.numerator, c2.a.denominator.bit_length() - 1
     unit = shift * (t // 2)
+    cos = DyadicComplex.of(SqrtTwoComplex(cos))
 
     def finish(n, h0):
-        return SqrtTwo(Fraction(n, 1 << unit)) * cos_pow(h0)
+        m = h0 // 2
+        r = DyadicComplex(n * num**m, 0, 0, 0, unit + shift * m)
+        return r * cos if h0 % 2 else r
 
     return _integer_rows(t, num, shift, unit, finish)
 
@@ -480,8 +498,16 @@ class _Scalars:
         return self._cached(("kernel", d), make)
 
 
-def _to_ring(value) -> SqrtTwoComplex:
-    return SqrtTwoComplex.zero() + value
+def _lift_dyadic(denominator: int) -> Callable:
+    """Source amplitude (a ring element, or 0) -> its numerators over the
+    call's common denominator, as a DyadicComplex with k = 0."""
+
+    def lift(z) -> DyadicComplex:
+        if isinstance(z, int):
+            return DyadicComplex(z * denominator, 0, 0, 0, 0)
+        return DyadicComplex(*z.numerators(denominator), 0)
+
+    return lift
 
 
 def _expj(angle: Angle) -> complex:
@@ -530,15 +556,23 @@ def _powers(z: FixedComplex) -> Callable:
     return power
 
 
-def _scalars(params: CoinParams, t: int, mode: str) -> _Scalars:
-    """The scalar bundle of one mode; adaptive values are made at the
-    current mpmath working precision and kept as FixedComplex."""
+def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Scalars:
+    """The scalar bundle of one mode. Exact values are DyadicComplex, the
+    sources lifted over ``denominator``, a common denominator of their
+    amplitudes; adaptive values are made at the current mpmath working
+    precision and kept as FixedComplex."""
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
-        cos, sin = params.theta.cos_exact(), params.theta.sin_exact()
-        chi_pow, ephi1 = params.chi_exact().__pow__, params.phi1.exp_i_exact()
-        lift, (evaluate, sweep) = _to_ring, _rational_rows(cos, t)
+        evaluate, sweep = _rational_rows(params.theta.cos_exact(), t)
+        cos, sin = (
+            DyadicComplex.of(SqrtTwoComplex(v))
+            for v in (params.theta.cos_exact(), params.theta.sin_exact())
+        )
+        ephi1 = DyadicComplex.of(params.phi1.exp_i_exact())
+        # chi is an eighth root of unity, so chi^e = chi^(e mod 8)
+        phases = [DyadicComplex.of(params.chi_exact() ** e) for e in range(8)]
+        chi_pow, lift = lambda e: phases[e % 8], _lift_dyadic(denominator)
     elif mode == "adaptive":
         wp = mpmath.mp.prec
         th = params.theta.mp_radians()
@@ -590,9 +624,12 @@ def _amplitudes(
         raise ValueError("t must be non-negative")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    denominator = 1
     if mode == "exact":
         if not init.exact:
             raise ValueError("exact mode needs ring-valued initial amplitudes")
+        amps = init.amplitudes.values()
+        denominator = math.lcm(*(z.denominator for pair in amps for z in pair))
     else:
         init = init.to_float()
     if t == 0:
@@ -602,7 +639,7 @@ def _amplitudes(
     else:
         precision = nullcontext()
     with precision:
-        s = _scalars(params, t, mode)
+        s = _scalars(params, t, mode, denominator)
         if sweep and s.sweep:
             s.memo.update(s.sweep())
         sources = [
@@ -610,9 +647,16 @@ def _amplitudes(
             for xp, (alpha, beta) in init.amplitudes.items()
         ]
         pairs = [_site(x, sources, s) for x in xs]
-    if mode != "adaptive":
-        return pairs
-    return [(complex(a), complex(b)) for a, b in pairs]
+    if mode == "exact":
+        # each site reduced once, over the common denominator times 2^k
+        ring = SqrtTwoComplex.from_numerators
+        return [
+            tuple(ring(z.p, z.q, z.r, z.s, denominator << z.k) for z in pair)
+            for pair in pairs
+        ]
+    if mode == "adaptive":
+        return [(complex(a), complex(b)) for a, b in pairs]
+    return pairs
 
 
 def amplitude(

@@ -2,12 +2,23 @@
 (oracle) that every other evaluation path is checked against.
 
 A step applies the coin at every occupied site, then routes the coin-0
-result to x+1 and the coin-1 result to x-1. Evolution is exact in
-Q[sqrt(2)][i] when both the state and the coin live on the eighth-turn grid,
-and steps site by site on that ring. Otherwise it is float stepping as array
-code: alpha and beta are two complex128 arrays over the light-cone window,
-and a step is two slice expressions, alpha'[x] = c00 alpha[x-1] +
-c01 beta[x-1] and beta'[x] = c10 alpha[x+1] + c11 beta[x+1].
+result to x+1 and the coin-1 result to x-1. Both scalar kinds step the
+same way, as array code over the light-cone window (``_stepped``): each
+coin component is one or more arrays over the window, and a step applies
+the coin to their occupied stretch and writes alpha's new arrays one cell
+right and beta's one cell left.
+
+* Float stepping, when the state or the coin is off the eighth-turn grid:
+  one complex128 row per component, alpha'[x] = c00 alpha[x-1] +
+  c01 beta[x-1] and beta'[x] = c10 alpha[x+1] + c11 beta[x+1].
+* Exact stepping, when both are on it: every coin entry has a
+  denominator dividing 2, so the coin is an integer matrix over a scale
+  of 1 or 2 (2 unless every entry is integral). Each component is the four
+  integer numerators p, q, r, s of p + q sqrt2 + i(r + s sqrt2), in
+  Python-int object arrays, over one denominator for the whole walk: the
+  initial state's common denominator D times scale^t. A step multiplies
+  by the integer matrix alone, so no loop takes a gcd; each site is
+  reduced to a ``SqrtTwoComplex`` once, at the output.
 
 A mixed coin state rho is not stepped as a matrix. By linearity the walk
 from rho is known from the two basis walks psi_0 and psi_1, from |0, 0>
@@ -17,6 +28,7 @@ sum_ab rho_ab <psi_b(y)|psi_a(y)> at each site y.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +46,13 @@ from .core import (
 
 __all__ = ["step", "evolve_pure", "distribution_of", "evolve_mixed"]
 
+# 1, sqrt2, i and i sqrt2: the ring element c times each of them gives one
+# column of c's integer matrix on the numerators (p, q, r, s)
+_BASIS = [
+    SqrtTwoComplex.from_numerators(*unit, 1)
+    for unit in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+]
+
 
 def _walk(state: PureState, params: CoinParams, t: int) -> dict:
     """The amplitudes after t steps, as a plain {x: (alpha, beta)} dict.
@@ -45,49 +64,112 @@ def _walk(state: PureState, params: CoinParams, t: int) -> dict:
     one PureState at the end.
     """
     if state.exact and params.exact_capable:
-        return _ring_walk(state.amplitudes, coin_matrix_exact(params), t)
-    return _float_walk(state.to_float().amplitudes, coin_matrix(params).tolist(), t)
+        return _exact_walk(state.amplitudes, params, t)
+    (c00, c01), (c10, c11) = coin_matrix(params).tolist()
 
-
-def _ring_walk(amps: dict, coin, t: int) -> dict:
-    """Exact stepping, one dict of ring elements per step."""
-    (c00, c01), (c10, c11) = coin
-    zero = SqrtTwoComplex.zero()
-    for _ in range(t):
-        up = {x + 1: c00 * a + c01 * b for x, (a, b) in amps.items()}
-        down = {x - 1: c10 * a + c11 * b for x, (a, b) in amps.items()}
-        amps = {
-            x: (up.get(x, zero), down.get(x, zero)) for x in up.keys() | down.keys()
-        }
-    return amps
-
-
-def _float_walk(amps: dict, coin, t: int) -> dict:
-    """Float stepping on two complex128 arrays over [lo - t, hi + t].
-
-    Cell i holds site lo - t + i. After s steps every nonzero amplitude lies
-    in [lo - s, hi + s], so step s + 1 reads only that stretch, writes alpha
-    one cell right and beta one cell left, and zeroes the cell each one
-    leaves behind. Cells off the output sites (wrong parity, or between
-    cones that have not met) hold zeros and are not returned.
-    """
-    (c00, c01), (c10, c11) = coin
-    lo, hi = min(amps), max(amps)
-    base = lo - t
-    alpha = np.zeros(hi - lo + 2 * t + 1, dtype=complex)
-    beta = np.zeros_like(alpha)
-    for x, (a, b) in amps.items():
-        alpha[x - base], beta[x - base] = a, b
-    for s in range(t):
-        i, j = t - s, hi - lo + t + s + 1
-        a, b = alpha[i:j], beta[i:j]
+    def advance(rows, i, j):
+        # the new beta goes straight into place, so only up is held
+        (alpha, beta), a, b = rows, rows[0][i:j], rows[1][i:j]
         up = c00 * a + c01 * b
         beta[i - 1 : j - 1] = c10 * a + c11 * b
         alpha[i + 1 : j + 1] = up
         alpha[i] = beta[j - 1] = 0
-    alpha, beta = alpha.tolist(), beta.tolist()
-    sites = set().union(*(range(x - t, x + t + 1, 2) for x in amps))
-    return {x: (alpha[x - base], beta[x - base]) for x in sites}
+
+    return _stepped(state.to_float().amplitudes, t, complex, advance)
+
+
+def _exact_walk(amps: dict, params: CoinParams, t: int) -> dict:
+    """Exact stepping on integer numerators over one denominator."""
+    denominator = math.lcm(*(z.denominator for pair in amps.values() for z in pair))
+    scale, coin = _integer_coin(params)
+    cells = {x: a.numerators(denominator) + b.numerators(denominator)
+             for x, (a, b) in amps.items()}
+
+    def advance(rows, i, j):
+        # every new row is made before the first is written, as each
+        # reads all eight
+        w = [row[i:j] for row in rows]
+        new = [_combination(row, w) for row in coin]
+        for row, value in zip(rows[4:], new[4:]):
+            row[i - 1 : j - 1] = value
+            row[j - 1] = 0
+        for row, value in zip(rows[:4], new[:4]):
+            row[i + 1 : j + 1] = value
+            row[i] = 0
+
+    denominator *= scale**t
+    ring = SqrtTwoComplex.from_numerators
+    return {
+        x: (ring(*c[:4], denominator), ring(*c[4:], denominator))
+        for x, c in _stepped(cells, t, object, advance).items()
+    }
+
+
+def _integer_coin(params: CoinParams) -> tuple[int, list]:
+    """The coin as (scale, rows): scale times the coin is an integer 8x8
+    matrix on the numerator rows (alpha's p, q, r, s, then beta's). Each
+    of its rows is kept as (g, entries): g the gcd of its nonzero entries,
+    and each of them divided by g, with its column, as (m, column).
+
+    Column 4b + j of the rows for output component a holds the numerators
+    of C[a][b] times the j-th of 1, sqrt2, i, i sqrt2, over the scale: the
+    lcm of the entries' denominators, 1 or 2.
+    """
+    blocks = [[c * e for c in row for e in _BASIS] for row in coin_matrix_exact(params)]
+    scale = math.lcm(*(z.denominator for block in blocks for z in block))
+    rows = []
+    for block in blocks:
+        numerators = [z.numerators(scale) for z in block]
+        for r in range(4):
+            entries = [(n[r], i) for i, n in enumerate(numerators) if n[r]]
+            # a unitary coin leaves no row empty
+            g = math.gcd(*(m for m, _ in entries))
+            rows.append((g, [(m // g, i) for m, i in entries]))
+    return scale, rows
+
+
+def _combination(row: tuple, w: list) -> np.ndarray:
+    """One row (g, entries) of the integer coin applied to the stretches w:
+    g times the sum of m w[i] over its entries, those with m = +-1 as a
+    plain sum or difference. Always a new array, never a view of w."""
+    g, ((m, i), *rest) = row
+    if not rest:
+        return g * m * w[i]
+    out = w[i] if m == 1 else m * w[i]
+    for m, i in rest:
+        if m == 1:
+            out = out + w[i]
+        elif m == -1:
+            out = out - w[i]
+        else:
+            out = out + m * w[i]
+    return out if g == 1 else g * out
+
+
+def _stepped(cells: dict, t: int, dtype, advance) -> dict:
+    """The window stepping of both scalar kinds: {x: column} after t steps.
+
+    A column holds 2k components, the first k riding coin component 0
+    (alpha) and the last k component 1 (beta). Each component is one row,
+    an array over [lo - t, hi + t] whose cell i holds site lo - t + i.
+    After s steps every nonzero cell lies in [lo - s, hi + s], so step
+    s + 1 is advance(rows, i, j) on that stretch [i, j): it applies the
+    coin there, writes alpha's new rows one cell right and beta's one
+    cell left, and zeroes the cell each one leaves behind. Cells off the output
+    sites (wrong parity, or between cones that have not met) hold zeros
+    and are not returned.
+    """
+    lo, hi = min(cells), max(cells)
+    base = lo - t
+    rows = [np.zeros(hi - lo + 2 * t + 1, dtype=dtype) for _ in next(iter(cells.values()))]
+    for x, column in cells.items():
+        for row, value in zip(rows, column):
+            row[x - base] = value
+    for s in range(t):
+        advance(rows, t - s, hi - lo + t + s + 1)
+    columns = list(zip(*(row.tolist() for row in rows)))
+    sites = set().union(*(range(x - t, x + t + 1, 2) for x in cells))
+    return {x: columns[x - base] for x in sites}
 
 
 def step(state: PureState, params: CoinParams) -> PureState:

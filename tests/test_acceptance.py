@@ -287,20 +287,20 @@ def test_exact_distributions_match_pinned_digests(hadamard, plus_i):
     print("\nPASS pinned exact digests: t <= 60, two eighth-turn coins, mixed t=25")
 
 
-def _assert_exact_routes_identical(t, hadamard, plus_i):
+def _assert_exact_routes_identical(t, params, plus_i):
     # from (|0> + i|1>)/sqrt2, direct stepping and the closed form give
     # the same element of Q(sqrt2) at every site.
     start = time.perf_counter()
-    oracle = distribution_of(evolve_pure(plus_i, hadamard, t), t)
-    closed = cf_distribution(t, plus_i, hadamard, mode="exact")
+    oracle = distribution_of(evolve_pure(plus_i, params, t), t)
+    closed = cf_distribution(t, plus_i, params, mode="exact")
     elapsed = time.perf_counter() - start
     assert set(oracle.exact) == set(closed.exact) == set(range(-t, t + 1))
     for x, value in oracle.exact.items():
         assert closed.exact[x] == value, x
     assert sum(oracle.exact.values(), SqrtTwo()) == SqrtTwo(1, 0)
     print(
-        f"\nPASS exact t={t}: direct and closed form ring-identical, "
-        f"{elapsed:.2f}s"
+        f"\nPASS exact t={t}, coin {params}: direct and closed form "
+        f"ring-identical, {elapsed:.2f}s"
     )
 
 
@@ -310,6 +310,17 @@ def test_exact_direct_and_closed_form_identical_at_t200(hadamard, plus_i):
 
 def test_exact_direct_and_closed_form_identical_at_t400(hadamard, plus_i):
     _assert_exact_routes_identical(400, hadamard, plus_i)
+
+
+def test_exact_direct_and_closed_form_identical_at_t800(hadamard, plus_i):
+    _assert_exact_routes_identical(800, hadamard, plus_i)
+
+
+def test_exact_routes_identical_at_t400_on_a_phased_coin(plus_i):
+    # every angle an odd multiple of pi/4: the off-diagonal entries are
+    # -(1 + i)/2 and (1 + i)/2, and chi = e^{i 3pi/2}
+    params = CoinParams.make("3/4 pi", "5/4 pi", "1/4 pi")
+    _assert_exact_routes_identical(400, params, plus_i)
 
 
 def test_spectral_reaches_t2000(plus_i):

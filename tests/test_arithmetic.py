@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qwalk import arithmetic
 from qwalk.arithmetic import (
     Angle,
+    DyadicComplex,
     FixedComplex,
     SqrtTwo,
     SqrtTwoComplex,
@@ -396,3 +397,59 @@ class TestFixedComplex:
 
     def test_repr(self):
         assert repr(FixedComplex(3, -1, 8)) == "FixedComplex(3, -1, wp=8)"
+
+
+numerators = st.integers(-(2**80), 2**80)
+dyadics = st.builds(DyadicComplex, numerators, numerators, numerators, numerators,
+                    st.integers(0, 90))
+
+
+def _value(z: DyadicComplex, d: int = 1) -> SqrtTwoComplex:
+    return SqrtTwoComplex.from_numerators(z.p, z.q, z.r, z.s, d << z.k)
+
+
+class TestDyadicComplex:
+    # numerators over 2^k that no operation reduces: each operation must
+    # give the value the reduced ring gives
+    @given(dyadics, dyadics, st.integers(-50, 50))
+    def test_ops_match_the_ring(self, x, y, n):
+        rx, ry = _value(x), _value(y)
+        assert _value(x + y) == rx + ry
+        assert _value(x - y) == rx - ry
+        assert _value(x * y) == rx * ry
+        assert _value(-x) == -rx
+        assert _value(x.conjugate()) == rx.conjugate()
+        assert _value(x * n) == _value(n * x) == rx * n
+
+    def test_operations_take_no_gcd(self):
+        half = DyadicComplex(2, 0, 0, 0, 2)
+        square = half * half
+        assert (square.p, square.q, square.r, square.s, square.k) == (4, 0, 0, 0, 4)
+        total = half + DyadicComplex(0, 1, 0, 0, 0)
+        assert (total.p, total.q, total.r, total.s, total.k) == (2, 4, 0, 0, 2)
+
+    @given(complex_pairs)
+    def test_of_reads_dyadic_ring_elements(self, z):
+        ring = _complex(z)
+        if ring.denominator & (ring.denominator - 1):
+            with pytest.raises(ValueError):
+                DyadicComplex.of(ring)
+        else:
+            assert _value(DyadicComplex.of(ring)) == ring
+
+    @given(complex_pairs, st.integers(1, 10**6))
+    def test_numerators_round_trip(self, z, m):
+        ring = _complex(z)
+        d = ring.denominator * m
+        p, q, r, s = ring.numerators(d)
+        assert [Fraction(n, d) for n in (p, q, r, s)] == [
+            ring.re.a, ring.re.b, ring.im.a, ring.im.b
+        ]
+        assert SqrtTwoComplex.from_numerators(p, q, r, s, d) == ring
+
+    def test_numerators_need_a_multiple_of_the_denominator(self):
+        third = SqrtTwoComplex.from_rational(Fraction(1, 3))
+        for d in (2, 4, 0, -3):
+            with pytest.raises(ValueError):
+                third.numerators(d)
+        assert third.numerators(6) == (2, 0, 0, 0)

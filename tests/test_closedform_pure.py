@@ -10,7 +10,7 @@ from conftest import random_params, random_state
 from fractions import Fraction
 
 from qwalk import arithmetic
-from qwalk.arithmetic import FixedComplex, SqrtTwo, SqrtTwoComplex
+from qwalk.arithmetic import DyadicComplex, FixedComplex, SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_pure import (
     FAMILIES,
     MODES,
@@ -119,10 +119,11 @@ class TestAgainstDirect:
 
     def test_exact_mode_eighth_turn_coins(self, plus_i):
         # every eighth-turn coin keeps the walk in the ring, so the closed
-        # form must equal the exact oracle, phases included
+        # form must equal the exact oracle, phases included, and cos^2 in
+        # {0, 1/2, 1}
         t = 6
         quarter = ("0 pi", "1/4 pi", "1/2 pi", "5/4 pi")
-        for theta in ("1/4 pi", "3/4 pi"):
+        for theta in ("1/4 pi", "3/4 pi", "0 pi", "1/2 pi", "1 pi"):
             for phi1 in quarter:
                 for phi2 in quarter:
                     params = CoinParams.make(theta, phi1, phi2)
@@ -496,6 +497,22 @@ class TestAdaptiveAgainstExact:
             for x in _every_site(init, t):
                 for value in _site(x, sources, s):
                     assert type(value) is FixedComplex and value.wp == wp, x
+
+    def test_exact_kernels_and_sites_stay_dyadic(self):
+        # past the rows nothing is reduced: the kernel entries and the
+        # site sums are DyadicComplex, the sources lifted over their
+        # common denominator 60
+        t, init = 60, _RING_STARTS[2]
+        s = _scalars(CoinParams.make("3/4 pi", "5/4 pi", "1/4 pi"), t, "exact", 60)
+        sources = [(xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()]
+        beta = sources[2][1][1]  # 1/3 - sqrt2/5 at x' = 3
+        assert (beta.p, beta.q, beta.r, beta.s, beta.k) == (20, -12, 0, 0, 0)
+        for d in range(-t, t + 1, 2):
+            for entry in (e for row in s.kernel(d) for e in row):
+                assert type(entry) is DyadicComplex, d
+        for x in _every_site(init, t):
+            for value in _site(x, sources, s):
+                assert type(value) is DyadicComplex, x
 
 
 class TestAdaptivePrecision:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_bloch, random_params, random_state
 from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
-from qwalk.core import CoinParams, MixedLocalizedState, PureState, coin_matrix
+from qwalk.core import CoinParams, MixedLocalizedState, PureState, coin_matrix, coin_matrix_exact
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure, step
 
 RT2 = math.sqrt(2)
@@ -23,6 +23,19 @@ def dict_walk(state: PureState, params: CoinParams, t: int) -> dict:
         up = {x + 1: c00 * a + c01 * b for x, (a, b) in amps.items()}
         down = {x - 1: c10 * a + c11 * b for x, (a, b) in amps.items()}
         amps = {x: (up.get(x, 0j), down.get(x, 0j)) for x in up.keys() | down.keys()}
+    return amps
+
+
+def ring_dict_walk(state: PureState, params: CoinParams, t: int) -> dict:
+    """Reference exact stepper: one dict per step, every product and sum a
+    SqrtTwoComplex operation in lowest terms, every site the light cone
+    reaches kept as a key."""
+    (c00, c01), (c10, c11) = coin_matrix_exact(params)
+    zero, amps = SqrtTwoComplex.zero(), state.amplitudes
+    for _ in range(t):
+        up = {x + 1: c00 * a + c01 * b for x, (a, b) in amps.items()}
+        down = {x - 1: c10 * a + c11 * b for x, (a, b) in amps.items()}
+        amps = {x: (up.get(x, zero), down.get(x, zero)) for x in up.keys() | down.keys()}
     return amps
 
 
@@ -365,3 +378,64 @@ class TestArrayWalkAgainstDicts:
         assert dist.mode == "double" and dist.positions == tuple(ref)
         gap = max(abs(dist[x] - p) for x, p in ref.items())
         assert gap <= 1e-15, f"t={t}: {gap:.2e}"
+
+
+def _ring(a=0, b=0, c=0, d=0) -> SqrtTwoComplex:
+    return SqrtTwoComplex(SqrtTwo(a, b), SqrtTwo(c, d))
+
+
+_THIRD, _TWO_THIRDS = Fraction(1, 3), Fraction(2, 3)
+# exact starts whose common denominator is not a power of 2: 1/3 and
+# 2/3 sqrt2, on one site, on two sites of opposite parity, and on three
+# sites with a fifth and a half beside them
+EXACT_STARTS = {
+    "one": PureState({0: (_ring(_THIRD), _ring(0, 0, 0, _TWO_THIRDS))}),
+    "two": PureState({-2: (_ring(_THIRD), _ring()), 1: (_ring(), _ring(0, _TWO_THIRDS))}),
+    "three": PureState({
+        -1: (_ring(0, _TWO_THIRDS, Fraction(1, 5)), _ring(_THIRD)),
+        0: (_ring(), _ring(Fraction(-1, 2), 0, 0, _THIRD)),
+        4: (_ring(0, 0, _THIRD), _ring(Fraction(1, 4), Fraction(-1, 6))),
+    }),
+}
+# theta in {0, pi/2} with phases; theta = pi/4 and 3pi/4 with phases whose
+# products with sin make entries (+-1 +- i)/2; Hadamard
+EIGHTH_TURN_COINS = [
+    ("0 pi", "1/4 pi", "3/4 pi"),
+    ("0 pi", "0 pi", "0 pi"),
+    ("1/2 pi", "0 pi", "0 pi"),
+    ("1/2 pi", "5/4 pi", "1/2 pi"),
+    ("1/4 pi", "1/4 pi", "3/4 pi"),
+    ("3/4 pi", "5/4 pi", "1/4 pi"),
+    ("1/4 pi", "7/4 pi", "5/4 pi"),
+    ("1/4 pi", "0 pi", "0 pi"),
+]
+_rng = random.Random(60)
+EIGHTH_TURN_COINS += [
+    tuple(f"{_rng.randrange(8)}/4 pi" for _ in range(3)) for _ in range(8)
+]
+
+
+class TestExactWalkAgainstRingDicts:
+    """Exact stepping holds integer numerators over one denominator; the
+    SqrtTwoComplex dict stepper above pins it, as ring elements at every
+    site."""
+
+    @pytest.mark.parametrize("coin", EIGHTH_TURN_COINS, ids=",".join)
+    @pytest.mark.parametrize("start", EXACT_STARTS.values(), ids=EXACT_STARTS.keys())
+    def test_evolve_pure_equals_ring_dicts(self, start, coin):
+        params = CoinParams.make(*coin)
+        for t in (0, 1, 2, 5, 23, 60):
+            ref = ring_dict_walk(start, params, t)
+            final = evolve_pure(start, params, t)
+            assert final.exact and final.amplitudes.keys() == ref.keys(), t
+            for x, pair in ref.items():
+                assert final.amplitudes[x] == pair, (t, x)
+
+    @pytest.mark.parametrize("coin", EIGHTH_TURN_COINS[:8], ids=",".join)
+    def test_repeated_steps_equal_evolve_pure(self, coin):
+        params = CoinParams.make(*coin)
+        start = state = EXACT_STARTS["three"]
+        for t in range(1, 25):
+            state = step(state, params)
+            assert state.amplitudes == evolve_pure(start, params, t).amplitudes, t
+        assert state.amplitudes == ring_dict_walk(start, params, 24)
