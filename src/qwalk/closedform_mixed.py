@@ -8,17 +8,19 @@ whose first Pauli rows produce trace kernels built from
 delta = k - k' and sigma = k + k':
 
     j=0:  2 r0
-    j=1:  2 r0 cos(sigma)           - 2i r? sin(delta)
-    j=2: -2 r0 cos(delta) cos(sigma) - 2i r? cos(sigma) sin(delta)
-         - 2i r? sin(delta) sin(sigma) ...
+    j=1:  2 r0 cos(sigma)           - 2i r1 sin(delta)
+    j=2: -2 r0 cos(delta) cos(sigma) - 2i r1 sin(delta) cos(sigma)
+         - 2i r2 sin(delta) sin(sigma) - 2i r3 sin(delta) cos(sigma)
     j=3: -2 r0 cos(delta)           - 2i r3 sin(delta)
 
-Two kernel assignments are shipped. ``consistent`` attaches the Pauli
-components the way the Horner-basis rows dictate (r1 on the first-order
-sin(delta) kernel). ``literal`` is an alternative assignment that swaps r1
-and r2 there and merges (r2 + r3) on the second-order mixed kernel; it is
-kept so the discrepancy it produces can be measured. The direct
-density-matrix oracle adjudicates: ``consistent`` matches it.
+Each kernel is stated once, as its cos and sin factors of delta and sigma,
+and its value and integral identity are derived from them. ``consistent``
+is the table above, as the Horner-basis rows dictate. ``pipeline-literal``
+swaps r1 and r2 in it, and ``literal``, the compact closed form, also drops
+the two order-2 sin(delta) cos(sigma) terms; all three readings run through
+one table builder, and the two literal ones are kept so the discrepancy
+they produce can be measured. The direct density-matrix oracle
+adjudicates: ``consistent`` matches it.
 
 Each f_{t-j} is an integer polynomial in X = cos(delta) and Y = cos(sigma):
 one run of the r = 4 recurrence of horner.f_sequence, over a
@@ -29,13 +31,15 @@ the site y and one in A2 that does not. The A2 binomials are summed once
 per A1, so each site costs one O(t) sum per (Horner order, identity entry)
 and a whole table O(t^2) after the O(t^3) recurrence. Every vanishing
 claim is recomputed here rather than assumed (the sin(delta) sin(sigma)
-brackets do cancel pairwise and the machinery asserts, site by site, that
-the net imaginary part is exactly zero). All weights are exact rationals; floats
-appear only in the final per-position dot product with (r0, r1, r2, r3).
+brackets do cancel pairwise, and the builder asserts that the net imaginary
+part is exactly zero at every site). All weights are exact rationals; each
+table is converted to floats once, for the per-position dot product with
+(r0, r1, r2, r3).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import deque
@@ -43,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .core import Distribution, MixedLocalizedState
+from .core import Distribution, MixedLocalizedState, validate_state
 from .horner import _f_terms
 
 __all__ = [
@@ -76,64 +80,62 @@ def half_binom(n: int, num: int) -> int:
     return math.comb(n, num // 2)
 
 
-# Integral identities: for each trig kernel,
-#   int dk/2pi int dk'/2pi e^{ikA} e^{ik'B} kernel(k,k')
-#     = (1/i if imag else 1) * sum of frac * [A == a][B == b].
-# Entries are (a, b, frac).
-_IDENTITIES: dict[str, tuple[bool, tuple[tuple[int, int, Fraction], ...]]] = {
-    "one": (False, ((0, 0, Fraction(1)),)),
-    "cos_sum": (False, ((-1, -1, Fraction(1, 2)), (1, 1, Fraction(1, 2)))),
-    "cos_diff": (False, ((-1, 1, Fraction(1, 2)), (1, -1, Fraction(1, 2)))),
-    "sin_diff": (True, ((-1, 1, Fraction(1, 2)), (1, -1, Fraction(-1, 2)))),
-    "cos_diff_cos_sum": (
-        False,
-        (
-            (-2, 0, Fraction(1, 4)),
-            (2, 0, Fraction(1, 4)),
-            (0, -2, Fraction(1, 4)),
-            (0, 2, Fraction(1, 4)),
-        ),
-    ),
-    "sin_diff_sin_sum": (
-        False,
-        (
-            (-2, 0, Fraction(-1, 4)),
-            (2, 0, Fraction(-1, 4)),
-            (0, -2, Fraction(1, 4)),
-            (0, 2, Fraction(1, 4)),
-        ),
-    ),
-    "sin_diff_cos_sum": (
-        True,
-        (
-            (-2, 0, Fraction(1, 4)),
-            (2, 0, Fraction(-1, 4)),
-            (0, -2, Fraction(-1, 4)),
-            (0, 2, Fraction(1, 4)),
-        ),
-    ),
+# Each trace kernel as its product of (trig, angle) factors, with angle
+# "delta" = k - k' or "sigma" = k + k'.
+_FACTORS = {
+    "one": (),
+    "cos_sum": ((math.cos, "sigma"),),
+    "cos_diff": ((math.cos, "delta"),),
+    "sin_diff": ((math.sin, "delta"),),
+    "cos_diff_cos_sum": ((math.cos, "delta"), (math.cos, "sigma")),
+    "sin_diff_sin_sum": ((math.sin, "delta"), (math.sin, "sigma")),
+    "sin_diff_cos_sum": ((math.sin, "delta"), (math.cos, "sigma")),
 }
 
-KERNELS = tuple(_IDENTITIES)
+KERNELS = tuple(_FACTORS)
+
+
+def _identity(factors):
+    """The integral identity of one kernel, from its factors.
+
+    cos x = (e^{ix} + e^{-ix})/2 and sin x = (e^{ix} - e^{-ix})/(2i), so the
+    kernel is (1/i)^(number of sines) times a sum of e^{i(m delta + n sigma)}
+    over one sign per factor; each such exponential integrates against
+    e^{ikA} e^{ik'B} to [A == -(m + n)][B == m - n].
+    """
+    sines = sum(trig is math.sin for trig, _ in factors)
+    entries: dict[tuple[int, int], Fraction] = {}
+    for signs in itertools.product((1, -1), repeat=len(factors)):
+        # each pair of sines gives (1/i)^2 = -1
+        frac = Fraction((-1) ** (sines // 2), 2 ** len(factors))
+        m = n = 0
+        for e, (trig, angle) in zip(signs, factors):
+            if angle == "delta":
+                m += e
+            else:
+                n += e
+            if trig is math.sin:
+                frac *= e
+        key = (-(m + n), m - n)
+        entries[key] = entries.get(key, 0) + frac
+    return sines % 2 == 1, tuple((a, b, f) for (a, b), f in entries.items() if f)
+
+
+_IDENTITIES = {kernel: _identity(factors) for kernel, factors in _FACTORS.items()}
 
 
 def integral_identity(kernel: str):
-    """(imag_flag, ((a, b, frac), ...)) for one kernel; see module header."""
+    """(imag, ((a, b, frac), ...)) for one kernel, meaning
+
+        int dk/2pi int dk'/2pi e^{ikA} e^{ik'B} kernel(k,k')
+          = (1/i if imag else 1) * sum of frac * [A == a][B == b].
+    """
     return _IDENTITIES[kernel]
 
 
 def kernel_value(kernel: str, k: float, kp: float) -> float:
-    d = k - kp
-    s = k + kp
-    return {
-        "one": 1.0,
-        "cos_sum": math.cos(s),
-        "cos_diff": math.cos(d),
-        "sin_diff": math.sin(d),
-        "cos_diff_cos_sum": math.cos(d) * math.cos(s),
-        "sin_diff_sin_sum": math.sin(d) * math.sin(s),
-        "sin_diff_cos_sum": math.sin(d) * math.cos(s),
-    }[kernel]
+    angles = {"delta": k - kp, "sigma": k + kp}
+    return math.prod((trig(angles[a]) for trig, a in _FACTORS[kernel]), start=1.0)
 
 
 class KernelTerm(NamedTuple):
@@ -160,16 +162,15 @@ _CONSISTENT: tuple[KernelTerm, ...] = (
     KernelTerm(3, "sin_diff", 3, -2, True),
 )
 
-_LITERAL: tuple[KernelTerm, ...] = (
-    KernelTerm(0, "one", 0, 2, False),
-    KernelTerm(1, "cos_sum", 0, 2, False),
-    KernelTerm(1, "sin_diff", 2, -2, True),
-    KernelTerm(2, "cos_diff_cos_sum", 0, -2, False),
-    KernelTerm(2, "sin_diff_sin_sum", 1, -2, True),
-    KernelTerm(2, "sin_diff_cos_sum", 2, -2, True),
-    KernelTerm(2, "sin_diff_cos_sum", 3, -2, True),
-    KernelTerm(3, "cos_diff", 0, -2, False),
-    KernelTerm(3, "sin_diff", 3, -2, True),
+# the consistent table with r1 and r2 swapped
+_LITERAL = tuple(
+    term._replace(r_index=(0, 2, 1, 3)[term.r_index]) for term in _CONSISTENT
+)
+
+# the compact closed form: the literal table without its order-2
+# sin(delta) cos(sigma) terms
+_COMPACT = tuple(
+    term for term in _LITERAL if (term.j, term.kernel) != (2, "sin_diff_cos_sum")
 )
 
 
@@ -302,10 +303,11 @@ def _site_sum(row: tuple[int, ...], y: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
+def _weights(
+    t: int, kernels: tuple[KernelTerm, ...]
+) -> dict[int, tuple[Fraction, ...]]:
     """Exact weight vectors w(y) with P(y, t) = sum_i w_i(y) r_i, computed
-    by pushing every kernel through its integral identity.
+    by pushing every kernel term through its integral identity.
 
     Terms whose  i  prefactor does not cancel against an identity's 1/i
     are accumulated separately; their total is asserted to vanish exactly
@@ -320,7 +322,7 @@ def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
     # (j, |a+b|/2, (a-b)/2), split into the real part and the imaginary
     # residue.
     groups: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
-    for term in trace_kernels(mode):
+    for term in kernels:
         if term.j > t:
             continue
         kern_imag, entries = _IDENTITIES[term.kernel]
@@ -337,18 +339,24 @@ def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
                 imag[term.r_index] += piece
             else:
                 imag[term.r_index] -= piece
+    folded = []
+    for (j, s, d), factors in groups.items():
+        real, imag = ([(i, c) for i, c in enumerate(f) if c] for f in factors)
+        if real or imag:
+            folded.append((sums[j][s], d, real, imag))
     shift = t + 2
     table: dict[int, tuple[Fraction, ...]] = {}
     for y in range(-t, t + 1):
         real_acc = [0, 0, 0, 0]
         imag_acc = [0, 0, 0, 0]
-        for (j, s, d), (real, imag) in groups.items():
-            total = _site_sum(sums[j][s], y - d)
+        for row, d, real, imag in folded:
+            total = _site_sum(row, y - d)
             if not total:
                 continue
-            for i in range(4):
-                real_acc[i] += real[i] * total
-                imag_acc[i] += imag[i] * total
+            for i, c in real:
+                real_acc[i] += c * total
+            for i, c in imag:
+                imag_acc[i] += c * total
         if any(imag_acc):
             raise AssertionError(
                 f"nonvanishing imaginary trace residue at t={t}, y={y}: {imag_acc}"
@@ -358,75 +366,71 @@ def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
 
 
 @lru_cache(maxsize=None)
+def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
+    """Exact weight vectors w(y) with P(y, t) = sum_i w_i(y) r_i, from the
+    kernel table trace_kernels(mode)."""
+    return _weights(t, trace_kernels(mode))
+
+
+@lru_cache(maxsize=None)
 def literal_weights(t: int) -> dict[int, tuple[Fraction, ...]]:
     """Exact weight vectors of the compact closed form (the "literal"
-    distribution formula, with the mixed-kernel groups it drops).
-
-    With a0 = w / 2^(A1+A2) for each monomial of f_{t-j}, the formula sums
-
-        j=0:  w0 += 2 a0 C1(A1, y) C2(A2, 0)
-        j=1:  w0 += 2 a0 C1(A1, y) C2(A2, 1)
-              w2 += a0 y/(A1+1) C1(A1+1, y) C2(A2, 0)
-        j=2:  w0 -= a0 C1(A1+1, y) C2(A2, 1)
-        j=3:  w0 -= a0 C1(A1+1, y) C2(A2, 0)
-              w3 += a0 y/(A1+1) C1(A1+1, y) C2(A2, 0)
-
-    where C1(n, y) = half_binom(n, n - y) and C2(n, s) = half_binom(n, n - s).
-    Pascal's rule gives C1(A1+1, y) = C1(A1, y-1) + C1(A1, y+1) and
-    y/(A1+1) C1(A1+1, y) = C1(A1, y-1) - C1(A1, y+1), so every line is a
-    site sum of one _a1_sums row, over the common denominator 2^t.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    rows = list(_a1_sums(t))
-    rows += [((), ())] * (4 - len(rows))
-    # fj: f_{t-j} against C2(A2, 0); fj_s1: against C2(A2, 1)
-    (f0, _), (f1, f1_s1), (_, f2_s1), (f3, _) = rows
-    table: dict[int, tuple[Fraction, ...]] = {}
-    for y in range(-t, t + 1):
-        f3_left, f3_right = _site_sum(f3, y - 1), _site_sum(f3, y + 1)
-        n0 = (
-            2 * _site_sum(f0, y)
-            + 2 * _site_sum(f1_s1, y)
-            - _site_sum(f2_s1, y - 1)
-            - _site_sum(f2_s1, y + 1)
-            - f3_left
-            - f3_right
-        )
-        n2 = _site_sum(f1, y - 1) - _site_sum(f1, y + 1)
-        n3 = f3_left - f3_right
-        table[y] = tuple(Fraction(n, 1 << t) for n in (n0, 0, n2, n3))
-    return table
+    distribution formula): the pipeline over the literal kernel table
+    without its order-2 sin(delta) cos(sigma) terms."""
+    return _weights(t, _COMPACT)
 
 
-def _dot(weights: tuple[Fraction, ...], r: tuple[float, ...]) -> float:
-    return float(sum(float(w) * v for w, v in zip(weights, r)))
+@lru_cache(maxsize=None)
+def _float_weights(t: int, table, *args) -> dict[int, tuple[float, ...]]:
+    """table(t, *args), one of the exact weight tables, in floats."""
+    return {y: tuple(map(float, w)) for y, w in table(t, *args).items()}
+
+
+# the exact table of each reading of MIXED_METHODS, as (table, *args)
+_READINGS = {
+    "consistent": (pipeline_weights, "consistent"),
+    "pipeline-literal": (pipeline_weights, "literal"),
+    "literal": (literal_weights,),
+}
+
+
+def _dot(weights: tuple[float, ...], r: tuple[float, ...]) -> float:
+    return float(sum(w * v for w, v in zip(weights, r)))
 
 
 def _as_pauli(r) -> tuple[float, float, float, float]:
-    if isinstance(r, MixedLocalizedState):
-        return r.pauli
-    r = tuple(float(v) for v in r)
-    if len(r) != 4:
-        raise ValueError("expected four Pauli components (r0, r1, r2, r3)")
-    return r
+    """The Pauli components of r, a MixedLocalizedState or four numbers;
+    ValueError unless they describe a density matrix."""
+    if not isinstance(r, MixedLocalizedState):
+        r = tuple(float(v) for v in r)
+        if len(r) != 4:
+            raise ValueError("expected four Pauli components (r0, r1, r2, r3)")
+        r = MixedLocalizedState(r)
+    diag = validate_state(r)
+    if not diag.valid:
+        raise ValueError(f"invalid mixed state: {diag.violations}")
+    return r.pauli
+
+
+def _prob(y: int, t: int, r, table, *args) -> float:
+    pauli = _as_pauli(r)
+    weights = _float_weights(t, table, *args).get(y)
+    return _dot(weights, pauli) if weights is not None else 0.0
 
 
 def prob_pipeline(y: int, t: int, r, mode: str = "consistent") -> float:
     """P(y, t) through the integral pipeline with the chosen kernel table."""
-    weights = pipeline_weights(t, mode).get(y)
-    return _dot(weights, _as_pauli(r)) if weights is not None else 0.0
+    return _prob(y, t, r, pipeline_weights, mode)
 
 
 def prob_literal(y: int, t: int, r) -> float:
     """P(y, t) by the compact closed form (note: r1 never enters it)."""
-    weights = literal_weights(t).get(y)
-    return _dot(weights, _as_pauli(r)) if weights is not None else 0.0
+    return _prob(y, t, r, literal_weights)
 
 
 def distribution_mixed(t: int, r, mode: str = "consistent") -> Distribution:
     """Distribution over y in [-t, t] (full grid; parity-forbidden sites
-    carry exact zeros). mode selects the evaluation: "consistent" or
+    carry exact zeros). mode selects the reading: "consistent" or
     "pipeline-literal" run the integral pipeline with the respective kernel
     table, "literal" evaluates the compact closed form. The weights are
     exact, but each site is their float dot product with r, so the
@@ -436,11 +440,6 @@ def distribution_mixed(t: int, r, mode: str = "consistent") -> Distribution:
     if mode not in MIXED_METHODS:
         raise ValueError(f"unknown mixed mode {mode!r}")
     pauli = _as_pauli(r)
-    if mode == "literal":
-        table = literal_weights(t)
-    elif mode == "pipeline-literal":
-        table = pipeline_weights(t, "literal")
-    else:
-        table = pipeline_weights(t, "consistent")
+    table = _float_weights(t, *_READINGS[mode])
     probs = {y: _dot(table[y], pauli) for y in range(-t, t + 1)}
     return Distribution(probs, t=t, method=f"mixed-{mode}", mode="double")

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_bloch
-from qwalk import closedform_mixed
+from qwalk import closedform_mixed, verify
+from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_mixed import (
     _QUARTIC,
     _Poly2,
@@ -205,6 +206,24 @@ class TestWeightTables:
             Fraction(3, 4),
             Fraction(1),
         )
+
+    def test_consistent_is_the_bilinear_form_of_two_exact_walks(self, hadamard):
+        # the oracle's P_y = rho_00 |psi_0|^2 + rho_11 |psi_1|^2
+        # + 2 Re(rho_10 <psi_0|psi_1>), with rho_10 = r1 + i r2, read as
+        # weights on (r0, r1, r2, r3), in exact ring arithmetic
+        one, zero = SqrtTwoComplex.one(), SqrtTwoComplex.zero()
+        psi0 = PureState.localized(0, one, zero)
+        psi1 = PureState.localized(0, zero, one)
+        for t in range(61):
+            table = pipeline_weights(t, "consistent")
+            assert set(table) == set(range(-t, t + 1))
+            for y, weights in table.items():
+                (a0, b0), (a1, b1) = psi0.amplitude(y), psi1.amplitude(y)
+                n0, n1 = a0.abs_sq() + b0.abs_sq(), a1.abs_sq() + b1.abs_sq()
+                cross = a0.conjugate() * a1 + b0.conjugate() * b1
+                want = (n0 + n1, 2 * cross.re, -2 * cross.im, n0 - n1)
+                assert tuple(SqrtTwo(w) for w in weights) == want, (t, y)
+            psi0, psi1 = (evolve_pure(psi, hadamard, 1) for psi in (psi0, psi1))
 
     def test_consistent_t3_weights(self):
         assert pipeline_weights(3, "consistent")[1] == (
@@ -421,6 +440,26 @@ class TestDistributionMixed:
         d = distribution_mixed(3, (0.5, 0, 0, 0), "literal")
         assert d.method == "mixed-literal"
         assert d.t == 3
+
+    @pytest.mark.parametrize("mode", MIXED_METHODS)
+    @pytest.mark.parametrize(
+        "pauli",
+        [(0.5, 0.9, 0.0, 0.0), (0.7, 0.0, 0.0, 0.1), (0.5, math.nan, 0.0, 0.0)],
+        ids=["not-psd", "trace", "nan"],
+    )
+    def test_invalid_state_refused(self, hadamard, mode, pauli):
+        # the weights are linear in r, so an invalid rho would otherwise
+        # come back as a "distribution" with negative entries
+        state = MixedLocalizedState.from_pauli(*pauli)
+        with pytest.raises(ValueError, match="invalid mixed state"):
+            distribution_mixed(5, pauli, mode)
+        with pytest.raises(ValueError, match="invalid mixed state"):
+            verify.evaluate(mode, state, hadamard, 5)
+
+    def test_invalid_state_refused_by_point_queries(self):
+        for query in (prob_pipeline, prob_literal):
+            with pytest.raises(ValueError, match="invalid mixed state"):
+                query(1, 3, (0.5, 0.9, 0.0, 0.0))
 
     @pytest.mark.parametrize("mode", MIXED_METHODS)
     def test_mode_label_is_double(self, mode):
