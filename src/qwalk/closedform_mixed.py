@@ -22,18 +22,25 @@ one table builder, and the two literal ones are kept so the discrepancy
 they produce can be measured. The direct density-matrix oracle
 adjudicates: ``consistent`` matches it.
 
-Each f_{t-j} is an integer polynomial in X = cos(delta) and Y = cos(sigma):
-one run of the r = 4 recurrence of horner.f_sequence, over a
-small bivariate polynomial type with c0 = c2 = X - Y, c1 = 2XY, c3 = -1,
-keeps only f_{t-3} .. f_t. Against the Fourier factors of an integral
-identity, a monomial X^A1 Y^A2 selects one binomial in A1 that depends on
-the site y and one in A2 that does not. The A2 binomials are summed once
-per A1, so each site costs one O(t) sum per (Horner order, identity entry)
-and a whole table O(t^2) after the O(t^3) recurrence. Every vanishing
-claim is recomputed here rather than assumed (the sin(delta) sin(sigma)
-brackets do cancel pairwise, and the builder asserts that the net imaginary
-part is exactly zero at every site). All weights are exact rationals; each
-table is converted to floats once, for the per-position dot product with
+Each f_{t-j} is an integer polynomial in X = cos(delta) and Y = cos(sigma),
+from the r = 4 recurrence of horner.f_sequence with c0 = c2 = X - Y,
+c1 = 2XY, c3 = -1. One run to order t holds each f_n packed into one
+Python int (Kronecker substitution): the coefficient of X^A1 Y^A2 sits in
+slot A1 (t+1) + A2, of a width fixed by an a-priori bound on the
+coefficients, so a step is a few shifts and adds of integers of about
+t^2 slots, and only f_{t-3} .. f_t are unpacked. Against the Fourier
+factors of an integral identity, a monomial X^A1 Y^A2 selects one binomial
+in A1 that depends on the site y and one in A2 that does not. The A2
+binomials are summed once per A1, and the A1 binomials for every site at
+once, by Horner's rule in E + 1/E: O(t^2) integer additions per Horner
+order. Those site sums depend on neither the reading nor the kernel table,
+so each t pays one build for all three readings, and a reading's table is
+a few integer combinations of them. Every vanishing claim is recomputed
+here rather than assumed (the sin(delta) sin(sigma) brackets do cancel
+pairwise, and the builder asserts that the net imaginary part is exactly
+zero at every site). All weights are exact rationals over 2^(t+2): a table
+holds their integer numerators, reads a site as Fractions, and divides
+each numerator into a float once, for the per-position dot product with
 (r0, r1, r2, r3).
 """
 
@@ -42,13 +49,12 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections import deque
+from collections.abc import Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
 
 from .core import Distribution, MixedLocalizedState, validate_state
-from .horner import _f_terms
 
 __all__ = [
     "half_binom",
@@ -261,51 +267,170 @@ class _Poly2:
 
 
 # Hadamard pair superoperator coefficients (horner.quartic_coeffs) in X, Y:
-# c0 = c2 = X - Y, c1 = 2XY, c3 = -1.
+# c0 = c2 = X - Y, c1 = 2XY, c3 = -1. The reference the packed run below is
+# tested against.
 _QUARTIC = (_Poly2([[0, -1], [1]]), _Poly2([[], [0, 2]]), _Poly2([[0, -1], [1]]), -1)
 
 
+def _coefficient_bound(t: int) -> int:
+    """M_t, with M_n = 2 M_{n-1} + 2 M_{n-2} + 2 M_{n-3} + M_{n-4} and M_0 = 1:
+    a bound on the l1 norm, so on every |coefficient|, of each f_n, n <= t.
+
+    The l1 norm of polynomials is subadditive and submultiplicative, and
+    X - Y and 2XY have norm 2, so the quartic recurrence bounds |f_n|_1 by
+    M_n; and M_n grows with n.
+    """
+    window = (0, 0, 0, 1)
+    for _ in range(t):
+        m4, m3, m2, m1 = window
+        window = (m3, m2, m1, 2 * (m1 + m2 + m3) + m4)
+    return window[-1]
+
+
+def _slot_width(t: int) -> int:
+    """Bits per packed coefficient of the run to order t: whole bytes that
+    hold a sign bit and every magnitude the bound allows."""
+    return 8 * ((_coefficient_bound(t).bit_length() + 8) // 8)
+
+
+def _packed_window(t: int) -> tuple[int, ...]:
+    """(f_t, f_{t-1}, f_{t-2}, f_{t-3}), each packed into one integer, by one
+    run of the quartic recurrence; orders below f_0 are left out.
+
+    With width = _slot_width(t), a packed f_n is the sum of
+    c 2^(width (A1 (t+1) + A2)) over its coefficients c of X^A1 Y^A2
+    (A2 <= n <= t, so rows never overlap). X and Y are then shifts by t+1
+    slots and by one, and a step is a few shifts and adds. The sum is an
+    exact integer whatever its slots hold; only the coefficients unpacked
+    at the end must fit their slots. Running horner._f_terms with packed
+    integers as scalars would instead multiply by the packed X - Y: a full
+    big-int product, O(size * row), where a shift is O(size).
+    """
+    width = _slot_width(t)
+    x = (t + 1) * width
+    window = (0, 0, 0, 1)  # f_{-3} .. f_0
+    for _ in range(t):
+        f4, f3, f2, f1 = window
+        s = f1 + f3
+        window = (f3, f2, f1, (s << x) - (s << width) + (f2 << (x + width + 1)) - f4)
+    return tuple(reversed(window))[: min(t, 3) + 1]
+
+
+def _unpack(packed: int, n: int, t: int) -> list[list[int]]:
+    """The coefficients of f_n packed by the run to order t: rows[A1] holds
+    those of X^A1 Y^A2 for A2 = (n - A1) % 2, ..., n - A1 in steps of 2,
+    the only ones that can be nonzero (every term of f_n has degree at most
+    n and of its parity).
+
+    Slots are signed. A slot read as an unsigned chunk of the integer's
+    two's complement bytes is one short when the slots below it sum to a
+    negative number, which is when the highest nonzero one below it is
+    negative; the slots not read here are zero.
+    """
+    width = _slot_width(t)
+    size = width // 8
+    row_bytes = (t + 1) * size
+    raw = packed.to_bytes((n * (t + 1) + 1) * size, "little", signed=True)
+    half = 1 << (width - 1)
+    borrow = False
+    rows = []
+    for a1 in range(n + 1):
+        base = a1 * row_bytes
+        row = []
+        for at in range(base + (n - a1) % 2 * size, base + (n - a1) * size + 1, 2 * size):
+            c = int.from_bytes(raw[at : at + size], "little") + borrow
+            if c >= half:
+                c -= half << 1
+            if c:
+                borrow = c < 0
+            row.append(c)
+        rows.append(row)
+    return rows
+
+
 def _f_window(t: int) -> tuple[_Poly2, ...]:
-    """(f_t, f_{t-1}, f_{t-2}, f_{t-3}) as polynomials in X, Y, by one run
-    of the quartic recurrence; orders below f_0 are left out."""
-    window = deque(_f_terms(_QUARTIC, t), maxlen=4)
-    return tuple(_Poly2.lift(f) for f in reversed(window))
+    """(f_t, f_{t-1}, f_{t-2}, f_{t-3}) as polynomials in X, Y, unpacked from
+    the run the tables use; orders below f_0 are left out."""
+    window = []
+    for j, packed in enumerate(_packed_window(t)):
+        n = t - j
+        rows = []
+        for a1, coeffs in enumerate(_unpack(packed, n, t)):
+            row = [0] * (n - a1 + 1)
+            row[(n - a1) % 2 :: 2] = coeffs
+            rows.append(row)
+        window.append(_Poly2(rows))
+    return tuple(window)
+
+
+def _horner_sites(row: list[int]) -> list[int]:
+    """[S(-n), ..., S(n)] for row[A1], A1 = 0..n, where S(m) is the sum over
+    A1 of half_binom(A1, A1 - m) row[A1]: the coefficients in E of
+    sum row[A1] (E + 1/E)^A1, by Horner's rule."""
+    acc = [row[-1]]
+    for c in reversed(row[:-1]):
+        acc = list(map(operator.add, acc + [0, 0], [0, 0] + acc))
+        acc[len(acc) // 2] += c
+    return acc
 
 
 @lru_cache(maxsize=None)
 def _a1_sums(t: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The sigma factor of every identity entry, summed once per A1.
+    """Every site sum of the order-t tables, shared by all readings.
 
-    With f_{t-j} = sum w X^A1 Y^A2, entry [j][s][A1] is the sum over A2 of
+    With f_{t-j} = sum w X^A1 Y^A2, the sigma factor of an identity entry is
+    summed over A2 once per A1: row_s[A1] is the sum of
     w 2^(t-A1-A2) half_binom(A2, A2 + s), for s = 0 and 1. The factor
-    2^(t-A1-A2) puts every order over the common denominator 2^t.
-    half_binom(A2, A2 + s) is even in s, so s = -1 reads row 1.
+    2^(t-A1-A2) puts every order over the common denominator 2^t, and
+    half_binom(A2, A2 + s) is even in s, so s = -1 reads row 1. The delta
+    factor is then summed over A1 for every site at once: entry
+    [j][s][m + t + 1] is the sum of half_binom(A1, A1 - m) row_s[A1], for m
+    in [-t-1, t+1].
     """
+    # 2^(t-A2) half_binom(A2, A2 + s) for the one s of A2's parity
+    sigma = [math.comb(a2, a2 // 2) << (t - a2) for a2 in range(t + 1)]
     out = []
-    for j, f in enumerate(_f_window(t)):
-        rows = ([0] * (t - j + 1), [0] * (t - j + 1))
-        for (a1, a2), w in f.terms.items():
-            scaled = w << (t - a1 - a2)
-            for s in (0, 1):
-                c2 = half_binom(a2, a2 + s)
-                if c2:
-                    rows[s][a1] += scaled * c2
-        out.append((tuple(rows[0]), tuple(rows[1])))
+    for j, packed in enumerate(_packed_window(t)):
+        n = t - j
+        rows = ([0] * (n + 1), [0] * (n + 1))
+        for a1, coeffs in enumerate(_unpack(packed, n, t)):
+            s = (n - a1) % 2
+            # each term carries 2^(t-A2) with A2 <= n - A1, so the shift is exact
+            rows[s][a1] = sum(map(operator.mul, coeffs, sigma[s::2])) >> a1
+        pad = (0,) * (t + 1 - n)
+        out.append(tuple(pad + tuple(_horner_sites(row)) + pad for row in rows))
     return tuple(out)
 
 
-def _site_sum(row: tuple[int, ...], y: int) -> int:
-    """sum over A1 of half_binom(A1, A1 - y) row[A1]: the delta integral
-    of cos^A1(delta) against site y, over the A1 that reach it."""
-    return sum(
-        math.comb(a1, (a1 - y) // 2) * row[a1]
-        for a1 in range(abs(y), len(row), 2)
-    )
+class _DyadicTable(Mapping):
+    """Exact weight vectors w(y), held as integer numerators over 2^shift: a
+    site reads as a tuple of Fractions, and ``floats`` is the whole table in
+    floats. Each float is its numerator over the denominator by int / int
+    division, which rounds correctly, so it is float() of the Fraction."""
+
+    def __init__(self, numerators: dict[int, tuple[int, ...]], shift: int):
+        self._numerators = numerators
+        self._denominator = 1 << shift
+
+    def __getitem__(self, y: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._denominator) for n in self._numerators[y])
+
+    def __iter__(self):
+        return iter(self._numerators)
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+    @cached_property
+    def floats(self) -> dict[int, tuple[float, ...]]:
+        den = self._denominator
+        return {y: tuple(n / den for n in w) for y, w in self._numerators.items()}
 
 
-def _weights(
-    t: int, kernels: tuple[KernelTerm, ...]
-) -> dict[int, tuple[Fraction, ...]]:
+def _weights(t: int, kernels: tuple[KernelTerm, ...]) -> _DyadicTable:
     """Exact weight vectors w(y) with P(y, t) = sum_i w_i(y) r_i, computed
     by pushing every kernel term through its integral identity.
 
@@ -318,7 +443,7 @@ def _weights(
     sums = _a1_sums(t)
     # An identity entry (a, b) selects A1 - y + (a-b)/2 through the delta
     # integral and A2 + (a+b)/2 through the sigma one. Fold every
-    # (kernel term, entry) pair into integer factors on the site sum of its
+    # (kernel term, entry) pair into integer factors on the site sums of its
     # (j, |a+b|/2, (a-b)/2), split into the real part and the imaginary
     # residue.
     groups: dict[tuple[int, int, int], tuple[list[int], list[int]]] = {}
@@ -332,58 +457,59 @@ def _weights(
             )
             # frac has denominator 1, 2 or 4; the common denominator is
             # 2^{t+2}.
-            piece = term.coeff * int(frac * 4)
+            piece = term.coeff * 4 * frac.numerator // frac.denominator
             if term.imag == kern_imag:
                 real[term.r_index] += piece
             elif term.imag:
                 imag[term.r_index] += piece
             else:
                 imag[term.r_index] -= piece
-    folded = []
+    sites = range(-t, t + 1)
+    columns = ([[0] * len(sites) for _ in range(4)], [[0] * len(sites) for _ in range(4)])
     for (j, s, d), factors in groups.items():
-        real, imag = ([(i, c) for i, c in enumerate(f) if c] for f in factors)
-        if real or imag:
-            folded.append((sums[j][s], d, real, imag))
-    shift = t + 2
-    table: dict[int, tuple[Fraction, ...]] = {}
-    for y in range(-t, t + 1):
-        real_acc = [0, 0, 0, 0]
-        imag_acc = [0, 0, 0, 0]
-        for row, d, real, imag in folded:
-            total = _site_sum(row, y - d)
-            if not total:
-                continue
-            for i, c in real:
-                real_acc[i] += c * total
-            for i, c in imag:
-                imag_acc[i] += c * total
-        if any(imag_acc):
+        # site y reads the site sum of y - d
+        sums_at = sums[j][s][1 - d : 1 - d + len(sites)]
+        for cols, coeffs in zip(columns, factors):
+            for i, c in enumerate(coeffs):
+                if c:
+                    cols[i] = list(map(operator.add, cols[i], map(c.__mul__, sums_at)))
+    real, imag = (list(zip(*cols)) for cols in columns)
+    for y, residue in zip(sites, imag):
+        if any(residue):
             raise AssertionError(
-                f"nonvanishing imaginary trace residue at t={t}, y={y}: {imag_acc}"
+                f"nonvanishing imaginary trace residue at t={t}, y={y}: {list(residue)}"
             )
-        table[y] = tuple(Fraction(n, 1 << shift) for n in real_acc)
-    return table
+    return _DyadicTable(dict(zip(sites, real)), t + 2)
 
 
-@lru_cache(maxsize=None)
-def pipeline_weights(t: int, mode: str) -> dict[int, tuple[Fraction, ...]]:
+def _cached_on_t(build):
+    """lru_cache over (t, ...), with t passed through operator.index before
+    it becomes a key: a numpy integer never reaches a shift, and a float t
+    raises TypeError instead of finding an int's entry."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def lookup(t, *args, **kwargs):
+        return cached(operator.index(t), *args, **kwargs)
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
+
+
+@_cached_on_t
+def pipeline_weights(t: int, mode: str) -> Mapping[int, tuple[Fraction, ...]]:
     """Exact weight vectors w(y) with P(y, t) = sum_i w_i(y) r_i, from the
-    kernel table trace_kernels(mode)."""
+    kernel table trace_kernels(mode), as a read-only mapping."""
     return _weights(t, trace_kernels(mode))
 
 
-@lru_cache(maxsize=None)
-def literal_weights(t: int) -> dict[int, tuple[Fraction, ...]]:
+@_cached_on_t
+def literal_weights(t: int) -> Mapping[int, tuple[Fraction, ...]]:
     """Exact weight vectors of the compact closed form (the "literal"
     distribution formula): the pipeline over the literal kernel table
     without its order-2 sin(delta) cos(sigma) terms."""
     return _weights(t, _COMPACT)
-
-
-@lru_cache(maxsize=None)
-def _float_weights(t: int, table, *args) -> dict[int, tuple[float, ...]]:
-    """table(t, *args), one of the exact weight tables, in floats."""
-    return {y: tuple(map(float, w)) for y, w in table(t, *args).items()}
 
 
 # the exact table of each reading of MIXED_METHODS, as (table, *args)
@@ -395,7 +521,7 @@ _READINGS = {
 
 
 def _dot(weights: tuple[float, ...], r: tuple[float, ...]) -> float:
-    return float(sum(w * v for w, v in zip(weights, r)))
+    return float(sum(map(operator.mul, weights, r)))
 
 
 def _as_pauli(r) -> tuple[float, float, float, float]:
@@ -414,7 +540,7 @@ def _as_pauli(r) -> tuple[float, float, float, float]:
 
 def _prob(y: int, t: int, r, table, *args) -> float:
     pauli = _as_pauli(r)
-    weights = _float_weights(t, table, *args).get(y)
+    weights = table(t, *args).floats.get(y)
     return _dot(weights, pauli) if weights is not None else 0.0
 
 
@@ -435,11 +561,13 @@ def distribution_mixed(t: int, r, mode: str = "consistent") -> Distribution:
     table, "literal" evaluates the compact closed form. The weights are
     exact, but each site is their float dot product with r, so the
     distribution is labelled mode "double" and carries no exact values."""
+    t = operator.index(t)
     if t < 0:
         raise ValueError("t must be non-negative")
     if mode not in MIXED_METHODS:
         raise ValueError(f"unknown mixed mode {mode!r}")
     pauli = _as_pauli(r)
-    table = _float_weights(t, *_READINGS[mode])
-    probs = {y: _dot(table[y], pauli) for y in range(-t, t + 1)}
+    table, *args = _READINGS[mode]
+    weights = table(t, *args).floats
+    probs = {y: _dot(weights[y], pauli) for y in range(-t, t + 1)}
     return Distribution(probs, t=t, method=f"mixed-{mode}", mode="double")

@@ -214,16 +214,28 @@ class TestWeightTables:
         one, zero = SqrtTwoComplex.one(), SqrtTwoComplex.zero()
         psi0 = PureState.localized(0, one, zero)
         psi1 = PureState.localized(0, zero, one)
-        for t in range(61):
-            table = pipeline_weights(t, "consistent")
-            assert set(table) == set(range(-t, t + 1))
-            for y, weights in table.items():
-                (a0, b0), (a1, b1) = psi0.amplitude(y), psi1.amplitude(y)
-                n0, n1 = a0.abs_sq() + b0.abs_sq(), a1.abs_sq() + b1.abs_sq()
-                cross = a0.conjugate() * a1 + b0.conjugate() * b1
-                want = (n0 + n1, 2 * cross.re, -2 * cross.im, n0 - n1)
-                assert tuple(SqrtTwo(w) for w in weights) == want, (t, y)
+        checked = {*range(61), 89, 120, 160}
+        for t in range(161):
+            if t in checked:
+                table = pipeline_weights(t, "consistent")
+                assert set(table) == set(range(-t, t + 1))
+                for y, weights in table.items():
+                    (a0, b0), (a1, b1) = psi0.amplitude(y), psi1.amplitude(y)
+                    n0, n1 = a0.abs_sq() + b0.abs_sq(), a1.abs_sq() + b1.abs_sq()
+                    cross = a0.conjugate() * a1 + b0.conjugate() * b1
+                    want = (n0 + n1, 2 * cross.re, -2 * cross.im, n0 - n1)
+                    assert tuple(SqrtTwo(w) for w in weights) == want, (t, y)
             psi0, psi1 = (evolve_pure(psi, hadamard, 1) for psi in (psi0, psi1))
+
+    def test_pipeline_literal_table_is_consistent_with_r1_r2_swapped(self):
+        # the kernel-table statement of test_literal_is_consistent_with_r1_r2_swapped,
+        # checked on the exact tables
+        for t in (*range(61), 160):
+            cons = pipeline_weights(t, "consistent")
+            plit = pipeline_weights(t, "literal")
+            assert set(plit) == set(cons)
+            for y, (w0, w1, w2, w3) in cons.items():
+                assert plit[y] == (w0, w2, w1, w3), (t, y)
 
     def test_consistent_t3_weights(self):
         assert pipeline_weights(3, "consistent")[1] == (
@@ -245,6 +257,34 @@ class TestWeightTables:
             pipeline_weights(-1, "consistent")
         with pytest.raises(ValueError):
             literal_weights(-2)
+
+    def test_numpy_integer_t_reads_as_int(self):
+        # past t = 61 a numpy int64 reaching 1 << (t + 2) would overflow
+        t, r = 70, (0.5, 0.1, 0.2, 0.15)
+        for mode in MIXED_METHODS:
+            got = distribution_mixed(np.int64(t), r, mode)
+            assert type(got.t) is int
+            assert dict(got.items()) == dict(distribution_mixed(t, r, mode).items())
+        pipeline_weights.cache_clear()
+        literal_weights.cache_clear()
+        assert pipeline_weights(np.int64(t), "literal") == pipeline_weights(t, "literal")
+        assert literal_weights(np.int64(t)) == literal_weights(t)
+        assert pipeline_weights.cache_info().currsize == literal_weights.cache_info().currsize == 1
+        assert prob_pipeline(2, np.int64(t), r) == prob_pipeline(2, t, r)
+        assert prob_literal(2, np.int64(t), r) == prob_literal(2, t, r)
+
+    def test_float_t_rejected_even_when_its_int_is_cached(self):
+        r = (0.5, 0.1, 0.2, 0.15)
+        for query in (
+            lambda t: pipeline_weights(t, "consistent"),
+            literal_weights,
+            lambda t: distribution_mixed(t, r, "consistent"),
+            lambda t: prob_pipeline(0, t, r),
+            lambda t: prob_literal(0, t, r),
+        ):
+            query(2)
+            with pytest.raises(TypeError):
+                query(2.0)
 
 
 class TestBasePolynomials:
@@ -268,10 +308,22 @@ class TestBasePolynomials:
                 assert f == f_explicit(_QUARTIC, m - j), (m, j)
 
     def test_window_is_tail_of_full_sequence(self):
-        for t in range(41):
+        for t in (*range(41), 60, 100, 160):
             seq = f_sequence(_QUARTIC, t)
             tail = tuple(_Poly2.lift(f) for f in reversed(seq[-4:]))
             assert _f_window(t) == tail, t
+
+    def test_slot_bound_holds_every_coefficient(self):
+        # the packed run reads each coefficient from a slot of
+        # _slot_width(t) bits; one that outgrew it would first show at large
+        # t, so the bound is checked against the reference polynomials
+        seq = f_sequence(_QUARTIC, 160)
+        for t in range(161):
+            bound = closedform_mixed._coefficient_bound(t)
+            assert bound < 1 << (closedform_mixed._slot_width(t) - 1)
+            for j in range(min(t, 3) + 1):
+                terms = _Poly2.lift(seq[t - j]).terms
+                assert max(map(abs, terms.values())) <= bound, (t, j)
 
     def test_cold_build_holds_only_the_window(self):
         # the full f_0 .. f_100 sequence alone peaks at about 5 MB
