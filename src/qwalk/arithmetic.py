@@ -32,7 +32,8 @@ state's common denominator D (``SqrtTwoComplex.numerators``) times a power
 of 2. Direct stepping holds them in integer arrays over D 2^t (over D
 alone when every coin entry is integral); the closed form holds them as
 ``DyadicComplex`` values, numerators over 2^k that no operation reduces. Neither takes a gcd in its loops: each site is brought
-to lowest terms once, at the output, by ``SqrtTwoComplex.from_numerators``.
+to lowest terms once, at the output, by ``SqrtTwoComplex.from_numerators``
+(or its |alpha|^2 + |beta|^2 by ``SqrtTwo.from_numerators``).
 """
 
 from __future__ import annotations
@@ -236,6 +237,12 @@ class SqrtTwo:
     @classmethod
     def from_rational(cls, value) -> "SqrtTwo":
         return cls(value, 0)
+
+    @classmethod
+    def from_numerators(cls, p: int, q: int, d: int) -> "SqrtTwo":
+        """(p + q*sqrt(2)) / d for d > 0, brought to lowest terms by one
+        gcd."""
+        return _ring(p, q, d)
 
     @property
     def a(self) -> Fraction:
@@ -607,6 +614,13 @@ class DyadicComplex:
 
     def conjugate(self) -> "DyadicComplex":
         return DyadicComplex(self.p, self.q, -self.r, -self.s, self.k)
+
+    def abs_sq(self) -> "DyadicComplex":
+        """|z|^2, real, over 2^(2k), unreduced."""
+        p, q, r, s = self.p, self.q, self.r, self.s
+        return DyadicComplex(
+            p * p + r * r + 2 * (q * q + s * s), 2 * (p * q + r * s), 0, 0, 2 * self.k
+        )
 
     def __repr__(self) -> str:
         return f"DyadicComplex({self.p}, {self.q}, {self.r}, {self.s}, k={self.k})"

@@ -77,16 +77,25 @@ tail, where it decays, the recurrence would amplify its rounding (by
 ``TestRowSweeps`` checks them exactly in Fractions against the Horner
 sums, for every d at t <= 60, 301 and 400 on seven values of c2.
 
-Which path a row takes is set by the call. A full distribution
-(``distribution``) needs every d, and in ``exact`` and ``adaptive`` mode
-takes them all from the three sweeps, about 1.5t recurrence steps in
-place of about 1.5t Horner rows of up to t/2 terms. A point query
-(``amplitude``) needs three rows per kernel and sums each by Horner's
-rule, which costs less than the sweeps would: in fixed point at
-theta = 0.9 the three rows of the centre kernel took 0.86 ms at t = 300
-and 3.7 ms at t = 600, the three sweeps 3.2 and 13.5 ms, and a kernel
-nearer the edge has shorter rows. ``double`` keeps Horner everywhere, so
-its precision cliff stays demonstrable.
+The closed form runs in three stages over ds, the distances d = x - x'
+from the sources to the sites asked for that lie on the light cone at
+the parity of t (``_site_sums``). ``_rows`` makes one dict of the row
+values that the kernels read, keyed (alpha_ft, |d|), (alpha_cos, d) and
+(alpha_cos, -d) for each d, an empty row (alpha_cos at d = t) stored as
+0. A full distribution (``distribution``) needs every d, and in
+``exact`` and ``adaptive`` mode takes them all from the three sweeps,
+about 1.5t recurrence steps in place of about 1.5t Horner rows of up to
+t/2 terms. A point query (``amplitude``) needs three rows per kernel
+and sums each by Horner's rule, which costs less than the sweeps would:
+in fixed point at theta = 0.9 the three rows of the centre kernel took
+0.86 ms at t = 300 and 3.7 ms at t = 600, the three sweeps 3.2 and
+13.5 ms, and a kernel nearer the edge has shorter rows. ``double`` keeps
+Horner everywhere, so its precision cliff stays demonstrable.
+``_kernels`` reads the dict by index into one table {d: K_t(d)}, so a
+key the rows did not make raises, and ``_site`` sums K_t(x - x') times
+each source's pair. So a full distribution makes each R and each kernel
+once, and a point query at one site from one source at most 3 rows and
+one kernel.
 
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
 only), ``adaptive`` (fixed-point integers, precision sized from the largest
@@ -102,8 +111,9 @@ kernels; a mode only supplies the scalars and the rules that make P
   kernel entries and the site sums) is a ``DyadicComplex``: four integer
   numerators of Z[sqrt(2)][i] over a power of 2, which sums align and
   products multiply and no operation reduces. The sources are lifted as
-  their numerators over their common denominator D, and each amplitude
-  is brought to lowest terms once, over D 2^k, at the end;
+  their numerators over their common denominator D, and each amplitude,
+  or each site's |alpha|^2 + |beta|^2 in a distribution, is brought to
+  lowest terms once, over D 2^k, at the end;
 * adaptive: P on Python integers in fixed point, c2 taken as the wp-bit
   integer floor(c2 2^wp) with wp the working precision, so the
   coefficients enter exactly. Every value after that (R, cos, sin,
@@ -133,21 +143,15 @@ and |R| is at most about 1/|sin(theta)|, so these steps add a few units
 of 2^-wp, far below the rows' own error. A value below 2^-wp becomes 0;
 that happens only at the light-cone edge when |cos(theta)| is small,
 where cos^h0 is tiny, and stays inside the same envelope.
-
-The powers of cos in the float modes (and in adaptive mode of chi), the
-row values R and the kernels K_t(d) are made on first use and memoised
-for the rest of the call, so a full distribution fills every R (Rft at
-each |d|, Rc at each d) before any site is summed and builds each kernel
-once for all its sources and sites, and a single-site query sums 3 rows
-per kernel it needs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -191,7 +195,7 @@ class _Family(NamedTuple):
 
 # The paper's six term families. Only alpha_ft and alpha_cos are summed:
 # the other four rows equal +-these, at d or at -d (module docstring), and
-# _Scalars.kernel builds all four kernel entries from the three values
+# _kernels builds all four kernel entries from the three values
 # R(alpha_ft, |d|), R(alpha_cos, d) and R(alpha_cos, -d). The other
 # entries stay as the spec that admissible_terms, term_coefficient and
 # coefficient_row serve and the tests check the identities against.
@@ -211,19 +215,23 @@ def admissible_terms(x: int, t: int, xp: int, family: str) -> Iterator[int]:
     A term survives iff every factorial argument is a non-negative integer;
     equivalently h has the right parity and clears the family's offsets.
     """
-    fam = FAMILIES.get(family)
-    if fam is None:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    d = x - xp
+    h0 = _first_h(t, family, x - xp)
+    if h0 is not None:
+        yield from range(h0, t - FAMILIES[family].dt + 1, 2)
+
+
+def _first_h(t: int, family: str, d: int) -> int | None:
+    """The first admissible h of the (family, d) group at time t, or None
+    if the group is empty: where every row starts, stated once."""
+    fam = FAMILIES[family]
     m = t - fam.dt
-    if m < 0:
-        return
-    if (fam.p0 + d - m) % 2:
-        return
+    if m < 0 or (fam.p0 + d - m) % 2:
+        return None
     h0 = max(0, -(fam.p0 + d), d - fam.q0)
     h0 += (m - h0) % 2
-    for h in range(h0, m + 1, 2):
-        yield h
+    return h0 if h0 <= m else None
 
 
 def term_coefficient(t: int, family: str, d: int, h: int) -> int:
@@ -280,7 +288,7 @@ def coefficient_row(t: int, family: str, d: int) -> list[int]:
     -c (n + 1) a / ((p + 1)(q + 1)), an exact division. The last h of a
     row is always t - dt.
     """
-    h0 = next(admissible_terms(d, t, 0, family), None)
+    h0 = _first_h(t, family, d)
     if h0 is None:
         return []
     fam = FAMILIES[family]
@@ -380,7 +388,7 @@ def _integer_rows(t: int, num: int, shift: int, unit: int, finish: Callable):
 
     def sweep():
         return {
-            (family, d): finish(n, next(admissible_terms(d, t, 0, family)))
+            (family, d): finish(n, _first_h(t, family, d))
             for (family, d), n in _sweep_rows(t, num, 1 << shift, 1 << unit).items()
         }
 
@@ -433,81 +441,23 @@ def _fixed_point_rows(cos: mpmath.mpf, wp: int, t: int):
 
 @dataclass(frozen=True)
 class _Scalars:
-    """Every factor of the closed form in one arithmetic mode's number type.
-
-    Row values and kernels are made on first use and kept in ``memo`` for
-    the rest of the call, so a full distribution computes each once and a
-    point query pays only for what it needs. ``sweep`` fills in every row
-    value at once, before the first kernel is built.
-    """
+    """One arithmetic mode's constants and its rules for making row values."""
 
     t: int
     cos: object
     sin: object
     ephi1: object
     chi_pow: Callable    # e -> chi^e, a function of e alone
-    lift: Callable       # source amplitude (or 0) -> the mode's complex type
+    lift: Callable       # source amplitude -> the mode's complex type
+    zero: object         # 0 in the mode's complex type
     evaluate: Callable   # (integer row, its first h) -> R
     sweep: Callable | None   # () -> {(family, d): R} for every d; None in double
-    memo: dict = field(default_factory=dict)
-
-    def _cached(self, key, make):
-        try:
-            return self.memo[key]
-        except KeyError:
-            value = self.memo[key] = make()
-            return value
-
-    def row_value(self, family: str, d: int):
-        """sum_h term_coefficient(t, family, d, h) cos^h over one group's
-        admissible h (the cos_plus factor left out), or 0 if it has none."""
-
-        def make():
-            row = coefficient_row(self.t, family, d)
-            if not row:
-                return 0
-            h0 = self.t - FAMILIES[family].dt - 2 * (len(row) - 1)
-            return self.evaluate(row, h0)
-
-        return self._cached((family, d), make)
-
-    def kernel(self, d: int):
-        """The 2x2 propagator K_t(d) as ((K_aa, K_ab), (K_ba, K_bb)), or
-        None off the light cone or at the wrong parity."""
-
-        def make():
-            t = self.t
-            if abs(d) > t or (t - d) % 2:
-                return None
-            # the three row values of the module docstring: Rft, Rc, S
-            ft = self.row_value("alpha_ft", abs(d))
-            if d < 0 and t % 2:
-                ft = -ft
-            rc = self.row_value("alpha_cos", d)
-            s = self.row_value("alpha_cos", -d)
-            if t % 2 == 0:
-                s = -s
-            chi_e = self.chi_pow((t - d) // 2)
-            return (
-                (chi_e * (ft + self.cos * rc),
-                 self.ephi1 * chi_e * (self.sin * s)),
-                (self.ephi1.conjugate() * chi_e * (self.sin * rc),
-                 chi_e * (ft - self.cos * s)),
-            )
-
-        return self._cached(("kernel", d), make)
 
 
 def _lift_dyadic(denominator: int) -> Callable:
-    """Source amplitude (a ring element, or 0) -> its numerators over the
-    call's common denominator, as a DyadicComplex with k = 0."""
-
-    def lift(z) -> DyadicComplex:
-        if isinstance(z, int):
-            return DyadicComplex(z * denominator, 0, 0, 0, 0)
-        return DyadicComplex(*z.numerators(denominator), 0)
-
-    return lift
+    """Source amplitude (a ring element) -> its numerators over the call's
+    common denominator, as a DyadicComplex with k = 0."""
+    return lambda z: DyadicComplex(*z.numerators(denominator), 0)
 
 
 def _expj(angle: Angle) -> complex:
@@ -529,7 +479,7 @@ def _fixed(value, wp: int) -> FixedComplex:
 
 
 def _lift_fixed(wp: int) -> Callable:
-    """Source amplitude (complex, or 0) -> FixedComplex, each part rounded
+    """Source amplitude (complex) -> FixedComplex, each part rounded
     down to a multiple of 2^-wp (exactly, whatever the float's exponent)."""
 
     def part(x) -> int:
@@ -573,6 +523,7 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
         # chi is an eighth root of unity, so chi^e = chi^(e mod 8)
         phases = [DyadicComplex.of(params.chi_exact() ** e) for e in range(8)]
         chi_pow, lift = lambda e: phases[e % 8], _lift_dyadic(denominator)
+        zero = DyadicComplex(0, 0, 0, 0, 0)
     elif mode == "adaptive":
         wp = mpmath.mp.prec
         th = params.theta.mp_radians()
@@ -582,20 +533,58 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
         ephi1 = _fixed(_mp_expj(params.phi1), wp)
         phi_sum = params.phi1.mp_radians() + params.phi2.mp_radians()
         chi_pow, lift = _powers(_fixed(mpmath.expj(phi_sum), wp)), _lift_fixed(wp)
+        zero = FixedComplex(0, 0, wp)
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
         chi_pow, ephi1 = params.chi.__pow__, _expj(params.phi1)
-        lift, evaluate, sweep = complex, _float_horner(cos), None
-    return _Scalars(t, cos, sin, ephi1, chi_pow, lift, evaluate, sweep)
+        lift, zero, evaluate, sweep = complex, 0j, _float_horner(cos), None
+    return _Scalars(t, cos, sin, ephi1, chi_pow, lift, zero, evaluate, sweep)
 
 
-def _site(x: int, sources: list, s: _Scalars):
-    """(alpha_x(t), beta_x(t)) in the bundle's number type: the sum over
-    source sites x' of K_t(x - x') applied to the source's pair."""
-    alpha = beta = s.lift(0)
+def _rows(s: _Scalars, ds, sweep: bool) -> dict:
+    """Stage 1: {(family, d): R} with every key that the kernels at the
+    distances ds read, an empty row stored as 0. With ``sweep`` and a mode
+    that has sweeps, every row comes from them, and the one empty row on
+    the light cone, alpha_cos at d = t, is stated; otherwise each row is
+    summed by Horner's rule."""
+    t = s.t
+    if sweep and s.sweep is not None:
+        return {**s.sweep(), ("alpha_cos", t): 0}
+    rows = {}
+    for d in ds:
+        for key in (("alpha_ft", abs(d)), ("alpha_cos", d), ("alpha_cos", -d)):
+            if key not in rows:
+                h0 = _first_h(t, *key)
+                rows[key] = 0 if h0 is None else s.evaluate(coefficient_row(t, *key), h0)
+    return rows
+
+
+def _kernels(s: _Scalars, ds, rows: dict) -> dict:
+    """Stage 2: {d: K_t(d)} for the distances ds, each kernel as
+    ((K_aa, K_ab), (K_ba, K_bb)), from the three row values of the module
+    docstring, Rft, Rc and S, read from ``rows``."""
+    t, kernels = s.t, {}
+    for d in ds:
+        ft = -rows["alpha_ft", abs(d)] if d < 0 and t % 2 else rows["alpha_ft", abs(d)]
+        rc = rows["alpha_cos", d]
+        sn = -rows["alpha_cos", -d] if t % 2 == 0 else rows["alpha_cos", -d]
+        chi_e = s.chi_pow((t - d) // 2)
+        kernels[d] = (
+            (chi_e * (ft + s.cos * rc), s.ephi1 * chi_e * (s.sin * sn)),
+            (s.ephi1.conjugate() * chi_e * (s.sin * rc), chi_e * (ft - s.cos * sn)),
+        )
+    return kernels
+
+
+def _site(x: int, sources: list, kernels: dict, zero):
+    """Stage 3: (alpha_x(t), beta_x(t)), starting from ``zero``: the sum
+    over source sites x' of K_t(x - x') applied to the source's pair, where
+    a distance without a kernel is off the light cone or at the wrong
+    parity."""
+    alpha = beta = zero
     for xp, (a, b) in sources:
-        k = s.kernel(x - xp)
+        k = kernels.get(x - xp)
         if k is not None:
             alpha = alpha + k[0][0] * a + k[0][1] * b
             beta = beta + k[1][0] * a + k[1][1] * b
@@ -611,15 +600,10 @@ def _abs_sq(z: complex) -> float:
         return math.inf
 
 
-def _amplitudes(
-    xs, t: int, init: PureState, params: CoinParams, mode: str, sweep: bool = False
-) -> list:
-    """Amplitude pairs at the sites xs: ring elements in exact mode,
-    complex otherwise. The bundle and the working precision are set up
-    once for all sites. With ``sweep`` (a full distribution) the exact and
-    adaptive modes make every row value by the sweeps before any site is
-    summed; otherwise each row a kernel needs is summed by Horner's rule.
-    """
+def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str, sweep: bool):
+    """(pairs, D): the amplitude pairs at the sites xs by the three stages,
+    in the mode's number type (the start itself at t = 0), D being the
+    common denominator of an exact start's amplitudes and 1 otherwise."""
     if t < 0:
         raise ValueError("t must be non-negative")
     if mode not in MODES:
@@ -633,22 +617,30 @@ def _amplitudes(
     else:
         init = init.to_float()
     if t == 0:
-        return [init.amplitude(x) for x in xs]
+        lift = _lift_dyadic(denominator) if mode == "exact" else lambda z: z
+        return [tuple(map(lift, init.amplitude(x))) for x in xs], denominator
     if mode == "adaptive":
         precision = mpmath.workprec(working_precision(t)[0])
     else:
         precision = nullcontext()
     with precision:
         s = _scalars(params, t, mode, denominator)
-        if sweep and s.sweep:
-            s.memo.update(s.sweep())
         sources = [
             (xp, (s.lift(alpha), s.lift(beta)))
             for xp, (alpha, beta) in init.amplitudes.items()
         ]
-        pairs = [_site(x, sources, s) for x in xs]
+        ds = {x - xp for x in xs for xp, _ in sources} & set(range(-t, t + 1, 2))
+        kernels = _kernels(s, ds, _rows(s, ds, sweep))
+        return [_site(x, sources, kernels, s.zero) for x in xs], denominator
+
+
+def _amplitudes(
+    xs, t: int, init: PureState, params: CoinParams, mode: str, sweep: bool = False
+) -> list:
+    """Amplitude pairs at the sites xs: ring elements in exact mode, each
+    reduced once over D 2^k, complex otherwise."""
+    pairs, denominator = _site_sums(xs, t, init, params, mode, sweep)
     if mode == "exact":
-        # each site reduced once, over the common denominator times 2^k
         ring = SqrtTwoComplex.from_numerators
         return [
             tuple(ring(z.p, z.q, z.r, z.s, denominator << z.k) for z in pair)
@@ -669,9 +661,10 @@ def amplitude(
     """Amplitude pair (alpha_x(t), beta_x(t)) by the closed form.
 
     Returns ring elements in exact mode, complex otherwise. Positions
-    outside the light cone give exact zeros.
+    outside the light cone give exact zeros. ``x`` and ``t`` are integers
+    (numpy integers included); anything else raises TypeError.
     """
-    (pair,) = _amplitudes((x,), t, init, params, mode)
+    (pair,) = _amplitudes((operator.index(x),), operator.index(t), init, params, mode)
     return pair
 
 
@@ -682,20 +675,26 @@ def distribution(
     mode: str = "adaptive",
 ) -> Distribution:
     """Closed-form distribution on the full light-cone span of the initial
-    support, parity-forbidden sites included as exact zeros.
+    support, parity-forbidden sites included as exact zeros. ``t`` is an
+    integer (numpy integers included); anything else raises TypeError.
 
     In the float modes a RuntimeWarning reports a total probability that
     is not within NORM_TOLERANCE (relative) of the initial norm: the sums
     have then lost their precision, as ``double`` does past t ~ 40, or
     left the float range (an inf or NaN total).
     """
+    t = operator.index(t)
     lo, hi = init.span
     grid = range(lo - t, hi + t + 1)
-    pairs = zip(grid, _amplitudes(grid, t, init, params, mode, sweep=True))
     if mode == "exact":
-        exact = {x: a.abs_sq() + b.abs_sq() for x, (a, b) in pairs}
+        pairs, denominator = _site_sums(grid, t, init, params, mode, sweep=True)
+        exact = {}
+        for x, (a, b) in zip(grid, pairs):
+            n = a.abs_sq() + b.abs_sq()
+            exact[x] = SqrtTwo.from_numerators(n.p, n.q, denominator**2 << n.k)
         probs = {x: float(v) for x, v in exact.items()}
         return Distribution(probs, t=t, method="closed-form", mode="exact", exact=exact)
+    pairs = zip(grid, _amplitudes(grid, t, init, params, mode, sweep=True))
     probs = {x: _abs_sq(a) + _abs_sq(b) for x, (a, b) in pairs}
     dist = Distribution(probs, t=t, method="closed-form", mode=mode)
     # a plain sum, as fsum raises where finite terms overflow it; "not

@@ -29,6 +29,7 @@ sum_ab rho_ab <psi_b(y)|psi_a(y)> at each site y.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +179,9 @@ def step(state: PureState, params: CoinParams) -> PureState:
 
 
 def evolve_pure(init: PureState, params: CoinParams, t: int) -> PureState:
+    """The state after t steps; ``t`` is an integer (numpy integers
+    included), anything else raises TypeError."""
+    t = operator.index(t)
     if t < 0:
         raise ValueError("t must be non-negative")
     if t == 0:
@@ -217,6 +221,7 @@ def evolve_mixed(
     eighth-turn coin stays exact, with the weights r0 +- r3 lifted by
     Fraction; otherwise the walks and the form are in floats.
     """
+    t = operator.index(t)
     diag = validate_state(state)
     if not diag.valid:
         raise ValueError(f"invalid mixed state: {diag.violations}")

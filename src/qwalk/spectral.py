@@ -17,6 +17,7 @@ the forward sum is n * ifft and the inverse is fft / n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,8 +123,10 @@ def evolve_spectral(
     """Full pipeline, returning amplitudes on the light-cone window.
 
     An explicit ring must hold the whole window lo - t .. hi + t, or the
-    walk would wrap onto itself.
+    walk would wrap onto itself. ``t`` is an integer (numpy integers
+    included); anything else raises TypeError.
     """
+    t = operator.index(t)
     lo, hi = init.span
     if n is None:
         n = ring_size(t, max(abs(lo), abs(hi)))
@@ -140,6 +143,7 @@ def simulate(
     init: PureState, params: CoinParams, t: int, n: int | None = None,
     power: str = "horner",
 ) -> Distribution:
+    t = operator.index(t)
     state = evolve_spectral(init, params, t, n=n, power=power)
     amps = np.abs(np.array(list(state.amplitudes.values()))) ** 2
     probs = dict(zip(state.support, (amps[:, 0] + amps[:, 1]).tolist()))

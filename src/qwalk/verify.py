@@ -212,8 +212,8 @@ def reachable_parities(initial, t: int) -> set[int]:
 
 def check_plan(params: CoinParams, initial, methods, mode: str) -> None:
     """Raise ValueError for methods or a mode that the coin and the initial
-    state do not admit. ``evaluate``, the comparisons and ``WalkConfig``
-    all check here before any route runs."""
+    state do not admit, or for a method named twice. ``evaluate``, the
+    comparisons and ``WalkConfig`` all check here before any route runs."""
     mixed = isinstance(initial, MixedLocalizedState)
     valid = MIXED_COMPARE_METHODS if mixed else PURE_METHODS
     bad = [m for m in methods if m not in valid]
@@ -222,6 +222,9 @@ def check_plan(params: CoinParams, initial, methods, mode: str) -> None:
             f"method: {bad} not valid for a {'mixed' if mixed else 'pure'} walk "
             f"(choose from {list(valid)})"
         )
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"method: {repeated} named more than once")
     closed = [m for m in methods if m in closedform_mixed.MIXED_METHODS]
     if closed and params != CoinParams.hadamard():
         raise ValueError(
@@ -322,11 +325,12 @@ def _compare(
     route and time each method, then run the gates."""
     if t < 0:
         raise ValueError("t must be non-negative")
+    methods = tuple(methods)
     check_plan(params, initial, methods, mode)
     report = ComparisonReport(
         kind="mixed" if isinstance(initial, MixedLocalizedState) else "pure",
         t=t,
-        methods=tuple(methods),
+        methods=methods,
         tolerances=tolerances or Tolerances(),
     )
     dists: dict[str, Distribution] = {}

@@ -167,6 +167,20 @@ class TestRun:
         assert None in written["probabilities"].values()
         assert None in report["distributions"]["closed-form"].values()
 
+    def test_repeated_method_rejected(self, tmp_path, capsys, monkeypatch):
+        # "direct,direct" used to exit 0 with "passed": true and an empty
+        # pairwise_tv, by flag and by config alike
+        monkeypatch.setattr(verify, "_route", lambda *a: pytest.fail("a route ran"))
+        ok = write_config(tmp_path, "ok.json", pure_doc(method="direct,closed-form"))
+        twice = write_config(tmp_path, "twice.json", pure_doc(method="direct,direct"))
+        out = str(tmp_path / "o")
+        for argv in (["--config", ok, "--method", "direct,direct"], ["--config", twice]):
+            assert main(["compare", *argv, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert "method: ['direct'] named more than once" in err
+            assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.json", "twice.json"]
+
     def test_missing_config_flag(self, capsys):
         assert main(["run"]) == 2
         assert "--config PATH is required" in capsys.readouterr().err

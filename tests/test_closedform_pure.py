@@ -1,20 +1,24 @@
+import collections
 import math
 import random
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from mpmath.libmp import to_fixed
 
 from conftest import random_params, random_state
 from fractions import Fraction
 
-from qwalk import arithmetic
+from qwalk import arithmetic, closedform_pure
 from qwalk.arithmetic import DyadicComplex, FixedComplex, SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_pure import (
     FAMILIES,
     MODES,
     _amplitudes,
+    _kernels,
+    _rows,
     _scalars,
     _site,
     _sweep_rows,
@@ -284,6 +288,31 @@ class TestStructure:
         with pytest.raises(ValueError, match="non-negative"):
             distribution(-1, plus_i, hadamard)
 
+    def test_numpy_integer_t_and_x_read_as_int(self, hadamard, plus_i):
+        # t = 64 is past a 63-bit shift: a numpy int64 t made the exact
+        # distribution's unit 1 << (t // 2) wrap to a NaN total, and raised
+        # OverflowError in adaptive mode
+        t = 64
+        for mode in MODES:
+            init = plus_i if mode == "exact" else plus_i.to_float()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # double may be past its cliff
+                got = distribution(np.int64(t), init, hadamard, mode)
+                want = distribution(t, init, hadamard, mode)
+            assert type(got.t) is int and got.probs == want.probs, mode
+            assert got.exact == want.exact, mode
+            for x in (-t, -2, 0, 10, t):
+                got = amplitude(np.int64(x), np.int64(t), init, hadamard, mode)
+                assert got == amplitude(x, t, init, hadamard, mode), (mode, x)
+
+    def test_float_t_and_x_rejected(self, hadamard, plus_i):
+        with pytest.raises(TypeError):
+            distribution(2.0, plus_i, hadamard)
+        with pytest.raises(TypeError):
+            amplitude(0, 2.0, plus_i, hadamard)
+        with pytest.raises(TypeError):
+            amplitude(0.0, 2, plus_i, hadamard)
+
     def test_exact_mode_preconditions(self, hadamard):
         float_init = PureState.localized(0, 0.6, 0.8)
         with pytest.raises(ValueError, match="ring-valued"):
@@ -455,6 +484,62 @@ _EVERY_SITE_CASES = pytest.mark.parametrize(
 )
 
 
+class TestRowPaths:
+    # which path makes the rows is set by traffic: a point query (about
+    # ten per t in the pure-long benchmark) sums its few rows by Horner and
+    # would pay for a whole sweep otherwise; a full exact or adaptive
+    # distribution takes every row from one set of sweeps, which read only
+    # their outermost rows; double sums every row by Horner
+    PARAMS = CoinParams.make("3/4 pi", "1/4 pi", "1/2 pi")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("_sweep_rows", "coefficient_row"):
+
+            def counted(*args, _name=name, _call=getattr(closedform_pure, name)):
+                counts[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(closedform_pure, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_point_query_makes_at_most_three_rows(self, calls, mode):
+        init = _RING_STARTS[0] if mode == "exact" else _RING_STARTS[0].to_float()
+        for x in (-60, -6, 0, 2, 58, 60):
+            calls.clear()
+            amplitude(x, 60, init, self.PARAMS, mode)
+            assert calls["_sweep_rows"] == 0, x
+            assert 0 < calls["coefficient_row"] <= 3, x
+
+    @pytest.mark.parametrize("mode", ["exact", "adaptive"])
+    def test_distribution_sweeps_once(self, calls, mode):
+        init = _RING_STARTS[2] if mode == "exact" else _RING_STARTS[2].to_float()
+        distribution(60, init, self.PARAMS, mode)
+        assert calls["_sweep_rows"] == 1
+        assert 0 < calls["coefficient_row"] <= 6
+
+    def test_a_row_the_sweeps_miss_raises(self, monkeypatch):
+        # the kernels index the rows, so a gap in the sweeps cannot fall
+        # back to Horner unseen
+        sweep = closedform_pure._sweep_rows
+
+        def with_gap(*args):
+            rows = sweep(*args)
+            del rows["alpha_cos", 0]
+            return rows
+
+        monkeypatch.setattr(closedform_pure, "_sweep_rows", with_gap)
+        with pytest.raises(KeyError):
+            distribution(60, _RING_STARTS[0], self.PARAMS, "exact")
+
+    def test_double_never_sweeps(self, calls, hadamard, plus_i):
+        distribution(20, plus_i.to_float(), hadamard, "double")
+        assert calls["_sweep_rows"] == 0
+        assert calls["coefficient_row"] > 0
+
+
 class TestAdaptiveAgainstExact:
     # on the eighth-turn grid the exact closed form is the truth; the
     # fixed-point kernels and site sums must land within 1e-15 of it,
@@ -491,11 +576,13 @@ class TestAdaptiveAgainstExact:
             sources = [
                 (xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()
             ]
-            for d in range(-t, t + 1, 2):
-                for entry in (e for row in s.kernel(d) for e in row):
+            ds = range(-t, t + 1, 2)
+            kernels = _kernels(s, ds, _rows(s, ds, sweep=False))
+            for d in ds:
+                for entry in (e for row in kernels[d] for e in row):
                     assert type(entry) is FixedComplex and entry.wp == wp, d
             for x in _every_site(init, t):
-                for value in _site(x, sources, s):
+                for value in _site(x, sources, kernels, s.zero):
                     assert type(value) is FixedComplex and value.wp == wp, x
 
     def test_exact_kernels_and_sites_stay_dyadic(self):
@@ -507,11 +594,13 @@ class TestAdaptiveAgainstExact:
         sources = [(xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()]
         beta = sources[2][1][1]  # 1/3 - sqrt2/5 at x' = 3
         assert (beta.p, beta.q, beta.r, beta.s, beta.k) == (20, -12, 0, 0, 0)
-        for d in range(-t, t + 1, 2):
-            for entry in (e for row in s.kernel(d) for e in row):
+        ds = range(-t, t + 1, 2)
+        kernels = _kernels(s, ds, _rows(s, ds, sweep=False))
+        for d in ds:
+            for entry in (e for row in kernels[d] for e in row):
                 assert type(entry) is DyadicComplex, d
         for x in _every_site(init, t):
-            for value in _site(x, sources, s):
+            for value in _site(x, sources, kernels, s.zero):
                 assert type(value) is DyadicComplex, x
 
 

@@ -115,6 +115,26 @@ class TestEvolvePure:
         with pytest.raises(ValueError):
             evolve_pure(plus_i, hadamard, -1)
 
+    def test_numpy_integer_t_reads_as_int(self, hadamard, plus_i):
+        # t = 64 is past a 63-bit shift: a numpy int64 reaching the
+        # exact walk's scale ** t overflowed or divided by zero
+        t = 64
+        for init in (plus_i, plus_i.to_float()):
+            got = evolve_pure(init, hadamard, np.int64(t))
+            assert got.amplitudes == evolve_pure(init, hadamard, t).amplitudes
+        for rho in ((0.5, 0.0, 0.0, 0.2), (0.5, 0.1, 0.2, 0.15)):
+            state = MixedLocalizedState.from_pauli(*rho)
+            got = evolve_mixed(state, hadamard, np.int64(t))
+            want = evolve_mixed(state, hadamard, t)
+            assert type(got.t) is int and got.probs == want.probs
+            assert got.exact == want.exact
+
+    def test_float_t_rejected(self, hadamard, plus_i):
+        with pytest.raises(TypeError):
+            evolve_pure(plus_i, hadamard, 2.0)
+        with pytest.raises(TypeError):
+            evolve_mixed(MixedLocalizedState.from_pauli(0.5, 0, 0, 0), hadamard, 2.0)
+
     def test_plus_i_t1(self, hadamard, plus_i):
         dist = distribution_of(evolve_pure(plus_i, hadamard, 1), 1)
         assert dist[1] == pytest.approx(0.5)

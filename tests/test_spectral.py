@@ -11,6 +11,7 @@ from qwalk.core import CoinParams, PureState, total_variation
 from qwalk.direct import distribution_of, evolve_pure
 from qwalk.spectral import (
     MomentumField,
+    evolve_spectral,
     forward,
     inverse,
     propagate,
@@ -120,6 +121,18 @@ class TestPropagate:
 
 
 class TestSimulate:
+    def test_numpy_integer_t_reads_as_int(self, hadamard, plus_i):
+        t = 64
+        got = simulate(plus_i, hadamard, np.int64(t))
+        assert type(got.t) is int and got.probs == simulate(plus_i, hadamard, t).probs
+        state = evolve_spectral(plus_i, hadamard, np.int64(t))
+        assert state.amplitudes == evolve_spectral(plus_i, hadamard, t).amplitudes
+
+    def test_float_t_rejected(self, hadamard, plus_i):
+        for route in (simulate, evolve_spectral):
+            with pytest.raises(TypeError):
+                route(plus_i, hadamard, 2.0)
+
     def test_matches_direct_hand_case(self, hadamard, plus_i):
         dist = simulate(plus_i, hadamard, 2)
         assert dist[-2] == pytest.approx(0.25, abs=1e-13)

@@ -117,6 +117,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=rf"\['{method}'\] not valid for a {kind}"):
             verify.evaluate(method, initial, hadamard, 3)
 
+    def test_repeated_method_rejected_before_any_route(self, no_routes, hadamard, plus_i):
+        # compare_pure(..., methods=("direct", "direct")) used to pass with
+        # an empty pairwise_tv: nothing was compared
+        with pytest.raises(ValueError, match=r"\['direct'\] named more than once"):
+            compare_pure(plus_i, hadamard, 4, methods=("direct", "spectral", "direct"))
+        methods = iter(("consistent", "direct", "consistent"))
+        with pytest.raises(ValueError, match=r"\['consistent'\] named more than once"):
+            compare_mixed((0.5, 0, 0, 0), 4, methods=methods)
+
     def test_mixed_closed_form_refuses_other_coins(self, no_routes):
         # both calls used to return the Hadamard table, P(0) = 0.125 at
         # t=6, where direct stepping on this coin gives 0.0982
