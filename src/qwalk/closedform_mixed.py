@@ -200,78 +200,6 @@ def trace_series(mode: str, k: float, kp: float, r) -> list[complex]:
     return out
 
 
-def _add_rows(r: list[int], s: list[int]) -> list[int]:
-    if len(r) < len(s):
-        r, s = s, r
-    return list(map(operator.add, r, s)) + r[len(s):]
-
-
-class _Poly2:
-    """Integer polynomial in X = cos(delta) and Y = cos(sigma): rows[A1][A2]
-    is the coefficient of X^A1 Y^A2.
-
-    It carries just the arithmetic the scalar-generic Horner routines use:
-    sums, and products. A product shifts and scales the longer factor's grid
-    once per nonzero term of the shorter one, so multiplying by a fixed
-    quartic coefficient is a shift-and-add. Rows are never mutated, so
-    results may share them.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: list[list[int]]):
-        self.rows = rows
-
-    @staticmethod
-    def lift(value) -> _Poly2:
-        """An integer as a constant polynomial; polynomials pass through."""
-        return value if isinstance(value, _Poly2) else _Poly2([[value]])
-
-    @property
-    def terms(self) -> dict[tuple[int, int], int]:
-        """{(A1, A2): coefficient} over the nonzero coefficients."""
-        return {
-            (a1, a2): c
-            for a1, row in enumerate(self.rows)
-            for a2, c in enumerate(row)
-            if c
-        }
-
-    def __add__(self, other) -> _Poly2:
-        a, b = self.rows, _Poly2.lift(other).rows
-        if len(a) < len(b):
-            a, b = b, a
-        return _Poly2(list(map(_add_rows, a, b)) + a[len(b):])
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> _Poly2:
-        short, long = sorted((self.rows, _Poly2.lift(other).rows), key=len)
-        total = _Poly2([])
-        for i, short_row in enumerate(short):
-            for j, c in enumerate(short_row):
-                if c:
-                    pad = [0] * j
-                    total += _Poly2(
-                        [[]] * i + [pad + [c * v for v in row] for row in long]
-                    )
-        return total
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return self.terms == _Poly2.lift(other).terms
-
-    def __repr__(self) -> str:
-        return f"_Poly2({self.terms!r})"
-
-
-# Hadamard pair superoperator coefficients (horner.quartic_coeffs) in X, Y:
-# c0 = c2 = X - Y, c1 = 2XY, c3 = -1. The reference the packed run below is
-# tested against.
-_QUARTIC = (_Poly2([[0, -1], [1]]), _Poly2([[], [0, 2]]), _Poly2([[0, -1], [1]]), -1)
-
-
 def _coefficient_bound(t: int) -> int:
     """M_t, with M_n = 2 M_{n-1} + 2 M_{n-2} + 2 M_{n-3} + M_{n-4} and M_0 = 1:
     a bound on the l1 norm, so on every |coefficient|, of each f_n, n <= t.
@@ -346,21 +274,6 @@ def _unpack(packed: int, n: int, t: int) -> list[list[int]]:
             row.append(c)
         rows.append(row)
     return rows
-
-
-def _f_window(t: int) -> tuple[_Poly2, ...]:
-    """(f_t, f_{t-1}, f_{t-2}, f_{t-3}) as polynomials in X, Y, unpacked from
-    the run the tables use; orders below f_0 are left out."""
-    window = []
-    for j, packed in enumerate(_packed_window(t)):
-        n = t - j
-        rows = []
-        for a1, coeffs in enumerate(_unpack(packed, n, t)):
-            row = [0] * (n - a1 + 1)
-            row[(n - a1) % 2 :: 2] = coeffs
-            rows.append(row)
-        window.append(_Poly2(rows))
-    return tuple(window)
 
 
 def _horner_sites(row: list[int]) -> list[int]:
@@ -539,6 +452,7 @@ def _as_pauli(r) -> tuple[float, float, float, float]:
 
 
 def _prob(y: int, t: int, r, table, *args) -> float:
+    y = operator.index(y)
     pauli = _as_pauli(r)
     weights = table(t, *args).floats.get(y)
     return _dot(weights, pauli) if weights is not None else 0.0

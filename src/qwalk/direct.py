@@ -3,14 +3,15 @@
 
 A step applies the coin at every occupied site, then routes the coin-0
 result to x+1 and the coin-1 result to x-1. Both scalar kinds step the
-same way, as array code over the light-cone window (``_stepped``): each
-coin component is one or more arrays over the window, and a step applies
-the coin to their occupied stretch and writes alpha's new arrays one cell
-right and beta's one cell left.
+same way, as array code (``_stepped``) with each coin component in its
+own rest frame: alpha, which moves right, at z = x - s after s steps, and
+beta at y = x + s. So a step moves no cell: it applies the coin in place
+to one stretch of the alpha arrays and one of the beta arrays. A walk
+keeps the parity of x + s, so when every source has one parity a cell
+holds every other site.
 
 * Float stepping, when the state or the coin is off the eighth-turn grid:
-  one complex128 row per component, alpha'[x] = c00 alpha[x-1] +
-  c01 beta[x-1] and beta'[x] = c10 alpha[x+1] + c11 beta[x+1].
+  one complex128 row per component.
 * Exact stepping, when both are on it: every coin entry has a
   denominator dividing 2, so the coin is an integer matrix over a scale
   of 1 or 2 (2 unless every entry is integral). Each component is the four
@@ -68,13 +69,12 @@ def _walk(state: PureState, params: CoinParams, t: int) -> dict:
         return _exact_walk(state.amplitudes, params, t)
     (c00, c01), (c10, c11) = coin_matrix(params).tolist()
 
-    def advance(rows, i, j):
-        # the new beta goes straight into place, so only up is held
-        (alpha, beta), a, b = rows, rows[0][i:j], rows[1][i:j]
+    def advance(rows, a_at, b_at):
+        # the new beta goes straight back in place, so only up is held
+        (alpha, beta), a, b = rows, rows[0][a_at], rows[1][b_at]
         up = c00 * a + c01 * b
-        beta[i - 1 : j - 1] = c10 * a + c11 * b
-        alpha[i + 1 : j + 1] = up
-        alpha[i] = beta[j - 1] = 0
+        beta[b_at] = c10 * a + c11 * b
+        alpha[a_at] = up
 
     return _stepped(state.to_float().amplitudes, t, complex, advance)
 
@@ -86,17 +86,14 @@ def _exact_walk(amps: dict, params: CoinParams, t: int) -> dict:
     cells = {x: a.numerators(denominator) + b.numerators(denominator)
              for x, (a, b) in amps.items()}
 
-    def advance(rows, i, j):
+    def advance(rows, a_at, b_at):
         # every new row is made before the first is written, as each
         # reads all eight
-        w = [row[i:j] for row in rows]
+        stretches = (a_at,) * 4 + (b_at,) * 4
+        w = [row[at] for row, at in zip(rows, stretches)]
         new = [_combination(row, w) for row in coin]
-        for row, value in zip(rows[4:], new[4:]):
-            row[i - 1 : j - 1] = value
-            row[j - 1] = 0
-        for row, value in zip(rows[:4], new[:4]):
-            row[i + 1 : j + 1] = value
-            row[i] = 0
+        for row, at, value in zip(rows, stretches, new):
+            row[at] = value
 
     denominator *= scale**t
     ring = SqrtTwoComplex.from_numerators
@@ -148,29 +145,32 @@ def _combination(row: tuple, w: list) -> np.ndarray:
 
 
 def _stepped(cells: dict, t: int, dtype, advance) -> dict:
-    """The window stepping of both scalar kinds: {x: column} after t steps.
+    """The rest-frame stepping of both scalar kinds: {x: column} after t steps.
 
     A column holds 2k components, the first k riding coin component 0
-    (alpha) and the last k component 1 (beta). Each component is one row,
-    an array over [lo - t, hi + t] whose cell i holds site lo - t + i.
-    After s steps every nonzero cell lies in [lo - s, hi + s], so step
-    s + 1 is advance(rows, i, j) on that stretch [i, j): it applies the
-    coin there, writes alpha's new rows one cell right and beta's one
-    cell left, and zeroes the cell each one leaves behind. Cells off the output
-    sites (wrong parity, or between cones that have not met) hold zeros
-    and are not returned.
+    (alpha) and the last k component 1 (beta). Each is one row, alpha's in
+    the frame z = x - s and beta's in y = x + s, so a step moves no cell.
+    Cell m of every row holds site lo - t + g m after t steps: stride g = 2
+    when every source has lo's parity (the walk keeps the parity of x + s,
+    so no other site is reached) and 1 otherwise. The sites [lo - s, hi + s]
+    after s steps are alpha's cells from lag = 2(t - s)/g on and beta's
+    short of n - lag, so step s + 1 is advance(rows, a_at, b_at), the coin
+    in place on those two stretches. Only light-cone sites are returned.
     """
     lo, hi = min(cells), max(cells)
-    base = lo - t
-    rows = [np.zeros(hi - lo + 2 * t + 1, dtype=dtype) for _ in next(iter(cells.values()))]
+    g = 1 if any((x - lo) % 2 for x in cells) else 2
+    n = (hi - lo + 2 * t) // g + 1
+    rows = [np.zeros(n, dtype=dtype) for _ in next(iter(cells.values()))]
+    k = len(rows) // 2
     for x, column in cells.items():
-        for row, value in zip(rows, column):
-            row[x - base] = value
+        for i, (row, value) in enumerate(zip(rows, column)):
+            row[(x - lo + (2 * t if i < k else 0)) // g] = value
     for s in range(t):
-        advance(rows, t - s, hi - lo + t + s + 1)
+        lag = 2 * (t - s) // g
+        advance(rows, slice(lag, n), slice(0, n - lag))
     columns = list(zip(*(row.tolist() for row in rows)))
     sites = set().union(*(range(x - t, x + t + 1, 2) for x in cells))
-    return {x: columns[x - base] for x in sites}
+    return {x: columns[(x - lo + t) // g] for x in sites}
 
 
 def step(state: PureState, params: CoinParams) -> PureState:

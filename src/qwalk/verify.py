@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -322,7 +323,9 @@ def _compare(
     check_symmetry: bool,
 ) -> ComparisonReport:
     """The loop behind compare_pure and compare_mixed: check the plan once,
-    route and time each method, then run the gates."""
+    route and time each method, then run the gates. ``t`` is an integer
+    (numpy integers included), anything else raises TypeError."""
+    t = operator.index(t)
     if t < 0:
         raise ValueError("t must be non-negative")
     methods = tuple(methods)

@@ -590,3 +590,39 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "usage: qwalk" in done.stdout
+
+
+def test_cli_runs_without_undeclared_modules(tmp_path):
+    # scipy and sympy may be installed but are not dependencies, and the
+    # test tools are not needed at run time: every command must run with
+    # none of them importable
+    src = str(pathlib.Path(qwalk.__file__).resolve().parents[1])
+    hadamard = str(CONFIG_DIR / "hadamard_symmetric_t40.json")
+    commands = [
+        ["run", "--config", hadamard],
+        ["compare", "--config", hadamard, "--method", "direct,spectral,closed-form",
+         "--mode", "exact"],
+        ["compare", "--config", hadamard, "--method", "direct,spectral,closed-form",
+         "--mode", "adaptive"],
+        ["compare", "--config", str(CONFIG_DIR / "mixed_unbiased_t25.json")],
+        ["ft-table"],
+        ["plot-data", "--config", hadamard],
+    ]
+    script = (
+        "import json, sys\n"
+        "for name in ('scipy', 'sympy', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from qwalk import cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    code = cli.main([*argv, '--out', f'{sys.argv[2]}/out{i}'])\n"
+        "    if code:\n"
+        "        sys.exit(f'{argv} exited {code}')\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(list(tmp_path.iterdir())) >= len(commands)

@@ -1,6 +1,9 @@
+from __future__ import annotations
+
 import hashlib
 import json
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -14,9 +17,6 @@ from conftest import random_bloch
 from qwalk import closedform_mixed, verify
 from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_mixed import (
-    _QUARTIC,
-    _Poly2,
-    _f_window,
     KernelTerm,
     KERNELS,
     MIXED_METHODS,
@@ -285,6 +285,103 @@ class TestWeightTables:
             query(2)
             with pytest.raises(TypeError):
                 query(2.0)
+
+    def test_site_must_be_an_integer(self):
+        # a float site used to miss the table (2.5 gave 0.0) or hit an
+        # int's entry (3.0 gave P(3))
+        t, r = 5, (0.5, 0.1, 0.2, 0.15)
+        for prob in (prob_pipeline, prob_literal):
+            for y in (2.5, 3.0):
+                with pytest.raises(TypeError):
+                    prob(y, t, r)
+            assert prob(np.int64(3), t, r) == prob(3, t, r) != 0.0
+
+
+def _add_rows(r: list[int], s: list[int]) -> list[int]:
+    if len(r) < len(s):
+        r, s = s, r
+    return list(map(operator.add, r, s)) + r[len(s):]
+
+
+class _Poly2:
+    """Integer polynomial in X = cos(delta) and Y = cos(sigma): rows[A1][A2]
+    is the coefficient of X^A1 Y^A2.
+
+    It carries just the arithmetic the scalar-generic Horner routines use:
+    sums, and products. A product shifts and scales the longer factor's grid
+    once per nonzero term of the shorter one, so multiplying by a fixed
+    quartic coefficient is a shift-and-add. Rows are never mutated, so
+    results may share them.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: list[list[int]]):
+        self.rows = rows
+
+    @staticmethod
+    def lift(value) -> _Poly2:
+        """An integer as a constant polynomial; polynomials pass through."""
+        return value if isinstance(value, _Poly2) else _Poly2([[value]])
+
+    @property
+    def terms(self) -> dict[tuple[int, int], int]:
+        """{(A1, A2): coefficient} over the nonzero coefficients."""
+        return {
+            (a1, a2): c
+            for a1, row in enumerate(self.rows)
+            for a2, c in enumerate(row)
+            if c
+        }
+
+    def __add__(self, other) -> _Poly2:
+        a, b = self.rows, _Poly2.lift(other).rows
+        if len(a) < len(b):
+            a, b = b, a
+        return _Poly2(list(map(_add_rows, a, b)) + a[len(b):])
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> _Poly2:
+        short, long = sorted((self.rows, _Poly2.lift(other).rows), key=len)
+        total = _Poly2([])
+        for i, short_row in enumerate(short):
+            for j, c in enumerate(short_row):
+                if c:
+                    pad = [0] * j
+                    total += _Poly2(
+                        [[]] * i + [pad + [c * v for v in row] for row in long]
+                    )
+        return total
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        return self.terms == _Poly2.lift(other).terms
+
+    def __repr__(self) -> str:
+        return f"_Poly2({self.terms!r})"
+
+
+# Hadamard pair superoperator coefficients (horner.quartic_coeffs) in X, Y:
+# c0 = c2 = X - Y, c1 = 2XY, c3 = -1. With _Poly2 and f_sequence they are
+# the reference that closedform_mixed's packed run is tested against.
+_QUARTIC = (_Poly2([[0, -1], [1]]), _Poly2([[], [0, 2]]), _Poly2([[0, -1], [1]]), -1)
+
+
+def _f_window(t: int) -> tuple[_Poly2, ...]:
+    """(f_t, f_{t-1}, f_{t-2}, f_{t-3}) as polynomials in X, Y, unpacked from
+    the packed run the tables use; orders below f_0 are left out."""
+    window = []
+    for j, packed in enumerate(closedform_mixed._packed_window(t)):
+        n = t - j
+        rows = []
+        for a1, coeffs in enumerate(closedform_mixed._unpack(packed, n, t)):
+            row = [0] * (n - a1 + 1)
+            row[(n - a1) % 2 :: 2] = coeffs
+            rows.append(row)
+        window.append(_Poly2(rows))
+    return tuple(window)
 
 
 class TestBasePolynomials:

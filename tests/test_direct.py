@@ -56,8 +56,15 @@ def worst_amplitude_gap(amps: dict, ref: dict) -> float:
 
 
 # one source; two of equal parity far enough apart that the cones start
-# disjoint; two of opposite parity; three
-SOURCES = {"one": (0,), "two-even": (-4, 4), "two-odd": (-1, 2), "three": (-3, 0, 5)}
+# disjoint; two of opposite parity; three; two of opposite parity whose
+# cones start disjoint (they meet at t = 8)
+SOURCES = {
+    "one": (0,),
+    "two-even": (-4, 4),
+    "two-odd": (-1, 2),
+    "three": (-3, 0, 5),
+    "far-apart": (-9, 6),
+}
 TIMES = (*range(8), 150, 600)
 
 

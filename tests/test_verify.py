@@ -245,6 +245,21 @@ class TestReportSerialization:
         assert doc["passed"] is True
         assert "distributions" in doc
 
+    def test_numpy_integer_t_reads_as_int(self, hadamard, plus_i):
+        # the routes took a numpy t, but the report kept it and json.dumps
+        # refused it
+        assert compare_pure(plus_i, hadamard, np.int64(10)).to_json() == (
+            compare_pure(plus_i, hadamard, 10).to_json()
+        )
+        r = (0.5, 0, 0, 0)
+        assert compare_mixed(r, np.int64(5)).to_json() == compare_mixed(r, 5).to_json()
+
+    def test_float_t_rejected_before_any_route(self, no_routes, hadamard, plus_i):
+        with pytest.raises(TypeError):
+            compare_pure(plus_i, hadamard, 2.0)
+        with pytest.raises(TypeError):
+            compare_mixed((0.5, 0, 0, 0), 2.0)
+
 
 class TestForbiddenMassHelper:
     def test_counts_wrong_parity_mass(self):
