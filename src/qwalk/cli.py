@@ -9,6 +9,7 @@ config error.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import replace
@@ -207,6 +208,8 @@ def _parse_coeffs(text: str, kind: str, want: int) -> tuple[float, ...]:
         raise ConfigError(f"--coeffs: {exc}") from exc
     if len(values) != want:
         raise ConfigError(f"--coeffs: {kind} needs {want} comma-separated values")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"--coeffs: expected finite numbers, got {text}")
     return values
 
 

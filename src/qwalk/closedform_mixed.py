@@ -441,10 +441,7 @@ def _as_pauli(r) -> tuple[float, float, float, float]:
     """The Pauli components of r, a MixedLocalizedState or four numbers;
     ValueError unless they describe a density matrix."""
     if not isinstance(r, MixedLocalizedState):
-        r = tuple(float(v) for v in r)
-        if len(r) != 4:
-            raise ValueError("expected four Pauli components (r0, r1, r2, r3)")
-        r = MixedLocalizedState(r)
+        r = MixedLocalizedState(tuple(float(v) for v in r))
     diag = validate_state(r)
     if not diag.valid:
         raise ValueError(f"invalid mixed state: {diag.violations}")

@@ -28,7 +28,9 @@ __all__ = ["ConfigError", "MAX_STEPS", "WalkConfig", "parse_amplitude_component"
 
 # The largest step count a config or the --steps flag may ask for. Every
 # route costs at least t^2 site updates, so a larger count is a typo, not
-# a walk, and is refused before any work starts.
+# a walk, and is refused before any work starts. It also bounds the span
+# hi - lo of a pure support, since every route sizes its arrays by
+# hi - lo + 2t.
 MAX_STEPS = 10**6
 
 
@@ -123,6 +125,9 @@ def _parse_pure(entries, where: str) -> PureState:
         beta = _parse_pair(entry.get("beta", 0), f"{here}.beta")
         components.extend([*alpha, *beta])
         sites[x] = (alpha, beta)
+    span = max(sites) - min(sites)
+    if span > MAX_STEPS:
+        raise ConfigError(f"{where}: sites span {span}, above the limit of {MAX_STEPS}")
     # Strings request exact arithmetic; bare ints go along with either
     # side, so an all-integer state (a basis state) is exact too.
     exact = has_string or not has_float

@@ -262,6 +262,10 @@ class MixedLocalizedState:
 
     pauli: tuple[float, float, float, float]
 
+    def __post_init__(self) -> None:
+        if len(self.pauli) != 4:
+            raise ValueError("expected four Pauli components (r0, r1, r2, r3)")
+
     @classmethod
     def from_pauli(cls, r0: float, r1: float, r2: float, r3: float) -> "MixedLocalizedState":
         return cls((float(r0), float(r1), float(r2), float(r3)))

@@ -308,7 +308,7 @@ def compare_mixed(
     Hadamard coin; the closed forms hold for it only, so with any other
     coin ``methods`` may name "direct" alone."""
     if not isinstance(r, MixedLocalizedState):
-        r = MixedLocalizedState.from_pauli(*(float(v) for v in r))
+        r = MixedLocalizedState(tuple(float(v) for v in r))
     params = params or CoinParams.hadamard()
     return _compare(r, params, t, methods, "adaptive", tolerances, False)
 

@@ -468,6 +468,16 @@ class TestFtTable:
         assert main(["ft-table", "--kind", "quartic", "--coeffs", "1,2"]) == 2
         assert "quartic needs 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coeffs", ["nan,inf", "1,-inf", "nan,1"])
+    def test_non_finite_coeffs_refused(self, tmp_path, capsys, coeffs):
+        # it used to exit 0 with a table of nan
+        out = str(tmp_path / "ft")
+        argv = ["ft-table", "--kind", "quad", "--coeffs", coeffs, "--t-max", "3", "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--coeffs: expected finite numbers, got {coeffs}" in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["quad", "quartic"])
     def test_t_max_above_the_limit_refused_before_any_work(
         self, tmp_path, capsys, monkeypatch, kind

@@ -275,6 +275,22 @@ class TestMisc:
             with pytest.raises(ConfigError, match=rf"config.steps: {bad} is above the limit"):
                 WalkConfig.from_dict(base_doc(steps=bad))
 
+    def test_span_limit(self):
+        # every route sizes its arrays by the span, so sites 0 and 10^12
+        # would ask for 10^12 cells; only the parser runs here
+        def doc(far):
+            return base_doc(initial={"pure": [
+                {"x": 0, "alpha": "1/2 sqrt2"}, {"x": far, "beta": "1/2 sqrt2"},
+            ]})
+
+        assert WalkConfig.from_dict(doc(MAX_STEPS)).initial.span == (0, MAX_STEPS)
+        assert WalkConfig.from_dict(doc(-MAX_STEPS)).initial.span == (-MAX_STEPS, 0)
+        for far in (MAX_STEPS + 1, -MAX_STEPS - 1, 10**12):
+            with pytest.raises(
+                ConfigError, match=rf"config.initial.pure: sites span {abs(far)}, above the limit"
+            ):
+                WalkConfig.from_dict(doc(far))
+
     @pytest.mark.parametrize(
         "overrides, where",
         [

@@ -9,15 +9,14 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_params, random_state
 from qwalk.core import CoinParams, PureState, total_variation
 from qwalk.direct import distribution_of, evolve_pure
-from qwalk.spectral import (
-    MomentumField,
-    evolve_spectral,
-    forward,
-    inverse,
-    propagate,
-    ring_size,
-    simulate,
-)
+from qwalk.horner import u_k
+from qwalk.spectral import evolve_spectral, ring_size, simulate
+
+
+def bound_ring(init: PureState, t: int) -> int:
+    """The smallest odd ring that holds the window lo - t .. hi + t."""
+    lo, hi = init.span
+    return (hi - lo + 2 * t + 1) | 1
 
 
 class TestRingSize:
@@ -37,87 +36,115 @@ class TestRingSize:
 
 class TestTransformPair:
     def test_round_trip_identity(self):
+        # at t = 0 the pass is the forward sum followed by the inverse, on
+        # the default ring, the smallest one and an oversized one
         rng = random.Random(3)
+        params = random_params(rng)
         for _ in range(12):
             state = random_state(rng, radius=4)
             lo, hi = state.span
-            back = inverse(forward(state, 21), lo, hi)
-            for x in range(lo, hi + 1):
-                a0, b0 = state.amplitude(x)
-                a1, b1 = back.amplitude(x)
-                assert a1 == pytest.approx(a0, abs=1e-13)
-                assert b1 == pytest.approx(b0, abs=1e-13)
+            for n in (None, bound_ring(state, 0), 21):
+                back = evolve_spectral(state, params, 0, n=n)
+                assert back.support == tuple(range(lo, hi + 1))
+                for x in range(lo, hi + 1):
+                    a0, b0 = state.amplitude(x)
+                    a1, b1 = back.amplitude(x)
+                    assert a1 == pytest.approx(a0, abs=1e-13)
+                    assert b1 == pytest.approx(b0, abs=1e-13)
 
     def test_forward_matches_defining_sum(self):
-        # alpha~_j = sum_x e^{+i k_j x} alpha_x, with negative sites, on the
-        # smallest admissible ring and on an oversized one
+        # the pass is alpha~_j = sum_x e^{+i k_j x} alpha_x, then u(-k_j)^t,
+        # then alpha_x = (1/n) sum_j e^{-i k_j x} alpha~_j; with negative
+        # sites, with sites away from the origin, on the smallest admissible
+        # ring and on an oversized one
         rng = random.Random(5)
-        state = PureState({
-            x: (complex(rng.gauss(0, 1), rng.gauss(0, 1)),
-                complex(rng.gauss(0, 1), rng.gauss(0, 1)))
-            for x in (-4, -3, -1, 0, 2)
-        })
-        for n in (9, 101):
-            field = forward(state, n)
-            ks = 2.0 * math.pi * np.arange(n) / n
-            for comp, got in enumerate((field.alpha, field.beta)):
-                want = sum(
-                    np.exp(1j * ks * x) * pair[comp]
+        params = random_params(rng)
+        t = 3
+        for sites in ((-4, -3, -1, 0, 2), (7, 8, 10)):
+            state = PureState({
+                x: (complex(rng.gauss(0, 1), rng.gauss(0, 1)),
+                    complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+                for x in sites
+            })
+            lo, hi = state.span
+            for n in (bound_ring(state, t), 101):
+                ks = 2.0 * math.pi * np.arange(n) / n
+                modes = sum(
+                    np.exp(1j * ks * x)[:, None] * np.array(pair)
                     for x, pair in state.amplitudes.items()
                 )
-                assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_inverse_matches_defining_sum(self):
-        # alpha_x = (1/n) sum_j e^{-i k_j x} alpha~_j on a window wider
-        # than the ring, where the sum repeats with period n
-        rng = np.random.default_rng(7)
-        n = 7
-        alpha, beta = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-        field = MomentumField(n, alpha, beta)
-        state = inverse(field, -12, 10)
-        assert state.support == tuple(range(-12, 11))
-        for x in range(-12, 11):
-            phase = np.exp(-1j * field.ks * x)
-            a, b = state.amplitude(x)
-            assert abs(a - phase @ alpha / n) < 1e-13
-            assert abs(b - phase @ beta / n) < 1e-13
+                modes = np.einsum(
+                    "jab,jb->ja", np.linalg.matrix_power(u_k(params, -ks), t), modes
+                )
+                got = evolve_spectral(state, params, t, n=n)
+                for x in range(lo - t, hi + t + 1):
+                    want = np.exp(-1j * ks * x) @ modes / n
+                    assert np.max(np.abs(np.array(got.amplitude(x)) - want)) < 1e-12
 
     def test_even_ring_rejected(self):
-        with pytest.raises(ValueError, match="must be odd"):
-            forward(PureState.localized(0, 1.0, 0.0), 8)
+        init = PureState.localized(0, 1.0, 0.0)
+        for route in (simulate, evolve_spectral):
+            with pytest.raises(ValueError, match="must be odd"):
+                route(init, CoinParams.hadamard(), 0, n=8)
 
     def test_too_small_ring_rejected(self):
+        # five steps from one site need 11 sites, wherever the site is
         state = PureState.localized(5, 1.0, 0.0)
         with pytest.raises(ValueError, match="too small"):
-            forward(state, 9)
+            evolve_spectral(state, CoinParams.hadamard(), 5, n=9)
 
-    def test_exact_state_accepted(self, plus_i):
-        field = forward(plus_i, 5)
-        assert field.n == 5
+    def test_far_site_on_the_smallest_ring(self, hadamard):
+        # a ring only has to hold the window: site 5 at t = 2 fits in 5 sites
+        init = PureState.localized(5, 1.0, 0.0)
+        want = simulate(init, hadamard, 2)
+        got = simulate(init, hadamard, 2, n=5)
+        assert got.positions == want.positions
+        for x in want.positions:
+            assert got[x] == pytest.approx(want[x], abs=1e-15)
+
+    def test_exact_state_accepted(self, hadamard, plus_i):
+        back = evolve_spectral(plus_i, hadamard, 0, n=5)
+        assert back.support == (0,)
+        assert back.amplitude(0) == pytest.approx(plus_i.to_float().amplitude(0), abs=1e-15)
 
 
 class TestPropagate:
     def test_t_zero_is_identity(self, hadamard, plus_i):
-        field = forward(plus_i, 7)
-        out = propagate(field, hadamard, 0)
-        assert np.allclose(out.alpha, field.alpha)
-        assert np.allclose(out.beta, field.beta)
+        want = plus_i.to_float().amplitude(0)
+        for power in ("horner", "repeated"):
+            got = evolve_spectral(plus_i, hadamard, 0, n=7, power=power)
+            assert got.amplitude(0) == pytest.approx(want, abs=1e-15)
+            assert simulate(plus_i, hadamard, 0, n=7, power=power)[0] == pytest.approx(1.0)
 
     def test_mode_norms_preserved(self, hadamard):
+        # on the smallest ring the window is the whole ring, so the mode
+        # norms |alpha~_j|^2 + |beta~_j|^2 can be read from the output
         rng = random.Random(7)
-        field = forward(random_state(rng), 31)
-        out = propagate(field, hadamard, 9)
-        before = np.abs(field.alpha) ** 2 + np.abs(field.beta) ** 2
-        after = np.abs(out.alpha) ** 2 + np.abs(out.beta) ** 2
-        assert np.allclose(after, before)
+        init = random_state(rng)
+        t = 9
+        n = bound_ring(init, t)
+
+        def mode_norms(state):
+            ring = np.zeros((2, n), dtype=complex)
+            for x, pair in state.amplitudes.items():
+                ring[:, x % n] = pair
+            return np.sum(np.abs(np.fft.ifft(ring)) ** 2, axis=0)
+
+        for power in ("horner", "repeated"):
+            out = evolve_spectral(init, hadamard, t, n=n, power=power)
+            assert len(out.support) == n
+            assert np.allclose(mode_norms(out), mode_norms(init))
 
     def test_bad_power_name(self, hadamard, plus_i):
-        with pytest.raises(ValueError, match="unknown power method"):
-            propagate(forward(plus_i, 5), hadamard, 1, power="schur")
+        for route in (simulate, evolve_spectral):
+            with pytest.raises(ValueError, match="unknown power method"):
+                route(plus_i, hadamard, 1, n=5, power="schur")
 
     def test_negative_t(self, hadamard, plus_i):
-        with pytest.raises(ValueError):
-            propagate(forward(plus_i, 5), hadamard, -1)
+        for route in (simulate, evolve_spectral):
+            for n in (None, 5):
+                with pytest.raises(ValueError, match="non-negative"):
+                    route(plus_i, hadamard, -1, n=n)
 
 
 class TestSimulate:
@@ -214,6 +241,22 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+    def test_far_site_is_the_origin_walk_shifted(self, hadamard):
+        # the ring is sized by the support, not by its distance from 0: at
+        # x = 10^5 it used to take a 72 MB ring for a 3-step walk
+        far = 10**5
+        want = simulate(PureState.localized(0, 0.6, 0.8j), hadamard, 3)
+        tracemalloc.start()
+        try:
+            got = simulate(PureState.localized(far, 0.6, 0.8j), hadamard, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
+        assert got.positions == tuple(x + far for x in want.positions)
+        for x in want.positions:
+            assert got[x + far] == pytest.approx(want[x], abs=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=12))

@@ -126,6 +126,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\['consistent'\] named more than once"):
             compare_mixed((0.5, 0, 0, 0), 4, methods=methods)
 
+    @pytest.mark.parametrize("r", [(0.5, 0, 0), (0.5, 0, 0, 0, 0)], ids=["3", "5"])
+    def test_pauli_vector_length_checked_before_any_route(self, no_routes, r):
+        # three components used to raise TypeError from from_pauli
+        with pytest.raises(ValueError, match=r"expected four Pauli components \(r0, r1, r2, r3\)"):
+            compare_mixed(r, 3)
+
     def test_mixed_closed_form_refuses_other_coins(self, no_routes):
         # both calls used to return the Hadamard table, P(0) = 0.125 at
         # t=6, where direct stepping on this coin gives 0.0982
