@@ -3,7 +3,7 @@
 Subcommands: run (one walk, CSV + JSON), compare (multi-method report),
 ft-table (recurrence coefficient tables), plot-data (SVG and gnuplot
 output). Exit codes: 0 success, 1 verification failure, 2 usage or
-config error.
+config error, or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import replace
 
 from .closedform_pure import working_precision
-from .config import MAX_STEPS, ConfigError, WalkConfig
+from .config import ConfigError, WalkConfig, parse_methods, parse_steps
 from .core import Distribution
 from .horner import f_explicit, f_sequence
 from .verify import (
@@ -90,42 +90,56 @@ def _out_base(args, cfg: WalkConfig | None, default: str) -> str:
     return base
 
 
+def _write(base: str, texts: dict[str, str]) -> str:
+    """Write each text to base + its suffix, in order, and return the
+    "wrote A and B" line. A file that cannot be written is a ConfigError,
+    so the command exits 2; exit 1 is kept for a failed check."""
+    paths = []
+    for suffix, text in texts.items():
+        path = base + suffix
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        paths.append(path)
+    return "wrote " + " and ".join(paths)
+
+
 def _load_config(args) -> WalkConfig:
     if not args.config:
         raise ConfigError("--config PATH is required")
     cfg = WalkConfig.from_file(args.config)
     overrides = {}
     if args.method:
-        methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
-        if not methods:
-            raise ConfigError("--method: no method named")
-        overrides["methods"] = methods
+        overrides["methods"] = parse_methods(args.method, "--method")
     if args.steps is not None:
-        if args.steps < 0:
-            raise ConfigError("--steps must be non-negative")
-        if args.steps > MAX_STEPS:
-            raise ConfigError(f"--steps {args.steps} is above the limit of {MAX_STEPS}")
-        overrides["steps"] = args.steps
+        overrides["steps"] = parse_steps(args.steps, "--steps")
     if args.mode:
         overrides["mode"] = args.mode
     # WalkConfig checks the overridden plan as it checks the file's
     return replace(cfg, **overrides)
 
 
-def cmd_run(args) -> int:
+def _one_walk(args) -> tuple[WalkConfig, Distribution]:
+    """The config and the distribution of its one method, for run and
+    plot-data."""
     cfg = _load_config(args)
     if len(cfg.methods) != 1:
-        raise ConfigError("run takes exactly one method (use compare for several)")
-    dist = evaluate(cfg.methods[0], cfg.initial, cfg.params, cfg.steps, cfg.mode)
+        raise ConfigError(
+            f"{args.command} takes exactly one method (use compare for several)"
+        )
+    return cfg, evaluate(cfg.methods[0], cfg.initial, cfg.params, cfg.steps, cfg.mode)
+
+
+def cmd_run(args) -> int:
+    cfg, dist = _one_walk(args)
     parities = reachable_parities(cfg.initial, cfg.steps)
     pairs = [(x, dist[x]) for x in _csv_positions(dist, parities)]
-    base = _out_base(args, cfg, "qwalk-run")
-    csv_path, json_path = base + ".csv", base + ".json"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(emit_distribution_csv(pairs))
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(emit_distribution_json(dist, pairs))
-    print(f"wrote {csv_path} and {json_path}")
+    print(_write(_out_base(args, cfg, "qwalk-run"), {
+        ".csv": emit_distribution_csv(pairs),
+        ".json": emit_distribution_json(dist, pairs),
+    }))
     return 0
 
 
@@ -151,9 +165,7 @@ def cmd_compare(args) -> int:
             tolerances=cfg.tolerances,
         )
     base = _out_base(args, cfg, "qwalk-compare")
-    path = base + ".json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
+    wrote = _write(base, {".json": report.to_json() + "\n"})
     # wall times vary from run to run, so they stay out of the report
     for name, seconds in report.timings.items():
         print(f"time {name}: {seconds:.6f} s", file=sys.stderr)
@@ -184,11 +196,11 @@ def cmd_compare(args) -> int:
             return 1
         for msg in literal_failures:
             print(f"expected discrepancy confirmed: {msg}")
-        print(f"wrote {path}")
+        print(wrote)
         return 0
     for msg in failures:
         print(f"FAIL {msg}", file=sys.stderr)
-    print(f"wrote {path}")
+    print(wrote)
     return 1 if failures else 0
 
 
@@ -234,11 +246,8 @@ def cmd_ft_table(args) -> int:
             f"{t},{format_probability(e.real)},{format_probability(rec.real)},"
             f"{format_probability(diff)}"
         )
-    base = _out_base(args, None, "qwalk-ft")
-    path = base + ".csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {path} (coeffs: {', '.join(format_probability(v) for v in values)})")
+    wrote = _write(_out_base(args, None, "qwalk-ft"), {".csv": "\n".join(lines) + "\n"})
+    print(f"{wrote} (coeffs: {', '.join(format_probability(v) for v in values)})")
     return 0
 
 
@@ -332,23 +341,16 @@ def render_svg(pairs, title: str = "") -> str:
 
 
 def cmd_plot_data(args) -> int:
-    cfg = _load_config(args)
-    if len(cfg.methods) != 1:
-        raise ConfigError("plot-data takes exactly one method")
-    dist = evaluate(cfg.methods[0], cfg.initial, cfg.params, cfg.steps, cfg.mode)
+    cfg, dist = _one_walk(args)
     if args.drop_forbidden_sites:
         xs = _csv_positions(dist, reachable_parities(cfg.initial, cfg.steps))
     else:
         xs = sorted(dist.positions)
     pairs = [(x, dist[x]) for x in xs]
-    base = _out_base(args, cfg, "qwalk-plot")
-    svg_path, dat_path = base + ".svg", base + ".dat"
-    title = f"{dist.method}, t={dist.t}"
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(pairs, title))
-    with open(dat_path, "w", encoding="utf-8") as fh:
-        fh.write(emit_gnuplot(pairs))
-    print(f"wrote {svg_path} and {dat_path}")
+    print(_write(_out_base(args, cfg, "qwalk-plot"), {
+        ".svg": render_svg(pairs, f"{dist.method}, t={dist.t}"),
+        ".dat": emit_gnuplot(pairs),
+    }))
     return 0
 
 

@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
 
-from .core import Distribution, MixedLocalizedState, validate_state
+from .core import Distribution, step_count, valid_mixed_state
 
 __all__ = [
     "half_binom",
@@ -351,8 +351,6 @@ def _weights(t: int, kernels: tuple[KernelTerm, ...]) -> _DyadicTable:
     are accumulated separately; their total is asserted to vanish exactly
     (this is the recomputation of the claimed kernel cancellations).
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
     sums = _a1_sums(t)
     # An identity entry (a, b) selects A1 - y + (a-b)/2 through the delta
     # integral and A2 + (a+b)/2 through the sigma one. Fold every
@@ -396,14 +394,14 @@ def _weights(t: int, kernels: tuple[KernelTerm, ...]) -> _DyadicTable:
 
 
 def _cached_on_t(build):
-    """lru_cache over (t, ...), with t passed through operator.index before
-    it becomes a key: a numpy integer never reaches a shift, and a float t
-    raises TypeError instead of finding an int's entry."""
+    """lru_cache over (t, ...), with t passed through step_count before it
+    becomes a key: a numpy integer never reaches a shift, a float t raises
+    TypeError instead of finding an int's entry, and a negative t is refused."""
     cached = lru_cache(maxsize=None)(build)
 
     @wraps(build)
     def lookup(t, *args, **kwargs):
-        return cached(operator.index(t), *args, **kwargs)
+        return cached(step_count(t), *args, **kwargs)
 
     lookup.cache_info = cached.cache_info
     lookup.cache_clear = cached.cache_clear
@@ -437,20 +435,9 @@ def _dot(weights: tuple[float, ...], r: tuple[float, ...]) -> float:
     return float(sum(map(operator.mul, weights, r)))
 
 
-def _as_pauli(r) -> tuple[float, float, float, float]:
-    """The Pauli components of r, a MixedLocalizedState or four numbers;
-    ValueError unless they describe a density matrix."""
-    if not isinstance(r, MixedLocalizedState):
-        r = MixedLocalizedState(tuple(float(v) for v in r))
-    diag = validate_state(r)
-    if not diag.valid:
-        raise ValueError(f"invalid mixed state: {diag.violations}")
-    return r.pauli
-
-
 def _prob(y: int, t: int, r, table, *args) -> float:
     y = operator.index(y)
-    pauli = _as_pauli(r)
+    pauli = valid_mixed_state(r).pauli
     weights = table(t, *args).floats.get(y)
     return _dot(weights, pauli) if weights is not None else 0.0
 
@@ -472,12 +459,10 @@ def distribution_mixed(t: int, r, mode: str = "consistent") -> Distribution:
     table, "literal" evaluates the compact closed form. The weights are
     exact, but each site is their float dot product with r, so the
     distribution is labelled mode "double" and carries no exact values."""
-    t = operator.index(t)
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t = step_count(t)
     if mode not in MIXED_METHODS:
         raise ValueError(f"unknown mixed mode {mode!r}")
-    pauli = _as_pauli(r)
+    pauli = valid_mixed_state(r).pauli
     table, *args = _READINGS[mode]
     weights = table(t, *args).floats
     probs = {y: _dot(weights[y], pauli) for y in range(-t, t + 1)}

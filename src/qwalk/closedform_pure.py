@@ -166,7 +166,7 @@ from .arithmetic import (
     SqrtTwoComplex,
     precision_for,
 )
-from .core import CoinParams, Distribution, PureState
+from .core import CoinParams, Distribution, PureState, step_count
 
 __all__ = [
     "FAMILIES",
@@ -604,8 +604,6 @@ def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str, sweep
     """(pairs, D): the amplitude pairs at the sites xs by the three stages,
     in the mode's number type (the start itself at t = 0), D being the
     common denominator of an exact start's amplitudes and 1 otherwise."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     denominator = 1
@@ -664,7 +662,7 @@ def amplitude(
     outside the light cone give exact zeros. ``x`` and ``t`` are integers
     (numpy integers included); anything else raises TypeError.
     """
-    (pair,) = _amplitudes((operator.index(x),), operator.index(t), init, params, mode)
+    (pair,) = _amplitudes((operator.index(x),), step_count(t), init, params, mode)
     return pair
 
 
@@ -683,7 +681,7 @@ def distribution(
     have then lost their precision, as ``double`` does past t ~ 40, or
     left the float range (an inf or NaN total).
     """
-    t = operator.index(t)
+    t = step_count(t)
     lo, hi = init.span
     grid = range(lo - t, hi + t + 1)
     if mode == "exact":

@@ -24,7 +24,14 @@ from .closedform_pure import MODES
 from .core import CoinParams, MixedLocalizedState, PureState, validate_state
 from .verify import Tolerances, check_plan
 
-__all__ = ["ConfigError", "MAX_STEPS", "WalkConfig", "parse_amplitude_component"]
+__all__ = [
+    "ConfigError",
+    "MAX_STEPS",
+    "WalkConfig",
+    "parse_amplitude_component",
+    "parse_steps",
+    "parse_methods",
+]
 
 # The largest step count a config or the --steps flag may ask for. Every
 # route costs at least t^2 site updates, so a larger count is a typo, not
@@ -36,6 +43,32 @@ MAX_STEPS = 10**6
 
 class ConfigError(ValueError):
     """Invalid configuration file or flag combination."""
+
+
+def parse_steps(value, label: str) -> int:
+    """A step count from a config or a flag: an int (not a bool), at least 0
+    and at most MAX_STEPS. ``label`` leads each message, as "config.steps:"
+    or "--steps"."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{label} expected a non-negative integer")
+    if value > MAX_STEPS:
+        raise ConfigError(f"{label} {value} is above the limit of {MAX_STEPS}")
+    return value
+
+
+def parse_methods(value, label: str) -> tuple[str, ...]:
+    """Method names from a comma-separated string or a list of strings, at
+    least one of them. ``label`` leads each message, as "config.method" or
+    "--method"."""
+    if isinstance(value, str):
+        methods = tuple(m.strip() for m in value.split(",") if m.strip())
+    elif isinstance(value, list) and all(isinstance(m, str) for m in value):
+        methods = tuple(value)
+    else:
+        raise ConfigError(f"{label}: expected a name or list of names")
+    if not methods:
+        raise ConfigError(f"{label}: no method named")
+    return methods
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
@@ -197,8 +230,7 @@ def _parse_mixed(spec, where: str) -> MixedLocalizedState:
 def _validated(state, where: str, what: str):
     diag = validate_state(state)
     if not diag.valid:
-        problems = "; ".join(f"{code}: {msg}" for code, msg, _ in diag.violations)
-        raise ConfigError(f"{where}: not a valid {what} ({problems})")
+        raise ConfigError(f"{where}: not a valid {what} ({diag.summary})")
     return state
 
 
@@ -277,21 +309,8 @@ class WalkConfig:
         else:
             initial = _parse_mixed(spec["mixed"], "config.initial.mixed")
 
-        steps = doc["steps"]
-        if not isinstance(steps, int) or isinstance(steps, bool) or steps < 0:
-            raise ConfigError("config.steps: expected a non-negative integer")
-        if steps > MAX_STEPS:
-            raise ConfigError(f"config.steps: {steps} is above the limit of {MAX_STEPS}")
-
-        method = doc.get("method", "direct")
-        if isinstance(method, str):
-            methods = tuple(m.strip() for m in method.split(",") if m.strip())
-        elif isinstance(method, list) and all(isinstance(m, str) for m in method):
-            methods = tuple(method)
-        else:
-            raise ConfigError("config.method: expected a name or list of names")
-        if not methods:
-            raise ConfigError("config.method: no method named")
+        steps = parse_steps(doc["steps"], "config.steps:")
+        methods = parse_methods(doc.get("method", "direct"), "config.method")
         mode = doc.get("mode", "adaptive")
         if mode not in MODES:
             raise ConfigError(f"config.mode: expected one of {list(MODES)}")

@@ -16,6 +16,7 @@ which is unitary for every (theta, phi1, phi2). The Hadamard coin is
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -35,6 +36,8 @@ __all__ = [
     "pauli_decompose",
     "pauli_compose",
     "validate_state",
+    "step_count",
+    "valid_mixed_state",
     "total_variation",
     "max_pointwise_difference",
 ]
@@ -362,6 +365,11 @@ class StateDiagnostics:
     def valid(self) -> bool:
         return not self.violations
 
+    @property
+    def summary(self) -> str:
+        """The violations as "code: message" parts joined by "; "."""
+        return "; ".join(f"{code}: {msg}" for code, msg, _ in self.violations)
+
 
 def validate_state(state) -> StateDiagnostics:
     """Diagnose a PureState or MixedLocalizedState.
@@ -396,3 +404,23 @@ def validate_state(state) -> StateDiagnostics:
     else:
         raise TypeError(f"cannot validate {type(state).__name__}")
     return StateDiagnostics(tuple(issues))
+
+
+def step_count(t) -> int:
+    """t as an int: TypeError unless it is an integer (numpy integers
+    included), ValueError if it is negative. Every route checks here."""
+    t = operator.index(t)
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    return t
+
+
+def valid_mixed_state(r) -> MixedLocalizedState:
+    """r, a MixedLocalizedState or four Pauli numbers (r0, r1, r2, r3), as a
+    MixedLocalizedState; ValueError unless it is a density matrix."""
+    if not isinstance(r, MixedLocalizedState):
+        r = MixedLocalizedState(tuple(float(v) for v in r))
+    diag = validate_state(r)
+    if not diag.valid:
+        raise ValueError(f"invalid mixed state: {diag.summary}")
+    return r

@@ -30,7 +30,6 @@ sum_ab rho_ab <psi_b(y)|psi_a(y)> at each site y.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 
 import numpy as np
@@ -43,7 +42,8 @@ from .core import (
     PureState,
     coin_matrix,
     coin_matrix_exact,
-    validate_state,
+    step_count,
+    valid_mixed_state,
 )
 
 __all__ = ["step", "evolve_pure", "distribution_of", "evolve_mixed"]
@@ -181,9 +181,7 @@ def step(state: PureState, params: CoinParams) -> PureState:
 def evolve_pure(init: PureState, params: CoinParams, t: int) -> PureState:
     """The state after t steps; ``t`` is an integer (numpy integers
     included), anything else raises TypeError."""
-    t = operator.index(t)
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t = step_count(t)
     if t == 0:
         return init
     return PureState(_walk(init, params, t))
@@ -221,13 +219,8 @@ def evolve_mixed(
     eighth-turn coin stays exact, with the weights r0 +- r3 lifted by
     Fraction; otherwise the walks and the form are in floats.
     """
-    t = operator.index(t)
-    diag = validate_state(state)
-    if not diag.valid:
-        raise ValueError(f"invalid mixed state: {diag.violations}")
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    r0, r1, r2, r3 = state.pauli
+    r0, r1, r2, r3 = valid_mixed_state(state).pauli
+    t = step_count(t)
     exact = r1 == 0.0 and r2 == 0.0 and params.exact_capable
     if exact:
         one, zero, lift = SqrtTwoComplex.one(), SqrtTwoComplex.zero(), Fraction

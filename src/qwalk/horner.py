@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import CoinParams, coin_matrix
+from .core import CoinParams, coin_matrix, step_count
 
 __all__ = [
     "partitions",
@@ -128,9 +128,7 @@ def matrix_power(m: np.ndarray, coeffs: Sequence, t: int) -> np.ndarray:
     """M^t = sum_{j<r} f_{t-j} M_j, for one matrix or a stack, from its
     characteristic coefficients. Holds only the last r values of f; the
     terms with t - j < 0 are zero and left out."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    window = deque(_f_terms(coeffs, t), maxlen=len(coeffs))
+    window = deque(_f_terms(coeffs, step_count(t)), maxlen=len(coeffs))
     terms = [
         _stacked(f) * mj for f, mj in zip(reversed(window), horner_basis(m, coeffs))
     ]

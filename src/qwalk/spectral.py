@@ -22,11 +22,10 @@ has c = 0 and runs the operations of x mod n bit for bit.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
-from .core import CoinParams, Distribution, PureState
+from .core import CoinParams, Distribution, PureState, step_count
 from .horner import u_k, u_k_power
 
 __all__ = ["ring_size", "evolve_spectral", "simulate"]
@@ -40,16 +39,17 @@ def ring_size(t: int, support_radius: int) -> int:
 
 def _window(
     init: PureState, params: CoinParams, t: int, n: int | None, power: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The window lo - t .. hi + t and its two coin amplitudes after t steps.
+) -> tuple[int, range, np.ndarray, np.ndarray]:
+    """The checked step count, the window lo - t .. hi + t and its two coin
+    amplitudes after t steps.
 
     power="horner" uses the Fibonacci-Horner identity at order two,
     u^t = f_t I + f_{t-1} (u - c0 I); "repeated" multiplies the one-step
     matrix t times and is kept as the reference the tests hold it to.
+    The ring is indexed by offsets from c in Python ints, so a site past
+    the int64 range reaches numpy only as its small offset.
     """
-    t = operator.index(t)
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t = step_count(t)
     if power not in ("repeated", "horner"):
         raise ValueError(f"unknown power method {power!r}")
     state = init.to_float()
@@ -65,7 +65,8 @@ def _window(
     elif n % 2 == 0:
         raise ValueError("ring size must be odd")
     ring = np.zeros((2, n), dtype=complex)
-    ring[:, (np.array(state.support) - c) % n] = np.array(list(state.amplitudes.values())).T
+    sites = [(x - c) % n for x in state.support]
+    ring[:, sites] = np.array(list(state.amplitudes.values())).T
     vecs = np.stack(n * np.fft.ifft(ring), axis=-1)[..., None]
     ks = 2.0 * math.pi * np.arange(n) / n
     if power == "horner":
@@ -74,9 +75,9 @@ def _window(
         m = u_k(params, -ks)
         for _ in range(t):
             vecs = m @ vecs
-    xs = np.arange(lo - t, hi + t + 1)
-    alpha, beta = np.fft.fft(vecs[..., 0].T)[:, (xs - c) % n] / n
-    return xs, alpha, beta
+    window = np.arange(lo - c - t, hi - c + t + 1) % n
+    alpha, beta = np.fft.fft(vecs[..., 0].T)[:, window] / n
+    return t, range(lo - t, hi + t + 1), alpha, beta
 
 
 def evolve_spectral(
@@ -86,15 +87,14 @@ def evolve_spectral(
     """Amplitudes on the window lo - t .. hi + t. An explicit ring n must be
     odd and hold the whole window, or the walk would wrap onto itself. ``t``
     is an integer (numpy integers included); anything else raises TypeError."""
-    xs, alpha, beta = _window(init, params, t, n, power)
-    return PureState(dict(zip(xs.tolist(), zip(alpha.tolist(), beta.tolist()))))
+    _, xs, alpha, beta = _window(init, params, t, n, power)
+    return PureState(dict(zip(xs, zip(alpha.tolist(), beta.tolist()))))
 
 
 def simulate(
     init: PureState, params: CoinParams, t: int, n: int | None = None,
     power: str = "horner",
 ) -> Distribution:
-    t = operator.index(t)
-    xs, alpha, beta = _window(init, params, t, n, power)
+    t, xs, alpha, beta = _window(init, params, t, n, power)
     probs = (np.abs(alpha) ** 2 + np.abs(beta) ** 2).tolist()
-    return Distribution(dict(zip(xs.tolist(), probs)), t=t, method="spectral", mode="double")
+    return Distribution(dict(zip(xs, probs)), t=t, method="spectral", mode="double")

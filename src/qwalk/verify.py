@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
 
 import numpy as np
@@ -29,7 +28,9 @@ from .core import (
     MixedLocalizedState,
     PureState,
     max_pointwise_difference,
+    step_count,
     total_variation,
+    valid_mixed_state,
 )
 
 __all__ = [
@@ -115,25 +116,16 @@ class ComparisonReport:
         return not self.failures
 
     def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
-            "kind": self.kind,
-            "t": self.t,
-            "methods": list(self.methods),
-            "tolerances": asdict(self.tolerances),
-            "pairwise_tv": dict(self.pairwise_tv),
-            "pairwise_pointwise": dict(self.pairwise_pointwise),
-            "normalization_error": dict(self.normalization_error),
-            "forbidden_mass": dict(self.forbidden_mass),
-            "symmetry_defect": self.symmetry_defect,
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "distributions": {
-                m: {str(x): p for x, p in sorted(d.items())}
-                for m, d in self.distributions.items()
-            },
+        # asdict deep-copies value by value, which for the distributions
+        # would cost more than the rest of the report
+        out = asdict(replace(self, distributions={}))
+        out["passed"] = self.passed
+        out["distributions"] = {
+            m: {str(x): p for x, p in sorted(d.items())}
+            for m, d in self.distributions.items()
         }
-        if include_timings:
-            out["timings"] = dict(self.timings)
+        if not include_timings:
+            del out["timings"]
         return out
 
     def to_json(self, include_timings: bool = False) -> str:
@@ -307,10 +299,8 @@ def compare_mixed(
     (r0, r1, r2, r3) or a MixedLocalizedState. ``params`` defaults to the
     Hadamard coin; the closed forms hold for it only, so with any other
     coin ``methods`` may name "direct" alone."""
-    if not isinstance(r, MixedLocalizedState):
-        r = MixedLocalizedState(tuple(float(v) for v in r))
     params = params or CoinParams.hadamard()
-    return _compare(r, params, t, methods, "adaptive", tolerances, False)
+    return _compare(valid_mixed_state(r), params, t, methods, "adaptive", tolerances, False)
 
 
 def _compare(
@@ -325,9 +315,7 @@ def _compare(
     """The loop behind compare_pure and compare_mixed: check the plan once,
     route and time each method, then run the gates. ``t`` is an integer
     (numpy integers included), anything else raises TypeError."""
-    t = operator.index(t)
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    t = step_count(t)
     methods = tuple(methods)
     check_plan(params, initial, methods, mode)
     report = ComparisonReport(
@@ -367,20 +355,7 @@ class InvariantSuiteReport:
         return not self.failures
 
     def to_json(self) -> str:
-        return canonical_json(
-            {
-                "seed": self.seed,
-                "pure_cases": self.pure_cases,
-                "mixed_cases": self.mixed_cases,
-                "max_norm_defect": self.max_norm_defect,
-                "max_forbidden_mass": self.max_forbidden_mass,
-                "max_closed_vs_direct": self.max_closed_vs_direct,
-                "max_spectral_vs_direct": self.max_spectral_vs_direct,
-                "max_mixed_vs_direct": self.max_mixed_vs_direct,
-                "passed": self.passed,
-                "failures": list(self.failures),
-            }
-        )
+        return canonical_json({**asdict(self), "passed": self.passed})
 
 
 def _random_pure_case(rng: random.Random, max_t: int, max_radius: int):

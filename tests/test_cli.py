@@ -9,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import qwalk
 from qwalk import cli, verify
@@ -21,6 +23,7 @@ from qwalk.cli import (
     parse_distribution_csv,
 )
 from qwalk.config import MAX_STEPS, WalkConfig
+from qwalk.core import Distribution
 from qwalk.verify import MIXED_COMPARE_METHODS, PURE_METHODS, evaluate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -209,6 +212,18 @@ class TestRun:
             assert f"{where} is above the limit of {MAX_STEPS}" in err
             assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json", "ok.json"]
+
+    @pytest.mark.parametrize("command", ["run", "compare", "plot-data"])
+    def test_negative_steps_refused(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(verify, "_route", lambda *a: pytest.fail("a route ran"))
+        cfg = write_config(tmp_path, "ok.json", pure_doc(method="direct,closed-form"))
+        one_method = [] if command == "compare" else ["--method", "direct"]
+        argv = [command, "--config", cfg, "--steps", "-1", *one_method]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "--steps expected a non-negative integer" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.json"]
 
     def test_integer_past_the_digit_limit_rejected(self, tmp_path, capsys):
         # json.load refuses an integer literal of more than 4300 digits
@@ -636,3 +651,103 @@ def test_cli_runs_without_undeclared_modules(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert len(list(tmp_path.iterdir())) >= len(commands)
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "ft-table", "plot-data"])
+def test_unwritable_output_exits_two(tmp_path, capsys, command):
+    # an output file that cannot be opened is bad input, not a failed check
+    out = str(tmp_path / "missing" / "x")
+    argv = {
+        "run": ["--config", str(CONFIG_DIR / "hadamard_symmetric_t40.json")],
+        "compare": [
+            "--config", str(CONFIG_DIR / "hadamard_symmetric_t40.json"),
+            "--method", "direct,closed-form",
+        ],
+        "ft-table": ["--t-max", "3"],
+        "plot-data": ["--config", str(CONFIG_DIR / "hadamard_symmetric_t40.json")],
+    }[command]
+    assert main([command, *argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert f"error: cannot write {out}." in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+_SHIPPED = {
+    name: str(CONFIG_DIR / f"{name}.json")
+    for name in (
+        "hadamard_symmetric_t40", "mixed_coherent_adjudication", "mixed_unbiased_t25",
+    )
+}
+_FUZZ_CONFIGS = [*_SHIPPED, "offgrid", "malformed", "empty", "missing", "directory"]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """A command line from pieces that each parse or fail in their own way."""
+    command = draw(st.sampled_from(["run", "compare", "ft-table", "plot-data"]))
+    argv = [command]
+
+    def maybe(flag, values):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            argv.extend([flag, value])
+
+    if command == "ft-table":
+        maybe("--kind", ["quad", "quartic", "cubic"])
+        maybe("--t-max", ["-1", "0", "3", str(FT_T_MAX + 1), "x"])
+        maybe("--coeffs", ["1,1", "1", "1,1,1,1", "nan,1", "a,b", ""])
+        maybe("--seed", ["0", "7", "x"])
+    else:
+        argv.extend(["--config", draw(st.sampled_from(_FUZZ_CONFIGS))])
+        maybe("--method", [
+            "direct", "direct,spectral", "direct,closed-form,spectral", "consistent",
+            "direct,consistent,literal", "direct,direct", "bogus", ",", "",
+        ])
+        maybe("--steps", ["-1", "0", "5", str(MAX_STEPS + 1), "2.5", "x"])
+        maybe("--mode", ["exact", "adaptive", "double", "quad"])
+        if command == "compare" and draw(st.booleans()):
+            argv.append("--expect-discrepancy")
+        if command == "plot-data" and draw(st.booleans()):
+            argv.append("--drop-forbidden-sites")
+    argv.extend(["--out", draw(st.sampled_from(["writable", "unwritable"]))])
+    return argv
+
+
+@given(_fuzz_argv())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_cli_fuzz_exits_zero_one_or_two(tmp_path, capsys, monkeypatch, argv):
+    # no walk runs: every route returns a one-site distribution at once
+    monkeypatch.setattr(
+        verify, "_route",
+        lambda method, initial, params, t, mode: Distribution({0: 1.0}, t=t, method=method),
+    )
+    configs = {
+        **_SHIPPED,
+        "offgrid": write_config(tmp_path, "offgrid.json", {
+            "coin": {"theta": 0.7, "phi1": 1.1, "phi2": 2.3},
+            "initial": {"pure": [{"x": 0, "alpha": 0.6}, {"x": 3, "beta": [0, 0.8]}]},
+            "steps": 6,
+        }),
+        "malformed": str(tmp_path / "malformed.json"),
+        "empty": str(tmp_path / "empty.json"),
+        "missing": str(tmp_path / "missing.json"),
+        "directory": str(tmp_path),
+    }
+    (tmp_path / "malformed.json").write_text('{"coin": {"theta": "1/4 pi"},')
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "out").mkdir(exist_ok=True)
+    outs = {"writable": str(tmp_path / "out" / "o"), "unwritable": str(tmp_path / "no" / "o")}
+    argv = [configs.get(a, outs.get(a, a)) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv

@@ -610,6 +610,27 @@ class TestDistributionMixed:
             with pytest.raises(ValueError, match="invalid mixed state"):
                 query(1, 3, (0.5, 0.9, 0.0, 0.0))
 
+    def test_invalid_state_message_is_one_readable_text(self, hadamard):
+        # each entry point states the violations as "code: message", not as
+        # the repr of the diagnostics tuple
+        r = (0.5, 0.5, 0.5, 0.5)
+        state = MixedLocalizedState.from_pauli(*r)
+        calls = (
+            lambda: distribution_mixed(3, r),
+            lambda: prob_pipeline(1, 3, r),
+            lambda: evolve_mixed(state, hadamard, 3),
+            lambda: verify.compare_mixed(r, 3),
+        )
+        messages = set()
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            messages.add(str(info.value))
+        (message,) = messages
+        assert message == (
+            f"invalid mixed state: psd: Bloch norm {state.bloch_norm!r} exceeds r0 = 0.5"
+        )
+
     @pytest.mark.parametrize("mode", MIXED_METHODS)
     def test_mode_label_is_double(self, mode):
         # the weights are exact but each site is a float dot product with

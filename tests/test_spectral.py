@@ -244,19 +244,23 @@ class TestSimulate:
 
     def test_far_site_is_the_origin_walk_shifted(self, hadamard):
         # the ring is sized by the support, not by its distance from 0: at
-        # x = 10^5 it used to take a 72 MB ring for a 3-step walk
-        far = 10**5
+        # x = 10^5 it used to take a 72 MB ring for a 3-step walk. Sites
+        # past the int64 range used to reach numpy as object arrays, which
+        # cannot index the ring.
         want = simulate(PureState.localized(0, 0.6, 0.8j), hadamard, 3)
-        tracemalloc.start()
-        try:
-            got = simulate(PureState.localized(far, 0.6, 0.8j), hadamard, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB"
-        assert got.positions == tuple(x + far for x in want.positions)
-        for x in want.positions:
-            assert got[x + far] == pytest.approx(want[x], abs=1e-14)
+        for far in (10**5, 2**63 - 3, -(2**63) + 2, 2**70):
+            tracemalloc.start()
+            try:
+                got = simulate(PureState.localized(far, 0.6, 0.8j), hadamard, 3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MB at {far}"
+            assert got.positions == tuple(x + far for x in want.positions)
+            for x in want.positions:
+                assert got[x + far] == pytest.approx(want[x], abs=1e-14)
+            state = evolve_spectral(PureState.localized(far, 0.6, 0.8j), hadamard, 3)
+            assert state.support == tuple(x + far for x in want.positions)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=12))
