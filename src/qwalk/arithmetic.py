@@ -6,14 +6,17 @@ Three arithmetic modes are used across the package:
   angle is a rational multiple of pi with denominator dividing 4. Amplitudes
   are then sums of Gaussian-rational multiples of sqrt(2) and every equality
   test is exact.
-* ``adaptive``: fixed-point integers (``FixedComplex``) at a working
-  precision sized from the largest combinatorial coefficient that will
-  appear, plus guard bits; mpmath makes the trigonometric values.
+* ``adaptive``: the closed form's row values by recurrences in block
+  floating point, then fixed-point integers (``FixedComplex``), at a
+  working precision of 128 bits plus the bit length of t
+  (``closedform_pure.working_precision``); mpmath makes the
+  trigonometric values.
 * ``double``: ordinary Python floats/complex, kept as an honest baseline so
   cancellation failures stay observable.
 
 This module provides the ring, exact angles, the fixed-point complex type
-and the precision policy.
+and ``precision_for``, the width a fixed-point Horner sum of the
+closed-form rows needs.
 
 Ring elements hold integers, not Fractions. ``SqrtTwo`` is
 (p + q*sqrt(2)) / d and ``SqrtTwoComplex`` is
@@ -58,13 +61,15 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
-# bits of the adaptive working precision above the largest coefficient
+# guard bits of a fixed-point sum above its largest coefficient
 GUARD_BITS = 64
 
 
 def precision_for(coefficient_bits: int) -> int:
-    """Working precision (bits) for a sum whose largest term needs
-    ``coefficient_bits`` bits."""
+    """Working precision (bits) for a fixed-point sum whose largest term
+    needs ``coefficient_bits`` bits. The adaptive closed form does not
+    need it (``closedform_pure.working_precision``); the benchmark's
+    ``arithmetic.work_prec_bits`` counter reports it."""
     return max(53, coefficient_bits + GUARD_BITS)
 
 

@@ -9,12 +9,15 @@ config error, or an output file that cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import math
+import os
 import random
 import sys
 from dataclasses import replace
 
-from .closedform_pure import working_precision
+from .closedform_pure import SWEEP_BITS, working_precision
 from .config import ConfigError, WalkConfig, parse_methods, parse_steps
 from .core import Distribution
 from .horner import f_explicit, f_sequence
@@ -91,18 +94,30 @@ def _out_base(args, cfg: WalkConfig | None, default: str) -> str:
 
 
 def _write(base: str, texts: dict[str, str]) -> str:
-    """Write each text to base + its suffix, in order, and return the
-    "wrote A and B" line. A file that cannot be written is a ConfigError,
-    so the command exits 2; exit 1 is kept for a failed check."""
-    paths = []
-    for suffix, text in texts.items():
-        path = base + suffix
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
+    """Write each text to base + its suffix and return the "wrote A and B"
+    line, all files or none: a path that is a directory is refused before
+    anything is written, each text goes to a new temporary file beside
+    its path, and the temporary files are renamed into place only once
+    all are written. A file that cannot be written is a ConfigError, so
+    the command exits 2; exit 1 is kept for a failed check."""
+    paths = [base + suffix for suffix in texts]
+    temps: list[str] = []
+    try:
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, text in zip(paths, texts.values()):
+            temp = f"{path}.{os.getpid()}.tmp"
+            with open(temp, "x", encoding="utf-8") as fh:
+                temps.append(temp)
                 fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        paths.append(path)
+        for path, temp in zip(paths, temps):
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in temps:
+            with contextlib.suppress(OSError):  # renamed already, or gone
+                os.remove(temp)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return "wrote " + " and ".join(paths)
 
 
@@ -170,9 +185,10 @@ def cmd_compare(args) -> int:
     for name, seconds in report.timings.items():
         print(f"time {name}: {seconds:.6f} s", file=sys.stderr)
     if "closed-form" in report.timings and cfg.mode == "adaptive":
-        wp, bits = working_precision(cfg.steps)
+        t = cfg.steps
         print(
-            f"precision closed-form: {wp} bits ({bits} + {wp - bits} guard)",
+            f"precision closed-form: {working_precision(t)} bits "
+            f"({SWEEP_BITS} + {t.bit_length()}, the bit length of t = {t})",
             file=sys.stderr,
         )
 

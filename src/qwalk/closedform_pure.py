@@ -67,13 +67,14 @@ ch. 6) or Gauss's contiguous relations prove. For d of the parity of t:
                                  + (d+2)(d-t)(d+t) c2^2 P(d-2)]
 
 Each sweep takes its two outermost values from their rows, of length 1
-and 2, and the rest from the recurrence (``_sweep_rows``). On its range
-every divisor on the left is a nonzero integer and none is c2, so
-theta = pi/2 (c2 = 0) needs no case of its own. Inward from a light-cone
-edge the wanted solution is the growing one, so each sweep runs inward
-and they meet near d = 0. Run on past the far peak into the other edge's
-tail, where it decays, the recurrence would amplify its rounding (by
-1e71 in floats at t=1600). The recurrences were fitted, not derived;
+and 2, and the rest from the recurrence (``_sweeps`` states the three).
+On its range every divisor on the left is a nonzero integer and none is
+c2, so theta = pi/2 (c2 = 0) needs no case of its own in exact mode.
+Inward from a light-cone edge the wanted solution is the growing one,
+so each sweep runs inward and they meet near d = 0 (Gautschi, SIAM Rev.
+9, 24 (1967)). Run on past the far peak into the other edge's tail,
+where it decays, the recurrence would amplify its rounding (by 1e71 in
+floats at t=1600). The recurrences were fitted, not derived;
 ``TestRowSweeps`` checks them exactly in Fractions against the Horner
 sums, for every d at t <= 60, 301 and 400 on seven values of c2.
 
@@ -82,27 +83,25 @@ from the sources to the sites asked for that lie on the light cone at
 the parity of t (``_site_sums``). ``_rows`` makes one dict of the row
 values that the kernels read, keyed (alpha_ft, |d|), (alpha_cos, d) and
 (alpha_cos, -d) for each d, an empty row (alpha_cos at d = t) stored as
-0. A full distribution (``distribution``) needs every d, and in
-``exact`` and ``adaptive`` mode takes them all from the three sweeps,
+0. Each sweep runs from its edge only to the innermost of these keys,
+so a full distribution (``distribution``) runs all three to the middle,
 about 1.5t recurrence steps in place of about 1.5t Horner rows of up to
-t/2 terms. A point query (``amplitude``) needs three rows per kernel
-and sums each by Horner's rule, which costs less than the sweeps would:
-in fixed point at theta = 0.9 the three rows of the centre kernel took
-0.86 ms at t = 300 and 3.7 ms at t = 600, the three sweeps 3.2 and
-13.5 ms, and a kernel nearer the edge has shorter rows. ``double`` keeps
-Horner everywhere, so its precision cliff stays demonstrable.
-``_kernels`` reads the dict by index into one table {d: K_t(d)}, so a
-key the rows did not make raises, and ``_site`` sums K_t(x - x') times
-each source's pair. So a full distribution makes each R and each kernel
-once, and a point query at one site from one source at most 3 rows and
-one kernel.
+t/2 terms, and a point query (``amplitude``) whose nearest source is
+at distance d about 1.5(t - |d|) steps, one pass for all its sources.
+``adaptive`` mode takes every row from the sweeps. ``exact`` takes a
+distribution's from them and sums a point query's few rows by Horner's
+rule, and ``double`` keeps Horner everywhere, so its precision cliff
+stays demonstrable. ``_kernels`` reads the dict by index into one table
+{d: K_t(d)}, so a key the rows did not make raises, and ``_site`` sums
+K_t(x - x') times each source's pair. So every R and every kernel is
+made once per call.
 
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
-only), ``adaptive`` (fixed-point integers, precision sized from the largest
-trinomial plus guard bits), ``double`` (floats; cancellation-prone at large
-t by design, so the failure stays demonstrable). All three build the same
-kernels; a mode only supplies the scalars and the rules that make P
-(Horner, sweeps) and turn it into R:
+only), ``adaptive`` (block floating point in the sweeps, fixed point
+after them, at a precision of SWEEP_BITS plus the bit length of t),
+``double`` (floats; cancellation-prone at large t by design, so the
+failure stays demonstrable). All three build the same kernels; a mode
+only supplies the scalars and the rules that make the row values R:
 
 * exact: c2 is 0, 1/2 or 1, so P is one integer over a power of 2 that
   no row outgrows; Horner and the sweeps are exact on it. On the
@@ -114,35 +113,41 @@ kernels; a mode only supplies the scalars and the rules that make P
   their numerators over their common denominator D, and each amplitude,
   or each site's |alpha|^2 + |beta|^2 in a distribution, is brought to
   lowest terms once, over D 2^k, at the end;
-* adaptive: P on Python integers in fixed point, c2 taken as the wp-bit
-  integer floor(c2 2^wp) with wp the working precision, so the
-  coefficients enter exactly. Every value after that (R, cos, sin,
-  e^{i phi1}, chi^e, the kernel entries, the lifted source amplitudes and
-  the site sums) is a ``FixedComplex``, a Gaussian integer over 2^wp,
-  converted to complex once at the end. mpmath makes cos, sin,
-  e^{i phi1} and chi once per call, and cos^h0 once per h0, whose
-  mantissa and exponent multiply the integer P exactly;
+* adaptive: the sweeps run on R = P cos^h0 itself, as wp-bit integer
+  mantissas with a shared exponent, with the exact mantissa of the
+  wp-bit mpf c2 in the recurrence (``_float_rows``). Every value after
+  that (R, cos, sin, e^{i phi1}, chi^e, the kernel entries, the lifted
+  source amplitudes and the site sums) is a ``FixedComplex``, a Gaussian
+  integer over 2^wp, converted to complex once at the end. mpmath makes
+  cos, sin, e^{i phi1} and chi once per coin and wp (``_coin_constants``)
+  and the two outermost R of each sweep;
 * double: Horner in floats.
 
 chi^e is chi^(e mod 8) in exact mode, where chi is an eighth root of
 unity, and an integer power of the complex chi in double mode; in
 adaptive mode it is square-and-multiply of the fixed-point chi, each
 power kept for the call. In every mode it is a function of (t, d)
-alone, so it has the same bits in a point query and a full distribution;
-their row values agree exactly in ``exact`` mode and within the envelope
-below in ``adaptive`` mode.
+alone, and so is each swept R, which depends only on the steps from its
+edge; so a point query and a full distribution have the same bits in
+``adaptive`` mode, and the same ring values in ``exact`` mode.
 
-The adaptive error envelope is absolute. A row of length L is off by
-about L 2^-guard, its coefficients being up to 2^(wp - guard). A sweep
-step rounds once, and inward from the edge its error stays on the same
-scale: at t = 140 and 301 over theta from 0.05 to pi - 0.05, every swept
-P was within 1e-71 of sum_j |c_j| c2^j of its exact value, as Horner's
-was. Past the rows each fixed-point product rounds down to the 2^-wp
-grid: kernel entries have modulus at most 1 (the propagator is unitary)
-and |R| is at most about 1/|sin(theta)|, so these steps add a few units
-of 2^-wp, far below the rows' own error. A value below 2^-wp becomes 0;
-that happens only at the light-cone edge when |cos(theta)| is small,
-where cos^h0 is tiny, and stays inside the same envelope.
+The adaptive error envelope is absolute. A Horner sum of the alternating
+trinomials needs as many bits as the largest of them (``coefficient_bits``,
+754 at t = 600); the inward sweeps do not, as each step rounds
+once relative to the two values it reads, and the wanted solution
+dominates them. Over theta in {0.05, 0.7, pi/2 - 0.01, pi/2, pi - 0.05}
+at t = 301, 600, 1600 and 3200, every swept R was within
+2^-(wp - bitlen(t) - 1) of a Horner sum at coefficient_bits(t) + 256
+bits, for wp - bitlen(t) = 32, 64, 96 and 128. SWEEP_BITS = 128 puts
+the rows within 6e-39, far below the 1e-15 that the tests ask of the
+amplitudes, and costs about what 64 does: Python integers of 138 and
+74 bits multiply in about the same time. Past the rows each fixed-point
+product rounds down to the 2^-wp grid: kernel entries have modulus at
+most 1 (the propagator is unitary) and |R| is at most about
+1/|sin(theta)|, so these steps add a few units of 2^-wp. A value below
+2^-wp becomes 0 or a few units of it, so amplitudes in the far tails,
+below about 1e-41, are rounding: probabilities there read as 0 or
+about 1e-83, where a wider fixed point resolves them.
 """
 
 from __future__ import annotations
@@ -164,7 +169,6 @@ from .arithmetic import (
     FixedComplex,
     SqrtTwo,
     SqrtTwoComplex,
-    precision_for,
 )
 from .core import CoinParams, Distribution, PureState, step_count
 
@@ -180,6 +184,9 @@ __all__ = [
 ]
 
 MODES = ("exact", "adaptive", "double")
+# Bits of the adaptive working precision on top of the bit length of t
+# (module docstring, "The adaptive error envelope").
+SWEEP_BITS = 128
 # Relative amount by which a float-mode distribution may miss the initial
 # norm before it is reported as numerically meaningless.
 NORM_TOLERANCE = 1e-6
@@ -253,11 +260,10 @@ def term_coefficient(t: int, family: str, d: int, h: int) -> int:
 
 @lru_cache(maxsize=None)
 def coefficient_bits(t: int) -> int:
-    """Bit length of the largest trinomial any family can produce at time t.
-
-    Used to size the adaptive working precision before any summation
-    happens. Cached: it depends on t alone and costs milliseconds at
-    t in the hundreds, which every single-site query would pay again.
+    """Bit length of the largest trinomial any family can produce at time t:
+    the fixed-point width that a Horner sum of the rows would need, which
+    the adaptive sweeps do not (module docstring). Cached: it depends on t
+    alone and costs milliseconds at t in the hundreds.
     """
     worst = 1
     for m in (t, t - 1):
@@ -270,11 +276,11 @@ def coefficient_bits(t: int) -> int:
     return worst.bit_length()
 
 
-def working_precision(t: int) -> tuple[int, int]:
-    """The adaptive mode's working precision at time t, in bits, and the
-    coefficient bit size it is sized from: the one statement of that rule."""
-    bits = coefficient_bits(t)
-    return precision_for(bits), bits
+def working_precision(t: int) -> int:
+    """The adaptive mode's working precision at time t, in bits: the
+    mantissa of the sweeps and the fixed point of everything after them,
+    SWEEP_BITS plus the bit length of t. The one statement of that rule."""
+    return SWEEP_BITS + t.bit_length()
 
 
 def coefficient_row(t: int, family: str, d: int) -> list[int]:
@@ -322,84 +328,74 @@ def _float_horner(cos: float) -> Callable:
     return evaluate
 
 
-def _sweep_rows(t: int, num: int, den: int, unit: int) -> dict:
-    """The bare sums P(f, d) that a full distribution needs, by the three
-    sweeps of the module docstring: {(family, d): P unit} for alpha_ft at
-    every d >= 0 and alpha_cos at every d, with cos^2 = num / den.
+def _sweeps(t: int, ds=None) -> list:
+    """The three sweeps of the module docstring, as (family, span,
+    coefficients): span is the distances d of the family's rows from the
+    light-cone edge inward, stopping at the innermost key that the
+    kernels at the distances ds read (at the meeting point near d = 0
+    when ds is None, as a distribution needs), and coefficients(d) is
+    (far, mid, mid_c2, near) of the recurrence at d,
+
+        near P(ahead) = -(far c2^2 P(behind) + (mid - mid_c2 c2) P(d)),
+
+    where behind is one step nearer the edge and ahead one step further.
+    """
+    if ds is None:
+        ds = range(-t, t + 1, 2)
+    # the keys the kernels at ds read: alpha_ft at |d|, alpha_cos at +-d
+    keys = {k for d in ds for k in (d, -d)}
+    inner = min(k for k in keys if k >= -1)
+    outer = max((k for k in keys if k <= -2), default=-t - 2)
+    u, v = (t + 1) ** 2, t * t
+    return [
+        ("alpha_ft", range(t, min(map(abs, ds)) - 1, -2), lambda d: (
+            (d - 1) * (d - t) * (d + t + 2), 4 * d * (d * d - 1),
+            2 * d * (d * d - 1 + u), (d + 1) * (d + t) * (d - t - 2))),
+        ("alpha_cos", range(t - 2, inner - 1, -2), lambda d: (
+            d * (d + 2 - t) * (d + 2 + t), 4 * d * (d + 1) * (d + 2),
+            2 * (d + 1) * (d * (d + 2) + v), (d + 2) * (d - t) * (d + t))),
+        ("alpha_cos", range(-t, outer + 1, 2), lambda d: (
+            (d + 2) * (d - t) * (d + t), 4 * d * (d + 1) * (d + 2),
+            2 * (d + 1) * (d * (d + 2) + v), d * (d + 2 - t) * (d + 2 + t))),
+    ]
+
+
+def _sweep_rows(t: int, num: int, den: int, unit: int, ds=None) -> dict:
+    """The bare sums P(f, d) by the three sweeps of ``_sweeps``, exactly:
+    {(family, d): P unit} for alpha_ft at every d >= 0 and alpha_cos at
+    every d that the sweeps reach, with cos^2 = num / den.
 
     Each sweep takes its two outermost values from their rows (of length 1
     and 2) and each next one from the recurrence, dividing by its leading
     coefficient times den^2 and rounding down. The divisions are exact
     when every P unit is an integer (den^K divides unit, K the longest
-    row's length less one), so then the values are exact; with
-    unit = den = 2^wp it is fixed point, each step off by less than one
-    unit of 2^-wp on top of what it inherits.
+    row's length less one), so then the values are exact.
     """
     n2, nd, d2 = num * num, num * den, den * den
     values = {}
-
-    def run(family, ds, coefficients):
-        rows = [coefficient_row(t, family, d) for d in ds[:2]]
-        if not rows or not rows[0]:
-            return  # alpha_cos has no terms at t = 0
+    for family, span, coefficients in _sweeps(t, ds):
         held = []
-        for row in rows:
+        for d in span[:2]:
             n = 0
-            for c in reversed(row):
+            for c in reversed(coefficient_row(t, family, d)):
                 n = n * num // den + c * unit
             held.append(n)
-        for d in ds[1:-1]:
+        for d in span[1:-1]:
             far, mid, mid_c2, near = coefficients(d)
             held.append(-(far * n2 * held[-2] + (mid * d2 - mid_c2 * nd) * held[-1])
                         // (near * d2))
-        values.update(zip([(family, d) for d in ds], held))
-
-    u, v = (t + 1) ** 2, t * t
-    # coefficients(d) = (far, mid, mid_c2, near) of the recurrence at d:
-    # near P(ahead) = -(far c2^2 P(behind) + (mid - mid_c2 c2) P(d)), where
-    # behind is one step nearer the sweep's edge and ahead one step further
-    run("alpha_ft", range(t, -1, -2), lambda d: (
-        (d - 1) * (d - t) * (d + t + 2), 4 * d * (d * d - 1),
-        2 * d * (d * d - 1 + u), (d + 1) * (d + t) * (d - t - 2)))
-    run("alpha_cos", range(t - 2, -2, -2), lambda d: (
-        d * (d + 2 - t) * (d + 2 + t), 4 * d * (d + 1) * (d + 2),
-        2 * (d + 1) * (d * (d + 2) + v), (d + 2) * (d - t) * (d + t)))
-    run("alpha_cos", range(-t, -1, 2), lambda d: (
-        (d + 2) * (d - t) * (d + t), 4 * d * (d + 1) * (d + 2),
-        2 * (d + 1) * (d * (d + 2) + v), d * (d + 2 - t) * (d + 2 + t)))
+        values.update(zip([(family, d) for d in span], held))
     return values
 
 
-def _integer_rows(t: int, num: int, shift: int, unit: int, finish: Callable):
-    """(evaluate, sweep) for a mode that holds each bare sum P on one
-    integer N = P 2^unit, with cos^2 = num / 2^shift; finish(N, h0) turns
-    N into R = P cos^h0 in the mode's number type.
-
-    evaluate(row, h0) is Horner's rule, each product shifted back by
-    ``shift`` bits; sweep() is every R a distribution needs, by
-    ``_sweep_rows``, as {(family, d): R}.
-    """
-
-    def evaluate(row, h0):
-        acc = 0
-        for c in reversed(row):
-            acc = ((acc * num) >> shift) + (c << unit)
-        return finish(acc, h0)
-
-    def sweep():
-        return {
-            (family, d): finish(n, _first_h(t, family, d))
-            for (family, d), n in _sweep_rows(t, num, 1 << shift, 1 << unit).items()
-        }
-
-    return evaluate, sweep
-
-
 def _rational_rows(cos: SqrtTwo, t: int):
-    """Exact rows: cos^2 is 0, 1/2 or 1 on the eighth-turn grid, so
-    num / 2^shift with shift 0 or 1. No row is longer than t//2 + 1, so
-    with unit = shift (t//2) every N is an integer, and every shift in
-    Horner and every division in the sweeps is exact. R is the
+    """(evaluate, sweep) for exact mode. cos^2 is 0, 1/2 or 1 on the
+    eighth-turn grid, so num / 2^shift with shift 0 or 1, and each bare
+    sum P is held on one integer N = P 2^unit. No row is longer than
+    t//2 + 1, so with unit = shift (t//2) every N is an integer, and every
+    shift in Horner and every division in the sweeps is exact.
+    evaluate(row, h0) is R by Horner's rule and sweep(ds) the R that the
+    kernels at ds read, by ``_sweep_rows``, as {(family, d): R}. R is the
     DyadicComplex N / 2^unit times cos^h0 = (cos^2)^(h0//2) cos^(h0%2),
     with no reduction."""
     c2 = cos * cos
@@ -413,30 +409,78 @@ def _rational_rows(cos: SqrtTwo, t: int):
         r = DyadicComplex(n * num**m, 0, 0, 0, unit + shift * m)
         return r * cos if h0 % 2 else r
 
-    return _integer_rows(t, num, shift, unit, finish)
+    def evaluate(row, h0):
+        acc = 0
+        for c in reversed(row):
+            acc = ((acc * num) >> shift) + (c << unit)
+        return finish(acc, h0)
+
+    def sweep(ds):
+        return {
+            (family, d): finish(n, _first_h(t, family, d))
+            for (family, d), n in _sweep_rows(t, num, 1 << shift, 1 << unit, ds).items()
+        }
+
+    return evaluate, sweep
 
 
-def _fixed_point_rows(cos: mpmath.mpf, wp: int, t: int):
-    """Rows on wp-bit fixed-point integers, R as a FixedComplex.
+def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
+    """sweep(ds) for adaptive mode: {(family, d): R} for the keys that the
+    kernels at the distances ds read, each R a FixedComplex at wp bits.
 
-    cos^2 becomes the integer floor(cos^2 2^wp), so the integer
-    coefficients enter exactly and each Horner or sweep step loses at most
-    one unit of 2^-wp. With wp = coefficient bits + guard bits, the
-    absolute error of a row of length L is about L 2^-guard. The factor
-    cos^h0 is an mpf of wp bits relative precision, as a short edge row's
-    sum can be huge exactly where cos^h0 is tiny: its mantissa and
-    exponent multiply N exactly, and only the product is rounded down to a
-    multiple of 2^-wp.
+    The sweeps of ``_sweeps`` run on R = P cos^h0 itself. h0 falls by 2 at
+    each step inward, so with P = R / cos^h0 the recurrence becomes
+
+        near c2 R(ahead) = -(far c2 R(behind) + (mid - mid_c2 c2) R(d)),
+
+    a rescaling that leaves which solution dominates unchanged. Its values
+    are block floating point: the two values a step reads are integers
+    over one shared power of 2, and before each step both are shifted, up
+    or down, until the larger has wp bits, so each step is off by less
+    than 2^-wp relative to them on top of what it inherits. cos^2 =
+    num 2^-k is the mpf c2 of wp bits, whose exact mantissa enters the
+    recurrence; c2 > 0, as mpmath's cos of an mpf angle is never 0. The
+    two outermost R of each sweep are mpf products of their rows and an
+    mpf power of cos, so every R depends on (t, d) alone, however far a
+    sweep runs.
     """
-    x, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
+    _, num, exp, _ = c2._mpf_
+    num, k = int(num), -int(exp)
 
-    def finish(n, h0):
-        # n 2^-wp times (-1)^sign man 2^exp, on the 2^-wp grid
-        sign, man, exp, _ = cos_pow(h0)._mpf_
-        n, exp = n * (-int(man) if sign else int(man)), int(exp)
-        return FixedComplex(n << exp if exp >= 0 else n >> -exp, 0, wp)
+    def edge(family, d):
+        # R of a row of length 1 or 2 as (mantissa, exponent)
+        c0, *c1 = coefficient_row(t, family, d)
+        p = c0 + c1[0] * c2 if c1 else mpmath.mpf(c0)
+        sign, man, exp, _ = (p * cos ** _first_h(t, family, d))._mpf_
+        return -int(man) if sign else int(man), int(exp)
 
-    return _integer_rows(t, x, wp, wp, finish)
+    def fixed(m, e):
+        return FixedComplex(m << e + wp if e + wp >= 0 else m >> -e - wp, 0, wp)
+
+    def sweep(ds):
+        swept = {}
+        for family, span, coefficients in _sweeps(t, ds):
+            held = [edge(family, d) for d in span[:2]]
+            swept.update(zip([(family, d) for d in span], held))
+            if len(span) < 3:
+                continue
+            (a, ea), (b, eb) = held
+            e = min(ea, eb)
+            a, b = a << ea - e, b << eb - e
+            for d, ahead in zip(span[1:], span[2:]):
+                shift = max(abs(a), abs(b)).bit_length() - wp
+                if shift > 0:
+                    a, b = a >> shift, b >> shift
+                else:
+                    a, b = a << -shift, b << -shift
+                e += shift
+                far, mid, mid_c2, near = coefficients(d)
+                a, b = b, -(far * num * a + ((mid << k) - mid_c2 * num) * b) // (near * num)
+                swept[family, ahead] = b, e
+        keys = {("alpha_ft", abs(d)) for d in ds} | {("alpha_cos", x) for d in ds for x in (d, -d)}
+        return {key: fixed(*swept[key]) for key in keys & swept.keys()}
+
+    return sweep
 
 
 @dataclass(frozen=True)
@@ -450,8 +494,8 @@ class _Scalars:
     chi_pow: Callable    # e -> chi^e, a function of e alone
     lift: Callable       # source amplitude -> the mode's complex type
     zero: object         # 0 in the mode's complex type
-    evaluate: Callable   # (integer row, its first h) -> R
-    sweep: Callable | None   # () -> {(family, d): R} for every d; None in double
+    evaluate: Callable | None   # (integer row, its first h) -> R; None in adaptive
+    sweep: Callable | None   # ds -> {(family, d): R} the kernels at ds read; None in double
 
 
 def _lift_dyadic(denominator: int) -> Callable:
@@ -506,6 +550,20 @@ def _powers(z: FixedComplex) -> Callable:
     return power
 
 
+@lru_cache(maxsize=16)
+def _coin_constants(params: CoinParams, wp: int) -> tuple:
+    """cos and cos^2 as mpf, and cos, sin, e^{i phi1} and chi as
+    FixedComplex, at wp bits: what the adaptive mode takes from mpmath,
+    made once per coin and precision, as point queries at one coin and t
+    ask for them again and again."""
+    with mpmath.workprec(wp):
+        th = params.theta.mp_radians()
+        cos, sin = mpmath.cos(th), mpmath.sin(th)
+        phi_sum = params.phi1.mp_radians() + params.phi2.mp_radians()
+        fixed = (_fixed(v, wp) for v in (cos, sin, _mp_expj(params.phi1), mpmath.expj(phi_sum)))
+        return (cos, cos * cos, *fixed)
+
+
 def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Scalars:
     """The scalar bundle of one mode. Exact values are DyadicComplex, the
     sources lifted over ``denominator``, a common denominator of their
@@ -526,13 +584,9 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
         zero = DyadicComplex(0, 0, 0, 0, 0)
     elif mode == "adaptive":
         wp = mpmath.mp.prec
-        th = params.theta.mp_radians()
-        mp_cos = mpmath.cos(th)
-        evaluate, sweep = _fixed_point_rows(mp_cos, wp, t)
-        cos, sin = _fixed(mp_cos, wp), _fixed(mpmath.sin(th), wp)
-        ephi1 = _fixed(_mp_expj(params.phi1), wp)
-        phi_sum = params.phi1.mp_radians() + params.phi2.mp_radians()
-        chi_pow, lift = _powers(_fixed(mpmath.expj(phi_sum), wp)), _lift_fixed(wp)
+        mp_cos, c2, cos, sin, ephi1, chi = _coin_constants(params, wp)
+        evaluate, sweep = None, _float_rows(mp_cos, c2, wp, t)
+        chi_pow, lift = _powers(chi), _lift_fixed(wp)
         zero = FixedComplex(0, 0, wp)
     else:
         th = params.theta.radians
@@ -544,13 +598,15 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
 
 def _rows(s: _Scalars, ds, sweep: bool) -> dict:
     """Stage 1: {(family, d): R} with every key that the kernels at the
-    distances ds read, an empty row stored as 0. With ``sweep`` and a mode
-    that has sweeps, every row comes from them, and the one empty row on
-    the light cone, alpha_cos at d = t, is stated; otherwise each row is
-    summed by Horner's rule."""
+    distances ds read, an empty row stored as 0. In adaptive mode, and
+    with ``sweep`` in exact mode, every row comes from the sweeps, and the
+    one empty row on the light cone, alpha_cos at d = t, is stated;
+    otherwise each row is summed by Horner's rule."""
     t = s.t
-    if sweep and s.sweep is not None:
-        return {**s.sweep(), ("alpha_cos", t): 0}
+    if not ds:
+        return {}
+    if s.sweep is not None and (sweep or s.evaluate is None):
+        return {**s.sweep(ds), ("alpha_cos", t): 0}
     rows = {}
     for d in ds:
         for key in (("alpha_ft", abs(d)), ("alpha_cos", d), ("alpha_cos", -d)):
@@ -618,7 +674,7 @@ def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str, sweep
         lift = _lift_dyadic(denominator) if mode == "exact" else lambda z: z
         return [tuple(map(lift, init.amplitude(x))) for x in xs], denominator
     if mode == "adaptive":
-        precision = mpmath.workprec(working_precision(t)[0])
+        precision = mpmath.workprec(working_precision(t))
     else:
         precision = nullcontext()
     with precision:

@@ -6,6 +6,7 @@ The tests print a one-line summary with the measured numbers; run with
 ``-s`` to see them for passing tests too.
 """
 
+import cmath
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_mixed import KERNELS, integral_identity, kernel_value
 from qwalk.closedform_pure import amplitude as cf_amplitude
 from qwalk.closedform_pure import distribution as cf_distribution
-from qwalk.core import CoinParams, MixedLocalizedState, max_pointwise_difference
+from qwalk.core import CoinParams, MixedLocalizedState, PureState, max_pointwise_difference
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure, step
 from qwalk.horner import (
     f_explicit,
@@ -369,6 +370,25 @@ def test_closed_form_reaches_t1600(plus_i):
     assert worst <= 1e-12, f"closed-form deviation {worst:.2e}"
     print(
         f"\nPASS closed-form reach: spectral at t=1600 {worst:.2e}, "
+        f"closed form {elapsed:.2f}s"
+    )
+
+
+def test_closed_form_reaches_t3200():
+    # the adaptive closed-form distribution of the off-grid CI config's
+    # coin, from (0.6, 0.8i e^{0.4i}) at the origin, against the momentum
+    # route at every site within 1e-12: the reach of the sweeps in block
+    # floating point, past the 2,000-bit fixed point a Horner sum needs
+    params = CoinParams.make(0.7, 1.1, 2.3)
+    init = PureState.localized(0, 0.6, 0.8j * cmath.exp(0.4j))
+    t = 3200
+    start = time.perf_counter()
+    closed = cf_distribution(t, init, params)
+    elapsed = time.perf_counter() - start
+    worst = max_pointwise_difference(closed, simulate(init, params, t))
+    assert worst <= 1e-12, f"closed-form deviation {worst:.2e}"
+    print(
+        f"\nPASS closed-form reach: spectral at t=3200 {worst:.2e}, "
         f"closed form {elapsed:.2f}s"
     )
 

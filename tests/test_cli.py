@@ -336,8 +336,8 @@ class TestCompare:
         assert [line.split(":")[0] for line in lines] == [f"time {m}" for m in methods]
         for line in lines:
             assert re.fullmatch(r"time [a-z-]+: \d+\.\d{6} s", line), line
-        # steps 6: the largest trinomial has 5 bits
-        assert precision == "precision closed-form: 69 bits (5 + 64 guard)"
+        # steps 6: 6 has 3 bits
+        assert precision == "precision closed-form: 131 bits (128 + 3, the bit length of t = 6)"
         written = (tmp_path / "cmp.json").read_text()
         assert "timings" not in written
         cfg_obj = WalkConfig.from_file(cfg)
@@ -672,6 +672,27 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_written_all_or_none(tmp_path, capsys):
+    # run writes a CSV and a JSON file; when the JSON path is a directory
+    # the command exits 2 and leaves no CSV behind either
+    (tmp_path / "x.json").mkdir()
+    out = str(tmp_path / "x")
+    argv = ["run", "--config", str(CONFIG_DIR / "hadamard_symmetric_t40.json"), "--out", out]
+    assert main(argv) == 2
+    assert f"error: cannot write {out}.json: Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.json"]
+    assert list((tmp_path / "x.json").iterdir()) == []
+    # with the directory gone both files are written, with the mode that
+    # a plain open() gives a new file
+    (tmp_path / "x.json").rmdir()
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.json"]
+    mask = os.umask(0)
+    os.umask(mask)
+    for name in ("x.csv", "x.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~mask, name
 
 
 _SHIPPED = {

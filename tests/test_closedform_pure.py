@@ -1,7 +1,9 @@
 import collections
+import dataclasses
 import math
 import random
 import warnings
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -28,6 +30,7 @@ from qwalk.closedform_pure import (
     coefficient_row,
     distribution,
     term_coefficient,
+    working_precision,
 )
 from qwalk.core import CoinParams, PureState, max_pointwise_difference
 from qwalk.direct import distribution_of, evolve_pure
@@ -485,17 +488,17 @@ _EVERY_SITE_CASES = pytest.mark.parametrize(
 
 
 class TestRowPaths:
-    # which path makes the rows is set by traffic: a point query (about
-    # ten per t in the pure-long benchmark) sums its few rows by Horner and
-    # would pay for a whole sweep otherwise; a full exact or adaptive
-    # distribution takes every row from one set of sweeps, which read only
-    # their outermost rows; double sums every row by Horner
+    # adaptive mode makes every row by the sweeps, a point query running
+    # them only as far as its distances need; exact mode sums a point
+    # query's few rows by Horner and takes a distribution's from one set
+    # of sweeps, which read only their outermost rows; double sums every
+    # row by Horner
     PARAMS = CoinParams.make("3/4 pi", "1/4 pi", "1/2 pi")
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = collections.Counter()
-        for name in ("_sweep_rows", "coefficient_row"):
+        for name in ("_sweeps", "coefficient_row"):
 
             def counted(*args, _name=name, _call=getattr(closedform_pure, name)):
                 counts[_name] += 1
@@ -504,20 +507,43 @@ class TestRowPaths:
             monkeypatch.setattr(closedform_pure, name, counted)
         return counts
 
-    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("mode", ["exact", "double"])
     def test_point_query_makes_at_most_three_rows(self, calls, mode):
         init = _RING_STARTS[0] if mode == "exact" else _RING_STARTS[0].to_float()
         for x in (-60, -6, 0, 2, 58, 60):
             calls.clear()
             amplitude(x, 60, init, self.PARAMS, mode)
-            assert calls["_sweep_rows"] == 0, x
+            assert calls["_sweeps"] == 0, x
             assert 0 < calls["coefficient_row"] <= 3, x
+
+    def test_adaptive_point_query_sweeps_only_to_its_distance(self, calls, monkeypatch):
+        # one pass for all sources: each sweep runs from its edge to the
+        # innermost distance d that the query needs, (t - |d|)/2 + 1
+        # values, and reads only its two outermost rows
+        spans = []
+        sweeps = closedform_pure._sweeps
+
+        def recorded(*args):
+            out = sweeps(*args)
+            spans.extend(len(span) for _, span, _ in out)
+            return out
+
+        monkeypatch.setattr(closedform_pure, "_sweeps", recorded)
+        t, init = 60, _RING_STARTS[2].to_float()  # sources at -2, 0 and 3
+        for x in (-62, -6, 0, 1, 2, 58, 63):
+            calls.clear()
+            spans.clear()
+            amplitude(x, t, init, self.PARAMS)
+            inner = min(abs(x - xp) for xp in (-2, 0, 3) if (x - xp - t) % 2 == 0)
+            assert len(spans) == 3, x
+            assert max(spans) <= (t - inner) // 2 + 1, x
+            assert calls["coefficient_row"] <= 6, x
 
     @pytest.mark.parametrize("mode", ["exact", "adaptive"])
     def test_distribution_sweeps_once(self, calls, mode):
         init = _RING_STARTS[2] if mode == "exact" else _RING_STARTS[2].to_float()
         distribution(60, init, self.PARAMS, mode)
-        assert calls["_sweep_rows"] == 1
+        assert calls["_sweeps"] == 1
         assert 0 < calls["coefficient_row"] <= 6
 
     def test_a_row_the_sweeps_miss_raises(self, monkeypatch):
@@ -536,21 +562,24 @@ class TestRowPaths:
 
     def test_double_never_sweeps(self, calls, hadamard, plus_i):
         distribution(20, plus_i.to_float(), hadamard, "double")
-        assert calls["_sweep_rows"] == 0
+        assert calls["_sweeps"] == 0
         assert calls["coefficient_row"] > 0
 
 
 class TestAdaptiveAgainstExact:
     # on the eighth-turn grid the exact closed form is the truth; the
-    # fixed-point kernels and site sums must land within 1e-15 of it,
-    # with the rows by Horner (point queries) and by the sweeps (full
-    # distributions)
+    # adaptive rows, kernels and site sums must land within 1e-15 of it,
+    # site by site (point queries, each sweeping as far as it needs) and
+    # all at once (full distributions)
     @staticmethod
     def _every_site_within_1e15(t, n_sources, coin, sweep):
         init, params = _RING_STARTS[n_sources - 1], CoinParams.make(*coin)
         sites = _every_site(init, t)
         exact = _amplitudes(sites, t, init, params, "exact", sweep)
-        adaptive = _amplitudes(sites, t, init, params, "adaptive", sweep)
+        if sweep:
+            adaptive = _amplitudes(sites, t, init, params, "adaptive", sweep)
+        else:
+            adaptive = [amplitude(x, t, init, params) for x in sites]
         for x, got, want in zip(sites, adaptive, exact):
             for g, w in zip(got, want):
                 assert abs(g - w.to_complex()) <= 1e-15, x
@@ -566,18 +595,23 @@ class TestAdaptiveAgainstExact:
         self._every_site_within_1e15(t, n_sources, coin, sweep=True)
 
     def test_kernels_and_sites_stay_fixed_point(self):
-        # past the rows nothing is an mpmath number: the kernel entries
-        # and the site sums are FixedComplex at the working precision
+        # past the rows nothing is an mpmath number: the rows, the kernel
+        # entries and the site sums are FixedComplex at the working
+        # precision
         t = 60
         init = PureState({-1: (0.6 + 0j, 0.8j), 2: (0j, 1.0 + 0j)})
-        wp = arithmetic.precision_for(coefficient_bits(t))
+        wp = working_precision(t)
         with mpmath.workprec(wp):
             s = _scalars(CoinParams.make(0.7, 1.1, 2.3), t, "adaptive")
             sources = [
                 (xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()
             ]
             ds = range(-t, t + 1, 2)
-            kernels = _kernels(s, ds, _rows(s, ds, sweep=False))
+            rows = _rows(s, ds, sweep=False)
+            for key, value in rows.items():
+                if key != ("alpha_cos", t):  # the empty row, 0
+                    assert type(value) is FixedComplex and value.wp == wp, key
+            kernels = _kernels(s, ds, rows)
             for d in ds:
                 for entry in (e for row in kernels[d] for e in row):
                     assert type(entry) is FixedComplex and entry.wp == wp, d
@@ -604,49 +638,120 @@ class TestAdaptiveAgainstExact:
                 assert type(value) is DyadicComplex, x
 
 
+def _horner_scalars(t: int, params: CoinParams):
+    """Adaptive scalars at wp = coefficient_bits(t) + 256 bits, the current
+    mpmath precision, with every row summed by Horner's rule on wp-bit
+    fixed-point integers and cos^h0 an mpf power: a row path that shares
+    nothing with the sweeps, 192 bits wider than the 64 guard bits that
+    keep a Horner sum within 1e-15 (``arithmetic.precision_for``)."""
+    wp = mpmath.mp.prec
+    cos = mpmath.cos(params.theta.mp_radians())
+    c2, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
+
+    def evaluate(row, h0):
+        acc = 0
+        for c in reversed(row):
+            acc = ((acc * c2) >> wp) + (c << wp)
+        # acc 2^-wp times (-1)^sign man 2^exp, on the 2^-wp grid
+        sign, man, exp, _ = cos_pow(h0)._mpf_
+        n, exp = acc * (-int(man) if sign else int(man)), int(exp)
+        return FixedComplex(n << exp if exp >= 0 else n >> -exp, 0, wp)
+
+    return dataclasses.replace(_scalars(params, t, "adaptive"), evaluate=evaluate, sweep=None)
+
+
+def _horner_reference(xs, t: int, init: PureState, params: CoinParams) -> list:
+    """Amplitude pairs at the sites xs from ``_horner_scalars`` and the
+    module's own kernels and site sums at that width."""
+    init = init.to_float()
+    if t == 0:
+        return [init.amplitude(x) for x in xs]
+    with mpmath.workprec(coefficient_bits(t) + 256):
+        s = _horner_scalars(t, params)
+        sources = [(xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()]
+        ds = {x - xp for x in xs for xp, _ in sources} & set(range(-t, t + 1, 2))
+        kernels = _kernels(s, ds, _rows(s, ds, sweep=False))
+        return [tuple(map(complex, _site(x, sources, kernels, s.zero))) for x in xs]
+
+
 class TestAdaptivePrecision:
-    # the adaptive rows are summed on fixed-point integers; at 256 guard
-    # bits instead of 64 the amplitudes must not move
+    # the adaptive rows come from the sweeps at SWEEP_BITS + bitlen(t)
+    # bits; the amplitudes must match a Horner reference whose fixed point
+    # is wider than the largest trinomial by 256 bits, within 1e-15
     PARAMS = CoinParams.make(0.9, 0.4, 1.3)
 
-    THETAS = pytest.mark.parametrize("theta", [0.05, math.pi / 2 - 0.01, math.pi - 0.05])
+    THETAS = pytest.mark.parametrize(
+        "theta", [0.05, 0.7, math.pi / 2 - 0.01, math.pi / 2, math.pi - 0.05]
+    )
 
     @staticmethod
-    def _every_site_at_t301(monkeypatch, theta, sweep):
+    def _every_site(theta, t, sweep, step=1):
         # near theta = 0 and pi |R| grows as 1/|sin theta|; near pi/2 the
         # powers of cos fall below 2^-wp towards the light-cone edge
-        t = 301
         init = random_state(random.Random(29), radius=2)
         params = CoinParams.make(theta, 0.4, 1.3)
-        sites = _every_site(init, t)
-        got = _amplitudes(sites, t, init, params, "adaptive", sweep)
-        monkeypatch.setattr(arithmetic, "GUARD_BITS", 256)
-        want = _amplitudes(sites, t, init, params, "adaptive", sweep)
+        sites = _every_site(init, t)[::step]
+        if sweep:
+            got = _amplitudes(sites, t, init, params, "adaptive", sweep)
+        else:
+            got = [amplitude(x, t, init, params) for x in sites]
+        want = _horner_reference(sites, t, init, params)
         for x, g, w in zip(sites, got, want):
             _amps_close(g, w, tol=1e-15)
 
     @THETAS
-    def test_every_site_at_t301_matches_256_guard_bits(self, monkeypatch, theta):
-        self._every_site_at_t301(monkeypatch, theta, sweep=False)
+    def test_every_site_at_t301_matches_256_guard_bits(self, theta):
+        self._every_site(theta, 301, sweep=False)
 
     @THETAS
-    def test_every_site_at_t301_by_sweeps_matches_256_guard_bits(self, monkeypatch, theta):
-        self._every_site_at_t301(monkeypatch, theta, sweep=True)
+    def test_every_site_at_t301_by_sweeps_matches_256_guard_bits(self, theta):
+        self._every_site(theta, 301, sweep=True)
 
-    def test_amplitudes_at_t600_match_256_guard_bits(self, monkeypatch, plus_i):
+    @THETAS
+    def test_sites_at_t600_match_256_guard_bits(self, theta):
+        # point queries at every 9th site, a distribution's sweeps at all
+        self._every_site(theta, 600, sweep=False, step=9)
+        self._every_site(theta, 600, sweep=True)
+
+    @THETAS
+    def test_small_t_match_256_guard_bits(self, theta):
+        for t in range(4):
+            self._every_site(theta, t, sweep=False)
+            self._every_site(theta, t, sweep=True)
+
+    def test_amplitudes_at_t600_match_256_guard_bits(self, plus_i):
         t = 600
         peak = round(t * math.cos(0.9))
         sites = (-t, -t + 2, -peak, 0, peak, t - 2, t)
-        got = [amplitude(x, t, plus_i, self.PARAMS) for x in sites]
-        monkeypatch.setattr(arithmetic, "GUARD_BITS", 256)
-        for x, pair in zip(sites, got):
-            _amps_close(pair, amplitude(x, t, plus_i, self.PARAMS), tol=1e-15)
+        want = _horner_reference(sites, t, plus_i, self.PARAMS)
+        for x, pair in zip(sites, want):
+            _amps_close(amplitude(x, t, plus_i, self.PARAMS), pair, tol=1e-15)
 
-    def test_distribution_at_t140_matches_256_guard_bits(self, monkeypatch):
+    def test_distribution_at_t140_matches_256_guard_bits(self):
         rng = random.Random(23)
         init = random_state(rng, radius=2)
         t = 140
         got = distribution(t, init, self.PARAMS)
-        monkeypatch.setattr(arithmetic, "GUARD_BITS", 256)
-        want = distribution(t, init, self.PARAMS)
-        assert max_pointwise_difference(got, want) < 1e-15
+        want = _horner_reference(got.positions, t, init, self.PARAMS)
+        for x, (a, b) in zip(got.positions, want):
+            assert got[x] == pytest.approx(abs(a) ** 2 + abs(b) ** 2, abs=1e-15), x
+
+    @THETAS
+    def test_swept_rows_match_256_guard_bits(self, theta):
+        # the envelope of the module docstring: every swept R within
+        # 2^-(SWEEP_BITS - 4) of the reference's row, at t = 301
+        t, params = 301, CoinParams.make(theta, 0.4, 1.3)
+        ds = range(-t, t + 1, 2)
+        with mpmath.workprec(working_precision(t)):
+            got = _rows(_scalars(params, t, "adaptive"), ds, sweep=True)
+        with mpmath.workprec(coefficient_bits(t) + 256):
+            want = _rows(_horner_scalars(t, params), ds, sweep=False)
+        assert got.keys() == want.keys()
+        for key, r in got.items():
+            if key == ("alpha_cos", t):  # the empty row
+                assert r == want[key] == 0
+                continue
+            w = want[key]
+            assert r.im == w.im == 0, key
+            error = abs(Fraction(r.re, 1 << r.wp) - Fraction(w.re, 1 << w.wp))
+            assert error <= Fraction(1, 2 ** (closedform_pure.SWEEP_BITS - 4)), key
