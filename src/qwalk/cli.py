@@ -160,25 +160,28 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_config(args)
-    if len(cfg.methods) < 2:
-        raise ConfigError("compare needs at least two methods")
-    if cfg.is_mixed:
-        report = compare_mixed(
-            cfg.initial,
-            cfg.steps,
-            methods=cfg.methods,
-            params=cfg.params,
-            tolerances=cfg.tolerances,
-        )
-    else:
-        report = compare_pure(
-            cfg.initial,
-            cfg.params,
-            cfg.steps,
-            methods=cfg.methods,
-            mode=cfg.mode,
-            tolerances=cfg.tolerances,
-        )
+    try:
+        if cfg.is_mixed:
+            report = compare_mixed(
+                cfg.initial,
+                cfg.steps,
+                methods=cfg.methods,
+                params=cfg.params,
+                tolerances=cfg.tolerances,
+            )
+        else:
+            report = compare_pure(
+                cfg.initial,
+                cfg.params,
+                cfg.steps,
+                methods=cfg.methods,
+                mode=cfg.mode,
+                tolerances=cfg.tolerances,
+            )
+    except ValueError as exc:
+        # a plan the comparison refuses before any route runs, such as a
+        # single method: bad input
+        raise ConfigError(str(exc)) from exc
     base = _out_base(args, cfg, "qwalk-compare")
     wrote = _write(base, {".json": report.to_json() + "\n"})
     # wall times vary from run to run, so they stay out of the report

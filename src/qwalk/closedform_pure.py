@@ -82,29 +82,29 @@ The closed form runs in three stages over ds, the distances d = x - x'
 from the sources to the sites asked for that lie on the light cone at
 the parity of t (``_site_sums``). ``_rows`` makes one dict of the row
 values that the kernels read, keyed (alpha_ft, |d|), (alpha_cos, d) and
-(alpha_cos, -d) for each d, an empty row (alpha_cos at d = t) stored as
-0. Each sweep runs from its edge only to the innermost of these keys,
-so a full distribution (``distribution``) runs all three to the middle,
-about 1.5t recurrence steps in place of about 1.5t Horner rows of up to
-t/2 terms, and a point query (``amplitude``) whose nearest source is
-at distance d about 1.5(t - |d|) steps, one pass for all its sources.
-``adaptive`` mode takes every row from the sweeps. ``exact`` takes a
-distribution's from them and sums a point query's few rows by Horner's
-rule, and ``double`` keeps Horner everywhere, so its precision cliff
-stays demonstrable. ``_kernels`` reads the dict by index into one table
-{d: K_t(d)}, so a key the rows did not make raises, and ``_site`` sums
-K_t(x - x') times each source's pair. So every R and every kernel is
-made once per call.
+(alpha_cos, -d) for each d (``_row_keys``, the one statement of that
+set), an empty row (alpha_cos at d = t) stored as 0. Each mode has one
+row path, fixed by the mode alone. ``exact`` and ``adaptive`` take every
+row from the sweeps, each of which runs from its edge only to the
+innermost of these keys: a full distribution (``distribution``) runs
+all three to the middle, about 1.5t recurrence steps in place of about
+1.5t Horner rows of up to t/2 terms, and a point query (``amplitude``)
+whose nearest source is at distance d about 1.5(t - |d|) steps, one
+pass for all its sources. ``double`` sums each row by Horner's rule, so
+its precision cliff stays demonstrable. ``_kernels`` reads the dict by
+index into one table {d: K_t(d)}, so a key the rows did not make
+raises, and ``_site`` sums K_t(x - x') times each source's pair. So
+every R and every kernel is made once per call.
 
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
 only), ``adaptive`` (block floating point in the sweeps, fixed point
 after them, at a precision of SWEEP_BITS plus the bit length of t),
 ``double`` (floats; cancellation-prone at large t by design, so the
 failure stays demonstrable). All three build the same kernels; a mode
-only supplies the scalars and the rules that make the row values R:
+only supplies the scalars and the one rule that makes the row values R:
 
 * exact: c2 is 0, 1/2 or 1, so P is one integer over a power of 2 that
-  no row outgrows; Horner and the sweeps are exact on it. On the
+  no row outgrows; the sweeps are exact on it (``_rational_rows``). On the
   eighth-turn grid cos, sin and every phase have a denominator dividing
   2, so R and every value after it (cos, sin, e^{i phi1}, chi^e, the
   kernel entries and the site sums) is a ``DyadicComplex``: four integer
@@ -311,44 +311,55 @@ def coefficient_row(t: int, family: str, d: int) -> list[int]:
     return row
 
 
-def _float_horner(cos: float) -> Callable:
-    """R by Horner's rule in floats. A row with a coefficient past the
-    float range (t near 1000) has no float value: NaN."""
+def _row_keys(d: int) -> tuple:
+    """The keys of the three rows that K_t(d) reads, in the order Rft, Rc,
+    S of the module docstring: alpha_ft at |d| and alpha_cos at d and -d.
+    The one statement of which rows a kernel needs."""
+    return ("alpha_ft", abs(d)), ("alpha_cos", d), ("alpha_cos", -d)
+
+
+def _read_keys(ds) -> set:
+    """The keys of every row that the kernels at the distances ds read."""
+    return {key for d in ds for key in _row_keys(d)}
+
+
+def _float_horner(cos: float, t: int) -> Callable:
+    """rows(ds) for double mode: each R that the kernels at ds read by
+    Horner's rule in floats, but the empty row. A row with a coefficient
+    past the float range (t near 1000) has no float value: NaN."""
     c2, cos_pow = cos * cos, cache(cos.__pow__)
 
-    def evaluate(row, h0):
+    def value(family, d):
         acc = 0
         try:
-            for c in reversed(row):
+            for c in reversed(coefficient_row(t, family, d)):
                 acc = acc * c2 + c
         except OverflowError:
             return math.nan
-        return acc * cos_pow(h0)
+        return acc * cos_pow(_first_h(t, family, d))
 
-    return evaluate
+    return lambda ds: {key: value(*key) for key in _read_keys(ds) - {("alpha_cos", t)}}
 
 
-def _sweeps(t: int, ds=None) -> list:
+def _sweeps(t: int, keys) -> list:
     """The three sweeps of the module docstring, as (family, span,
     coefficients): span is the distances d of the family's rows from the
-    light-cone edge inward, stopping at the innermost key that the
-    kernels at the distances ds read (at the meeting point near d = 0
-    when ds is None, as a distribution needs), and coefficients(d) is
-    (far, mid, mid_c2, near) of the recurrence at d,
+    light-cone edge inward, stopping at the innermost of the row keys
+    ``keys`` (at the meeting point near d = 0 for a full distribution's
+    keys), and coefficients(d) is (far, mid, mid_c2, near) of the
+    recurrence at d,
 
         near P(ahead) = -(far c2^2 P(behind) + (mid - mid_c2 c2) P(d)),
 
     where behind is one step nearer the edge and ahead one step further.
     """
-    if ds is None:
-        ds = range(-t, t + 1, 2)
-    # the keys the kernels at ds read: alpha_ft at |d|, alpha_cos at +-d
-    keys = {k for d in ds for k in (d, -d)}
-    inner = min(k for k in keys if k >= -1)
-    outer = max((k for k in keys if k <= -2), default=-t - 2)
+    ft = min(d for family, d in keys if family == "alpha_ft")
+    cos = [d for family, d in keys if family == "alpha_cos"]
+    inner = min(d for d in cos if d >= -1)
+    outer = max((d for d in cos if d <= -2), default=-t - 2)
     u, v = (t + 1) ** 2, t * t
     return [
-        ("alpha_ft", range(t, min(map(abs, ds)) - 1, -2), lambda d: (
+        ("alpha_ft", range(t, ft - 1, -2), lambda d: (
             (d - 1) * (d - t) * (d + t + 2), 4 * d * (d * d - 1),
             2 * d * (d * d - 1 + u), (d + 1) * (d + t) * (d - t - 2))),
         ("alpha_cos", range(t - 2, inner - 1, -2), lambda d: (
@@ -360,10 +371,10 @@ def _sweeps(t: int, ds=None) -> list:
     ]
 
 
-def _sweep_rows(t: int, num: int, den: int, unit: int, ds=None) -> dict:
-    """The bare sums P(f, d) by the three sweeps of ``_sweeps``, exactly:
-    {(family, d): P unit} for alpha_ft at every d >= 0 and alpha_cos at
-    every d that the sweeps reach, with cos^2 = num / den.
+def _sweep_rows(t: int, num: int, den: int, unit: int, keys) -> dict:
+    """The bare sums P(f, d) by the three sweeps of ``_sweeps`` for the
+    row keys ``keys``, exactly: {(family, d): P unit} for every d that the
+    sweeps reach, with cos^2 = num / den.
 
     Each sweep takes its two outermost values from their rows (of length 1
     and 2) and each next one from the recurrence, dividing by its leading
@@ -373,7 +384,7 @@ def _sweep_rows(t: int, num: int, den: int, unit: int, ds=None) -> dict:
     """
     n2, nd, d2 = num * num, num * den, den * den
     values = {}
-    for family, span, coefficients in _sweeps(t, ds):
+    for family, span, coefficients in _sweeps(t, keys):
         held = []
         for d in span[:2]:
             n = 0
@@ -388,16 +399,15 @@ def _sweep_rows(t: int, num: int, den: int, unit: int, ds=None) -> dict:
     return values
 
 
-def _rational_rows(cos: SqrtTwo, t: int):
-    """(evaluate, sweep) for exact mode. cos^2 is 0, 1/2 or 1 on the
-    eighth-turn grid, so num / 2^shift with shift 0 or 1, and each bare
-    sum P is held on one integer N = P 2^unit. No row is longer than
-    t//2 + 1, so with unit = shift (t//2) every N is an integer, and every
-    shift in Horner and every division in the sweeps is exact.
-    evaluate(row, h0) is R by Horner's rule and sweep(ds) the R that the
-    kernels at ds read, by ``_sweep_rows``, as {(family, d): R}. R is the
-    DyadicComplex N / 2^unit times cos^h0 = (cos^2)^(h0//2) cos^(h0%2),
-    with no reduction."""
+def _rational_rows(cos: SqrtTwo, t: int) -> Callable:
+    """rows(ds) for exact mode: {(family, d): R} for the keys that the
+    kernels at the distances ds read, by ``_sweep_rows``. cos^2 is 0, 1/2
+    or 1 on the eighth-turn grid, so num / 2^shift with shift 0 or 1, and
+    each bare sum P is held on one integer N = P 2^unit. No row is longer
+    than t//2 + 1, so with unit = shift (t//2) every N is an integer and
+    every division in the sweeps is exact. R is the DyadicComplex
+    N / 2^unit times cos^h0 = (cos^2)^(h0//2) cos^(h0%2), with no
+    reduction, made only for the keys read."""
     c2 = cos * cos
     assert c2.b == 0
     num, shift = c2.a.numerator, c2.a.denominator.bit_length() - 1
@@ -409,23 +419,16 @@ def _rational_rows(cos: SqrtTwo, t: int):
         r = DyadicComplex(n * num**m, 0, 0, 0, unit + shift * m)
         return r * cos if h0 % 2 else r
 
-    def evaluate(row, h0):
-        acc = 0
-        for c in reversed(row):
-            acc = ((acc * num) >> shift) + (c << unit)
-        return finish(acc, h0)
+    def rows(ds):
+        keys = _read_keys(ds)
+        swept = _sweep_rows(t, num, 1 << shift, 1 << unit, keys)
+        return {key: finish(swept[key], _first_h(t, *key)) for key in swept.keys() & keys}
 
-    def sweep(ds):
-        return {
-            (family, d): finish(n, _first_h(t, family, d))
-            for (family, d), n in _sweep_rows(t, num, 1 << shift, 1 << unit, ds).items()
-        }
-
-    return evaluate, sweep
+    return rows
 
 
 def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
-    """sweep(ds) for adaptive mode: {(family, d): R} for the keys that the
+    """rows(ds) for adaptive mode: {(family, d): R} for the keys that the
     kernels at the distances ds read, each R a FixedComplex at wp bits.
 
     The sweeps of ``_sweeps`` run on R = P cos^h0 itself. h0 falls by 2 at
@@ -457,9 +460,9 @@ def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
     def fixed(m, e):
         return FixedComplex(m << e + wp if e + wp >= 0 else m >> -e - wp, 0, wp)
 
-    def sweep(ds):
-        swept = {}
-        for family, span, coefficients in _sweeps(t, ds):
+    def rows(ds):
+        keys, swept = _read_keys(ds), {}
+        for family, span, coefficients in _sweeps(t, keys):
             held = [edge(family, d) for d in span[:2]]
             swept.update(zip([(family, d) for d in span], held))
             if len(span) < 3:
@@ -477,10 +480,9 @@ def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
                 far, mid, mid_c2, near = coefficients(d)
                 a, b = b, -(far * num * a + ((mid << k) - mid_c2 * num) * b) // (near * num)
                 swept[family, ahead] = b, e
-        keys = {("alpha_ft", abs(d)) for d in ds} | {("alpha_cos", x) for d in ds for x in (d, -d)}
-        return {key: fixed(*swept[key]) for key in keys & swept.keys()}
+        return {key: fixed(*swept[key]) for key in swept.keys() & keys}
 
-    return sweep
+    return rows
 
 
 @dataclass(frozen=True)
@@ -494,8 +496,7 @@ class _Scalars:
     chi_pow: Callable    # e -> chi^e, a function of e alone
     lift: Callable       # source amplitude -> the mode's complex type
     zero: object         # 0 in the mode's complex type
-    evaluate: Callable | None   # (integer row, its first h) -> R; None in adaptive
-    sweep: Callable | None   # ds -> {(family, d): R} the kernels at ds read; None in double
+    rows: Callable       # ds -> {(family, d): R} for the keys the kernels at ds read
 
 
 def _lift_dyadic(denominator: int) -> Callable:
@@ -572,7 +573,7 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
-        evaluate, sweep = _rational_rows(params.theta.cos_exact(), t)
+        rows = _rational_rows(params.theta.cos_exact(), t)
         cos, sin = (
             DyadicComplex.of(SqrtTwoComplex(v))
             for v in (params.theta.cos_exact(), params.theta.sin_exact())
@@ -585,35 +586,22 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
     elif mode == "adaptive":
         wp = mpmath.mp.prec
         mp_cos, c2, cos, sin, ephi1, chi = _coin_constants(params, wp)
-        evaluate, sweep = None, _float_rows(mp_cos, c2, wp, t)
+        rows = _float_rows(mp_cos, c2, wp, t)
         chi_pow, lift = _powers(chi), _lift_fixed(wp)
         zero = FixedComplex(0, 0, wp)
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
         chi_pow, ephi1 = params.chi.__pow__, _expj(params.phi1)
-        lift, zero, evaluate, sweep = complex, 0j, _float_horner(cos), None
-    return _Scalars(t, cos, sin, ephi1, chi_pow, lift, zero, evaluate, sweep)
+        lift, zero, rows = complex, 0j, _float_horner(cos, t)
+    return _Scalars(t, cos, sin, ephi1, chi_pow, lift, zero, rows)
 
 
-def _rows(s: _Scalars, ds, sweep: bool) -> dict:
+def _rows(s: _Scalars, ds) -> dict:
     """Stage 1: {(family, d): R} with every key that the kernels at the
-    distances ds read, an empty row stored as 0. In adaptive mode, and
-    with ``sweep`` in exact mode, every row comes from the sweeps, and the
-    one empty row on the light cone, alpha_cos at d = t, is stated;
-    otherwise each row is summed by Horner's rule."""
-    t = s.t
-    if not ds:
-        return {}
-    if s.sweep is not None and (sweep or s.evaluate is None):
-        return {**s.sweep(ds), ("alpha_cos", t): 0}
-    rows = {}
-    for d in ds:
-        for key in (("alpha_ft", abs(d)), ("alpha_cos", d), ("alpha_cos", -d)):
-            if key not in rows:
-                h0 = _first_h(t, *key)
-                rows[key] = 0 if h0 is None else s.evaluate(coefficient_row(t, *key), h0)
-    return rows
+    distances ds read, by the mode's one row path, and the one empty row
+    on the light cone, alpha_cos at d = t, stated as 0."""
+    return {**s.rows(ds), ("alpha_cos", s.t): 0} if ds else {}
 
 
 def _kernels(s: _Scalars, ds, rows: dict) -> dict:
@@ -622,9 +610,10 @@ def _kernels(s: _Scalars, ds, rows: dict) -> dict:
     docstring, Rft, Rc and S, read from ``rows``."""
     t, kernels = s.t, {}
     for d in ds:
-        ft = -rows["alpha_ft", abs(d)] if d < 0 and t % 2 else rows["alpha_ft", abs(d)]
-        rc = rows["alpha_cos", d]
-        sn = -rows["alpha_cos", -d] if t % 2 == 0 else rows["alpha_cos", -d]
+        ft_key, rc_key, sn_key = _row_keys(d)
+        ft = -rows[ft_key] if d < 0 and t % 2 else rows[ft_key]
+        rc = rows[rc_key]
+        sn = -rows[sn_key] if t % 2 == 0 else rows[sn_key]
         chi_e = s.chi_pow((t - d) // 2)
         kernels[d] = (
             (chi_e * (ft + s.cos * rc), s.ephi1 * chi_e * (s.sin * sn)),
@@ -656,7 +645,7 @@ def _abs_sq(z: complex) -> float:
         return math.inf
 
 
-def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str, sweep: bool):
+def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str):
     """(pairs, D): the amplitude pairs at the sites xs by the three stages,
     in the mode's number type (the start itself at t = 0), D being the
     common denominator of an exact start's amplitudes and 1 otherwise."""
@@ -684,16 +673,14 @@ def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str, sweep
             for xp, (alpha, beta) in init.amplitudes.items()
         ]
         ds = {x - xp for x in xs for xp, _ in sources} & set(range(-t, t + 1, 2))
-        kernels = _kernels(s, ds, _rows(s, ds, sweep))
+        kernels = _kernels(s, ds, _rows(s, ds))
         return [_site(x, sources, kernels, s.zero) for x in xs], denominator
 
 
-def _amplitudes(
-    xs, t: int, init: PureState, params: CoinParams, mode: str, sweep: bool = False
-) -> list:
+def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str) -> list:
     """Amplitude pairs at the sites xs: ring elements in exact mode, each
     reduced once over D 2^k, complex otherwise."""
-    pairs, denominator = _site_sums(xs, t, init, params, mode, sweep)
+    pairs, denominator = _site_sums(xs, t, init, params, mode)
     if mode == "exact":
         ring = SqrtTwoComplex.from_numerators
         return [
@@ -741,14 +728,14 @@ def distribution(
     lo, hi = init.span
     grid = range(lo - t, hi + t + 1)
     if mode == "exact":
-        pairs, denominator = _site_sums(grid, t, init, params, mode, sweep=True)
+        pairs, denominator = _site_sums(grid, t, init, params, mode)
         exact = {}
         for x, (a, b) in zip(grid, pairs):
             n = a.abs_sq() + b.abs_sq()
             exact[x] = SqrtTwo.from_numerators(n.p, n.q, denominator**2 << n.k)
         probs = {x: float(v) for x, v in exact.items()}
         return Distribution(probs, t=t, method="closed-form", mode="exact", exact=exact)
-    pairs = zip(grid, _amplitudes(grid, t, init, params, mode, sweep=True))
+    pairs = zip(grid, _amplitudes(grid, t, init, params, mode))
     probs = {x: _abs_sq(a) + _abs_sq(b) for x, (a, b) in pairs}
     dist = Distribution(probs, t=t, method="closed-form", mode=mode)
     # a plain sum, as fsum raises where finite terms overflow it; "not

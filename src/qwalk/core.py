@@ -145,9 +145,10 @@ class PureState:
     """Coin-resolved amplitudes on finitely many sites.
 
     ``amplitudes`` maps position x to (alpha_x, beta_x); alpha rides coin
-    component 0, beta rides component 1. All amplitudes must share one scalar
-    kind: either complex numbers or ring elements (exact mode). Treated as
-    immutable after construction.
+    component 0, beta rides component 1. Each x is an integer (numpy
+    integers included); anything else raises TypeError. All amplitudes
+    must share one scalar kind: either complex numbers or ring elements
+    (exact mode). Treated as immutable after construction.
     """
 
     amplitudes: Mapping[int, tuple[Amplitude, Amplitude]]
@@ -167,7 +168,7 @@ class PureState:
             else:
                 a, b = complex(a), complex(b)
                 kinds.add("float")
-            amps[int(x)] = (a, b)
+            amps[operator.index(x)] = (a, b)
         if not amps:
             raise ValueError("state needs at least one site")
         if len(kinds) > 1:

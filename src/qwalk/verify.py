@@ -297,8 +297,8 @@ def compare_mixed(
 ) -> ComparisonReport:
     """Compare mixed-coin evaluations. ``r`` is the Pauli vector
     (r0, r1, r2, r3) or a MixedLocalizedState. ``params`` defaults to the
-    Hadamard coin; the closed forms hold for it only, so with any other
-    coin ``methods`` may name "direct" alone."""
+    Hadamard coin; the closed forms hold for it only, so any other coin
+    has no second method to compare with."""
     params = params or CoinParams.hadamard()
     return _compare(valid_mixed_state(r), params, t, methods, "adaptive", tolerances, False)
 
@@ -314,9 +314,12 @@ def _compare(
 ) -> ComparisonReport:
     """The loop behind compare_pure and compare_mixed: check the plan once,
     route and time each method, then run the gates. ``t`` is an integer
-    (numpy integers included), anything else raises TypeError."""
+    (numpy integers included), anything else raises TypeError; fewer than
+    two methods, which would compare nothing, raise ValueError."""
     t = step_count(t)
     methods = tuple(methods)
+    if len(methods) < 2:
+        raise ValueError("compare needs at least two methods")
     check_plan(params, initial, methods, mode)
     report = ComparisonReport(
         kind="mixed" if isinstance(initial, MixedLocalizedState) else "pure",

@@ -417,9 +417,13 @@ class TestCompare:
         assert not (tmp_path / "cmp.json").exists()
 
     def test_single_method_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "walk.json", pure_doc())
-        assert main(["compare", "--config", cfg]) == 2
-        assert "at least two methods" in capsys.readouterr().err
+        # the rule lives in verify; the CLI reports it as bad input
+        for doc in (pure_doc(), mixed_doc([0.5, 0, 0, 0], method="direct")):
+            cfg = write_config(tmp_path, "walk.json", doc)
+            out = str(tmp_path / "cmp")
+            assert main(["compare", "--config", cfg, "--out", out]) == 2
+            assert capsys.readouterr().err == "error: compare needs at least two methods\n"
+            assert not (tmp_path / "cmp.json").exists()
 
     def test_report_is_byte_stable(self, tmp_path):
         cfg = write_config(

@@ -19,7 +19,9 @@ from qwalk.closedform_pure import (
     FAMILIES,
     MODES,
     _amplitudes,
+    _first_h,
     _kernels,
+    _read_keys,
     _rows,
     _scalars,
     _site,
@@ -268,17 +270,21 @@ class TestStructure:
         [("0 pi", "1/4 pi", "1/2 pi"), ("1/4 pi", "3/4 pi", "3/2 pi"),
          ("1/2 pi", "5/4 pi", "0 pi"), ("3/4 pi", "1/4 pi", "7/4 pi")],
     )
-    def test_exact_distribution_matches_point_queries_t60(self, coin):
-        # an exact distribution takes its rows from the sweeps, a point
-        # query from Horner; both are exact, so ring-equal at every site,
-        # theta = 0 (cos^2 = 1) and pi/2 (cos^2 = 0) included
+    def test_exact_distribution_matches_point_queries_t60(self, monkeypatch, coin):
+        # an exact distribution and each point query take their rows from
+        # the sweeps, the reference from a Fraction Horner sum of every
+        # row; all are exact, so ring-equal at every site, theta = 0
+        # (cos^2 = 1) and pi/2 (cos^2 = 0) included
         t, init, params = 60, _RING_STARTS[2], CoinParams.make(*coin)
         sites = _every_site(init, t)
-        swept = _amplitudes(sites, t, init, params, "exact", sweep=True)
+        with monkeypatch.context() as m:
+            m.setattr(closedform_pure, "_rational_rows", _fraction_horner_rows)
+            want = _amplitudes(sites, t, init, params, "exact")
+        swept = _amplitudes(sites, t, init, params, "exact")
         dist = distribution(t, init, params, "exact")
-        for x, pair in zip(sites, swept):
+        for x, pair, reference in zip(sites, swept, want):
             a, b = amplitude(x, t, init, params, "exact")
-            assert pair == (a, b), x
+            assert pair == (a, b) == reference, x
             if x in dist.exact:
                 assert dist.exact_value(x) == a.abs_sq() + b.abs_sq(), x
 
@@ -416,7 +422,7 @@ class TestRowSweeps:
         for c2 in cls.C2:
             num, den = c2.numerator, c2.denominator
             unit = den ** (t // 2)
-            values = _sweep_rows(t, num, den, unit)
+            values = _sweep_rows(t, num, den, unit, _read_keys(range(-t, t + 1, 2)))
             assert set(values) == cls._keys(t), (t, c2)
             for (family, d), n in values.items():
                 # Horner on one numerator over den^(len - 1)
@@ -443,7 +449,7 @@ class TestRowSweeps:
         with mpmath.workprec(wp):
             cos = mpmath.cos(CoinParams.make(theta).theta.mp_radians())
             x = int(to_fixed((cos * cos)._mpf_, wp))
-        values = _sweep_rows(t, x, 1 << wp, 1 << wp)
+        values = _sweep_rows(t, x, 1 << wp, 1 << wp, _read_keys(range(-t, t + 1, 2)))
         assert set(values) == self._keys(t)
         for (family, d), n in values.items():
             row = coefficient_row(t, family, d)
@@ -456,6 +462,22 @@ class TestRowSweeps:
 
 def _ring(a, b=0, c=0, d=0):
     return SqrtTwoComplex(SqrtTwo(a, b), SqrtTwo(c, d))
+
+
+def _fraction_horner_rows(cos: SqrtTwo, t: int):
+    """A stand-in for ``_rational_rows``: rows(ds) with each R a Fraction
+    Horner sum of its coefficient_row, as ``TestRowSweeps`` sums them,
+    times the ring power cos^h0; a row path that shares nothing with the
+    sweeps."""
+    c2 = (cos * cos).a
+
+    def value(family, d):
+        p = Fraction(0)
+        for c in reversed(coefficient_row(t, family, d)):
+            p = p * c2 + c
+        return DyadicComplex.of(SqrtTwoComplex(SqrtTwo(p) * cos ** _first_h(t, family, d)))
+
+    return lambda ds: {key: value(*key) for key in _read_keys(ds) - {("alpha_cos", t)}}
 
 
 _HALF, _QUARTER = Fraction(1, 2), Fraction(1, 4)
@@ -488,11 +510,10 @@ _EVERY_SITE_CASES = pytest.mark.parametrize(
 
 
 class TestRowPaths:
-    # adaptive mode makes every row by the sweeps, a point query running
-    # them only as far as its distances need; exact mode sums a point
-    # query's few rows by Horner and takes a distribution's from one set
-    # of sweeps, which read only their outermost rows; double sums every
-    # row by Horner
+    # each mode has one row path: exact and adaptive make every row by the
+    # sweeps, which read only their outermost rows, a point query running
+    # them only as far as its distances need; double sums every row by
+    # Horner
     PARAMS = CoinParams.make("3/4 pi", "1/4 pi", "1/2 pi")
 
     @pytest.fixture
@@ -508,18 +529,34 @@ class TestRowPaths:
         return counts
 
     @pytest.mark.parametrize("mode", ["exact", "double"])
-    def test_point_query_makes_at_most_three_rows(self, calls, mode):
+    def test_point_query_makes_at_most_three_rows(self, calls, monkeypatch, mode):
+        # a one-site query reads three rows at most, and makes no other:
+        # double sums just those by Horner, exact sweeps once and converts
+        # only those
+        made = []
+        rows = closedform_pure._rows
+
+        def recorded(s, ds):
+            out = rows(s, ds)
+            made.append(len(out.keys() - {("alpha_cos", s.t)}))
+            return out
+
+        monkeypatch.setattr(closedform_pure, "_rows", recorded)
         init = _RING_STARTS[0] if mode == "exact" else _RING_STARTS[0].to_float()
         for x in (-60, -6, 0, 2, 58, 60):
             calls.clear()
+            made.clear()
             amplitude(x, 60, init, self.PARAMS, mode)
-            assert calls["_sweeps"] == 0, x
-            assert 0 < calls["coefficient_row"] <= 3, x
+            assert calls["_sweeps"] == (mode == "exact"), x
+            assert len(made) == 1 and 0 < made[0] <= 3, x
+            if mode == "double":
+                assert 0 < calls["coefficient_row"] <= 3, x
 
     def test_adaptive_point_query_sweeps_only_to_its_distance(self, calls, monkeypatch):
-        # one pass for all sources: each sweep runs from its edge to the
-        # innermost distance d that the query needs, (t - |d|)/2 + 1
-        # values, and reads only its two outermost rows
+        # in adaptive and exact mode alike, one pass for all sources: each
+        # sweep runs from its edge to the innermost distance d that the
+        # query needs, (t - |d|)/2 + 1 values, and reads only its two
+        # outermost rows
         spans = []
         sweeps = closedform_pure._sweeps
 
@@ -529,15 +566,27 @@ class TestRowPaths:
             return out
 
         monkeypatch.setattr(closedform_pure, "_sweeps", recorded)
-        t, init = 60, _RING_STARTS[2].to_float()  # sources at -2, 0 and 3
-        for x in (-62, -6, 0, 1, 2, 58, 63):
-            calls.clear()
-            spans.clear()
-            amplitude(x, t, init, self.PARAMS)
-            inner = min(abs(x - xp) for xp in (-2, 0, 3) if (x - xp - t) % 2 == 0)
-            assert len(spans) == 3, x
-            assert max(spans) <= (t - inner) // 2 + 1, x
-            assert calls["coefficient_row"] <= 6, x
+        t = 60
+        for mode, init in (("adaptive", _RING_STARTS[2].to_float()), ("exact", _RING_STARTS[2])):
+            for x in (-62, -6, 0, 1, 2, 58, 63):  # sources at -2, 0 and 3
+                calls.clear()
+                spans.clear()
+                amplitude(x, t, init, self.PARAMS, mode)
+                inner = min(abs(x - xp) for xp in (-2, 0, 3) if (x - xp - t) % 2 == 0)
+                assert len(spans) == 3, (mode, x)
+                assert max(spans) <= (t - inner) // 2 + 1, (mode, x)
+                assert calls["coefficient_row"] <= 6, (mode, x)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("ds", [(0,), (-6,), (60,), (-60, 2), range(-60, 61, 2)])
+    def test_rows_are_the_keys_the_kernels_read(self, mode, ds):
+        # every mode makes R only for the keys that _read_keys names, plus
+        # the one empty row it states, so no swept value is converted in
+        # vain
+        t = 60
+        with mpmath.workprec(working_precision(t)):
+            s = _scalars(self.PARAMS, t, mode)
+            assert _rows(s, ds).keys() == _read_keys(ds) | {("alpha_cos", t)}
 
     @pytest.mark.parametrize("mode", ["exact", "adaptive"])
     def test_distribution_sweeps_once(self, calls, mode):
@@ -572,12 +621,12 @@ class TestAdaptiveAgainstExact:
     # site by site (point queries, each sweeping as far as it needs) and
     # all at once (full distributions)
     @staticmethod
-    def _every_site_within_1e15(t, n_sources, coin, sweep):
+    def _every_site_within_1e15(t, n_sources, coin, at_once):
         init, params = _RING_STARTS[n_sources - 1], CoinParams.make(*coin)
         sites = _every_site(init, t)
-        exact = _amplitudes(sites, t, init, params, "exact", sweep)
-        if sweep:
-            adaptive = _amplitudes(sites, t, init, params, "adaptive", sweep)
+        exact = _amplitudes(sites, t, init, params, "exact")
+        if at_once:
+            adaptive = _amplitudes(sites, t, init, params, "adaptive")
         else:
             adaptive = [amplitude(x, t, init, params) for x in sites]
         for x, got, want in zip(sites, adaptive, exact):
@@ -587,12 +636,12 @@ class TestAdaptiveAgainstExact:
     @pytest.mark.parametrize("t", [140, 301])
     @_EVERY_SITE_CASES
     def test_every_site_within_1e15(self, t, n_sources, coin):
-        self._every_site_within_1e15(t, n_sources, coin, sweep=False)
+        self._every_site_within_1e15(t, n_sources, coin, at_once=False)
 
     @pytest.mark.parametrize("t", [140, 301])
     @_EVERY_SITE_CASES
     def test_every_site_within_1e15_by_sweeps(self, t, n_sources, coin):
-        self._every_site_within_1e15(t, n_sources, coin, sweep=True)
+        self._every_site_within_1e15(t, n_sources, coin, at_once=True)
 
     def test_kernels_and_sites_stay_fixed_point(self):
         # past the rows nothing is an mpmath number: the rows, the kernel
@@ -607,7 +656,7 @@ class TestAdaptiveAgainstExact:
                 (xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()
             ]
             ds = range(-t, t + 1, 2)
-            rows = _rows(s, ds, sweep=False)
+            rows = _rows(s, ds)
             for key, value in rows.items():
                 if key != ("alpha_cos", t):  # the empty row, 0
                     assert type(value) is FixedComplex and value.wp == wp, key
@@ -629,7 +678,7 @@ class TestAdaptiveAgainstExact:
         beta = sources[2][1][1]  # 1/3 - sqrt2/5 at x' = 3
         assert (beta.p, beta.q, beta.r, beta.s, beta.k) == (20, -12, 0, 0, 0)
         ds = range(-t, t + 1, 2)
-        kernels = _kernels(s, ds, _rows(s, ds, sweep=False))
+        kernels = _kernels(s, ds, _rows(s, ds))
         for d in ds:
             for entry in (e for row in kernels[d] for e in row):
                 assert type(entry) is DyadicComplex, d
@@ -648,16 +697,19 @@ def _horner_scalars(t: int, params: CoinParams):
     cos = mpmath.cos(params.theta.mp_radians())
     c2, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
 
-    def evaluate(row, h0):
+    def value(family, d):
         acc = 0
-        for c in reversed(row):
+        for c in reversed(coefficient_row(t, family, d)):
             acc = ((acc * c2) >> wp) + (c << wp)
         # acc 2^-wp times (-1)^sign man 2^exp, on the 2^-wp grid
-        sign, man, exp, _ = cos_pow(h0)._mpf_
+        sign, man, exp, _ = cos_pow(_first_h(t, family, d))._mpf_
         n, exp = acc * (-int(man) if sign else int(man)), int(exp)
         return FixedComplex(n << exp if exp >= 0 else n >> -exp, 0, wp)
 
-    return dataclasses.replace(_scalars(params, t, "adaptive"), evaluate=evaluate, sweep=None)
+    def rows(ds):
+        return {key: value(*key) for key in _read_keys(ds) - {("alpha_cos", t)}}
+
+    return dataclasses.replace(_scalars(params, t, "adaptive"), rows=rows)
 
 
 def _horner_reference(xs, t: int, init: PureState, params: CoinParams) -> list:
@@ -670,7 +722,7 @@ def _horner_reference(xs, t: int, init: PureState, params: CoinParams) -> list:
         s = _horner_scalars(t, params)
         sources = [(xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()]
         ds = {x - xp for x in xs for xp, _ in sources} & set(range(-t, t + 1, 2))
-        kernels = _kernels(s, ds, _rows(s, ds, sweep=False))
+        kernels = _kernels(s, ds, _rows(s, ds))
         return [tuple(map(complex, _site(x, sources, kernels, s.zero))) for x in xs]
 
 
@@ -685,14 +737,14 @@ class TestAdaptivePrecision:
     )
 
     @staticmethod
-    def _every_site(theta, t, sweep, step=1):
+    def _every_site(theta, t, at_once, step=1):
         # near theta = 0 and pi |R| grows as 1/|sin theta|; near pi/2 the
         # powers of cos fall below 2^-wp towards the light-cone edge
         init = random_state(random.Random(29), radius=2)
         params = CoinParams.make(theta, 0.4, 1.3)
         sites = _every_site(init, t)[::step]
-        if sweep:
-            got = _amplitudes(sites, t, init, params, "adaptive", sweep)
+        if at_once:
+            got = _amplitudes(sites, t, init, params, "adaptive")
         else:
             got = [amplitude(x, t, init, params) for x in sites]
         want = _horner_reference(sites, t, init, params)
@@ -701,23 +753,23 @@ class TestAdaptivePrecision:
 
     @THETAS
     def test_every_site_at_t301_matches_256_guard_bits(self, theta):
-        self._every_site(theta, 301, sweep=False)
+        self._every_site(theta, 301, at_once=False)
 
     @THETAS
     def test_every_site_at_t301_by_sweeps_matches_256_guard_bits(self, theta):
-        self._every_site(theta, 301, sweep=True)
+        self._every_site(theta, 301, at_once=True)
 
     @THETAS
     def test_sites_at_t600_match_256_guard_bits(self, theta):
         # point queries at every 9th site, a distribution's sweeps at all
-        self._every_site(theta, 600, sweep=False, step=9)
-        self._every_site(theta, 600, sweep=True)
+        self._every_site(theta, 600, at_once=False, step=9)
+        self._every_site(theta, 600, at_once=True)
 
     @THETAS
     def test_small_t_match_256_guard_bits(self, theta):
         for t in range(4):
-            self._every_site(theta, t, sweep=False)
-            self._every_site(theta, t, sweep=True)
+            self._every_site(theta, t, at_once=False)
+            self._every_site(theta, t, at_once=True)
 
     def test_amplitudes_at_t600_match_256_guard_bits(self, plus_i):
         t = 600
@@ -743,9 +795,9 @@ class TestAdaptivePrecision:
         t, params = 301, CoinParams.make(theta, 0.4, 1.3)
         ds = range(-t, t + 1, 2)
         with mpmath.workprec(working_precision(t)):
-            got = _rows(_scalars(params, t, "adaptive"), ds, sweep=True)
+            got = _rows(_scalars(params, t, "adaptive"), ds)
         with mpmath.workprec(coefficient_bits(t) + 256):
-            want = _rows(_horner_scalars(t, params), ds, sweep=False)
+            want = _rows(_horner_scalars(t, params), ds)
         assert got.keys() == want.keys()
         for key, r in got.items():
             if key == ("alpha_cos", t):  # the empty row

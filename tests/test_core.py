@@ -98,6 +98,22 @@ class TestPureState:
         with pytest.raises(ValueError):
             PureState({})
 
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [{1.5: (1.0, 0.0)}, {1.5: (0.6, 0.0), 1: (0.0, 0.8)}, {"2": (1.0, 0.0)}],
+        ids=["float", "float-beside-int", "string"],
+    )
+    def test_rejects_sites_that_are_not_integers(self, amplitudes):
+        # int(x) made 1.5 site 1, kept one of the sites 1.5 and 1, and read
+        # "2" as site 2
+        with pytest.raises(TypeError):
+            PureState(amplitudes)
+
+    def test_numpy_integer_sites_read_as_int(self):
+        s = PureState({np.int64(-2): (1.0, 0.0), np.int32(3): (0.0, 1.0)})
+        assert s.support == (-2, 3)
+        assert all(type(x) is int for x in s.support)
+
     def test_amplitude_returns_typed_zero_outside_support(self):
         s = PureState.localized(0, 1.0, 0.0)
         a, b = s.amplitude(5)

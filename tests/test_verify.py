@@ -126,6 +126,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"\['consistent'\] named more than once"):
             compare_mixed((0.5, 0, 0, 0), 4, methods=methods)
 
+    def test_fewer_than_two_methods_rejected_before_any_route(self, no_routes, hadamard, plus_i):
+        # both used to pass with an empty pairwise_tv: nothing was compared
+        with pytest.raises(ValueError, match="compare needs at least two methods"):
+            compare_pure(plus_i, hadamard, 10, methods=())
+        with pytest.raises(ValueError, match="compare needs at least two methods"):
+            compare_pure(plus_i, hadamard, 10, methods=("spectral",))
+        with pytest.raises(ValueError, match="compare needs at least two methods"):
+            compare_mixed((0.5, 0, 0, 0), 5, methods=("direct",))
+
     @pytest.mark.parametrize("r", [(0.5, 0, 0), (0.5, 0, 0, 0, 0)], ids=["3", "5"])
     def test_pauli_vector_length_checked_before_any_route(self, no_routes, r):
         # three components used to raise TypeError from from_pauli
