@@ -7,16 +7,15 @@ Three arithmetic modes are used across the package:
   are then sums of Gaussian-rational multiples of sqrt(2) and every equality
   test is exact.
 * ``adaptive``: the closed form's row values by recurrences in block
-  floating point, then fixed-point integers (``FixedComplex``), at a
-  working precision of 128 bits plus the bit length of t
-  (``closedform_pure.working_precision``); mpmath makes the
-  trigonometric values.
+  floating point, at a working precision of 128 bits plus the bit length
+  of t (``closedform_pure.working_precision``), then floats: the kernels
+  and site sums are float64 arrays. mpmath makes the trigonometric
+  values.
 * ``double``: ordinary Python floats/complex, kept as an honest baseline so
   cancellation failures stay observable.
 
-This module provides the ring, exact angles, the fixed-point complex type
-and ``precision_for``, the width a fixed-point Horner sum of the
-closed-form rows needs.
+This module provides the ring, exact angles and ``precision_for``, the
+width a fixed-point Horner sum of the closed-form rows needs.
 
 Ring elements hold integers, not Fractions. ``SqrtTwo`` is
 (p + q*sqrt(2)) / d and ``SqrtTwoComplex`` is
@@ -52,7 +51,6 @@ import mpmath
 __all__ = [
     "Angle",
     "DyadicComplex",
-    "FixedComplex",
     "SqrtTwo",
     "SqrtTwoComplex",
     "precision_for",
@@ -629,51 +627,3 @@ class DyadicComplex:
 
     def __repr__(self) -> str:
         return f"DyadicComplex({self.p}, {self.q}, {self.r}, {self.s}, k={self.k})"
-
-
-class FixedComplex:
-    """A complex number (re + i*im) / 2^wp on two Python integers: a
-    Gaussian integer over a fixed power of 2. Both operands of an
-    operation have the same wp.
-
-    Sums and products by a plain int (the 0 of an empty row) are exact. A
-    product of two values is (a c - b d, a d + b c) shifted down by wp bits,
-    so each component is rounded down to a multiple of 2^-wp and values
-    below 2^-wp in modulus may become 0. ``complex()`` divides each integer
-    by 2^wp once: Python's int true division rounds correctly and does not
-    overflow, however large wp is.
-    """
-
-    __slots__ = ("re", "im", "wp")
-
-    def __init__(self, re: int, im: int, wp: int) -> None:
-        self.re, self.im, self.wp = re, im, wp
-
-    def __add__(self, other: "FixedComplex") -> "FixedComplex":
-        return FixedComplex(self.re + other.re, self.im + other.im, self.wp)
-
-    def __sub__(self, other: "FixedComplex") -> "FixedComplex":
-        return FixedComplex(self.re - other.re, self.im - other.im, self.wp)
-
-    def __neg__(self) -> "FixedComplex":
-        return FixedComplex(-self.re, -self.im, self.wp)
-
-    def __mul__(self, other):
-        if other.__class__ is not FixedComplex:
-            if not isinstance(other, int):
-                return NotImplemented
-            return FixedComplex(self.re * other, self.im * other, self.wp)
-        a, b, c, d, wp = self.re, self.im, other.re, other.im, self.wp
-        return FixedComplex((a * c - b * d) >> wp, (a * d + b * c) >> wp, wp)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "FixedComplex":
-        return FixedComplex(self.re, -self.im, self.wp)
-
-    def __complex__(self) -> complex:
-        scale = 1 << self.wp
-        return complex(self.re / scale, self.im / scale)
-
-    def __repr__(self) -> str:
-        return f"FixedComplex({self.re}, {self.im}, wp={self.wp})"

@@ -93,15 +93,18 @@ whose nearest source is at distance d about 1.5(t - |d|) steps, one
 pass for all its sources. ``double`` sums each row by Horner's rule, so
 its precision cliff stays demonstrable. ``_kernels`` reads the dict by
 index into one table {d: K_t(d)}, so a key the rows did not make
-raises, and ``_site`` sums K_t(x - x') times each source's pair. So
-every R and every kernel is made once per call.
+raises, and ``_site`` sums K_t(x - x') times each source's pair.
+``adaptive`` runs these two stages on float64 arrays over d and over a
+window of sites (``_float_kernels``, ``_float_sites``). So every R and
+every kernel is made once per call.
 
 Three arithmetic modes: ``exact`` (ring Q[sqrt(2)][i], eighth-turn coins
-only), ``adaptive`` (block floating point in the sweeps, fixed point
-after them, at a precision of SWEEP_BITS plus the bit length of t),
+only), ``adaptive`` (block floating point in the sweeps at a precision
+of SWEEP_BITS plus the bit length of t, floats after them),
 ``double`` (floats; cancellation-prone at large t by design, so the
 failure stays demonstrable). All three build the same kernels; a mode
-only supplies the scalars and the one rule that makes the row values R:
+supplies the scalars and the one rule that makes the row values R, and
+adaptive mode sums in arrays:
 
 * exact: c2 is 0, 1/2 or 1, so P is one integer over a power of 2 that
   no row outgrows; the sweeps are exact on it (``_rational_rows``). On the
@@ -115,23 +118,26 @@ only supplies the scalars and the one rule that makes the row values R:
   lowest terms once, over D 2^k, at the end;
 * adaptive: the sweeps run on R = P cos^h0 itself, as wp-bit integer
   mantissas with a shared exponent, with the exact mantissa of the
-  wp-bit mpf c2 in the recurrence (``_float_rows``). Every value after
-  that (R, cos, sin, e^{i phi1}, chi^e, the kernel entries, the lifted
-  source amplitudes and the site sums) is a ``FixedComplex``, a Gaussian
-  integer over 2^wp, converted to complex once at the end. mpmath makes
-  cos, sin, e^{i phi1} and chi once per coin and wp (``_coin_constants``)
-  and the two outermost R of each sweep;
+  wp-bit mpf c2 in the recurrence (``_float_rows``). Each R is read as a
+  float from its own (mantissa, exponent) pair, and every value after
+  it (cos, sin, e^{i phi1}, chi^e, the kernels and site sums) is a float
+  or complex. mpmath makes cos, sin, e^{i phi1}, phi1 + phi2 and 2 pi
+  once per coin and wp (``_coin_constants``), and the two outermost R
+  of each sweep;
 * double: Horner in floats.
 
 chi^e is chi^(e mod 8) in exact mode, where chi is an eighth root of
 unity, and an integer power of the complex chi in double mode; in
-adaptive mode it is square-and-multiply of the fixed-point chi, each
-power kept for the call. In every mode it is a function of (t, d)
+adaptive mode it is within about an ulp for every e, as e (phi1 + phi2)
+is reduced mod 2 pi on integers (``_phases``), where a float angle e phi
+would be off by about e ulps. In every mode it is a function of (t, d)
 alone, and so is each swept R, which depends only on the steps from its
 edge; so a point query and a full distribution have the same bits in
-``adaptive`` mode, and the same ring values in ``exact`` mode.
+``adaptive`` mode, the complex products on arrays written out
+(``_product``), and the same ring values in ``exact`` mode.
 
-The adaptive error envelope is absolute. A Horner sum of the alternating
+The adaptive error envelope is absolute in the rows and relative after
+them. A Horner sum of the alternating
 trinomials needs as many bits as the largest of them (``coefficient_bits``,
 754 at t = 600); the inward sweeps do not, as each step rounds
 once relative to the two values it reads, and the wanted solution
@@ -141,13 +147,14 @@ at t = 301, 600, 1600 and 3200, every swept R was within
 bits, for wp - bitlen(t) = 32, 64, 96 and 128. SWEEP_BITS = 128 puts
 the rows within 6e-39, far below the 1e-15 that the tests ask of the
 amplitudes, and costs about what 64 does: Python integers of 138 and
-74 bits multiply in about the same time. Past the rows each fixed-point
-product rounds down to the 2^-wp grid: kernel entries have modulus at
-most 1 (the propagator is unitary) and |R| is at most about
-1/|sin(theta)|, so these steps add a few units of 2^-wp. A value below
-2^-wp becomes 0 or a few units of it, so amplitudes in the far tails,
-below about 1e-41, are rounding: probabilities there read as 0 or
-about 1e-83, where a wider fixed point resolves them.
+74 bits multiply in about the same time. Past the rows nothing cancels
+but Rft + cos(theta) Rc and Rft - cos(theta) S: kernel entries have modulus
+at most 1 (the propagator is unitary) and |R| is at most about
+1/|sin(theta)|, so each float step adds a few ulps of these. Floats keep
+their relative precision down to about 1e-300, so the far tails are
+resolved too: at t = 301 and 600, on three off-grid coins, every
+probability below 1e-60 was within 3.1e-15, relative, of the reference
+at coefficient_bits(t) + 256 bits.
 """
 
 from __future__ import annotations
@@ -161,15 +168,10 @@ from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 import mpmath
+import numpy as np
 from mpmath.libmp import to_fixed
 
-from .arithmetic import (
-    Angle,
-    DyadicComplex,
-    FixedComplex,
-    SqrtTwo,
-    SqrtTwoComplex,
-)
+from .arithmetic import Angle, DyadicComplex, SqrtTwo, SqrtTwoComplex
 from .core import CoinParams, Distribution, PureState, step_count
 
 __all__ = [
@@ -346,8 +348,8 @@ def _sweeps(t: int, keys) -> list:
     coefficients): span is the distances d of the family's rows from the
     light-cone edge inward, stopping at the innermost of the row keys
     ``keys`` (at the meeting point near d = 0 for a full distribution's
-    keys), and coefficients(d) is (far, mid, mid_c2, near) of the
-    recurrence at d,
+    keys), and coefficients is (far, mid, mid_c2, near) of the recurrence
+    at each d of span[1:-1],
 
         near P(ahead) = -(far c2^2 P(behind) + (mid - mid_c2 c2) P(d)),
 
@@ -357,18 +359,27 @@ def _sweeps(t: int, keys) -> list:
     cos = [d for family, d in keys if family == "alpha_cos"]
     inner = min(d for d in cos if d >= -1)
     outer = max((d for d in cos if d <= -2), default=-t - 2)
-    u, v = (t + 1) ** 2, t * t
+    down, up = range(t - 2, inner - 1, -2), range(-t, outer + 1, 2)
     return [
-        ("alpha_ft", range(t, ft - 1, -2), lambda d: (
-            (d - 1) * (d - t) * (d + t + 2), 4 * d * (d * d - 1),
-            2 * d * (d * d - 1 + u), (d + 1) * (d + t) * (d - t - 2))),
-        ("alpha_cos", range(t - 2, inner - 1, -2), lambda d: (
-            d * (d + 2 - t) * (d + 2 + t), 4 * d * (d + 1) * (d + 2),
-            2 * (d + 1) * (d * (d + 2) + v), (d + 2) * (d - t) * (d + t))),
-        ("alpha_cos", range(-t, outer + 1, 2), lambda d: (
-            (d + 2) * (d - t) * (d + t), 4 * d * (d + 1) * (d + 2),
-            2 * (d + 1) * (d * (d + 2) + v), d * (d + 2 - t) * (d + 2 + t))),
+        # alpha_ft's recurrence at (t, d) is alpha_cos's at (t + 1, d - 1)
+        ("alpha_ft", range(t, ft - 1, -2), _coefficients(t + 1, range(t - 3, ft, -2))),
+        ("alpha_cos", down, _coefficients(t, down[1:-1])),
+        ("alpha_cos", up, _coefficients(t, up[1:-1], up=True)),
     ]
+
+
+def _coefficients(m: int, ds: range, up: bool = False) -> list:
+    """(far, mid, mid_c2, near) of alpha_cos's recurrence at time m at
+    each d of ds, as integers: far = d (d+2-m)(d+2+m) and near =
+    (d+2)(d-m)(d+m) on the sweep down from the edge, swapped on the sweep
+    up (``up``), mid = 4d(d+1)(d+2) and mid_c2 = 2(d+1)(d(d+2) + m^2)."""
+    s = m * m
+    down = [
+        (d * (q * q - s), 4 * d * (d + 1) * q, 2 * (d + 1) * (d * q + s), q * (d * d - s))
+        for d in ds
+        for q in [d + 2]
+    ]
+    return [(near, mid, mid_c2, far) for far, mid, mid_c2, near in down] if up else down
 
 
 def _sweep_rows(t: int, num: int, den: int, unit: int, keys) -> dict:
@@ -391,8 +402,7 @@ def _sweep_rows(t: int, num: int, den: int, unit: int, keys) -> dict:
             for c in reversed(coefficient_row(t, family, d)):
                 n = n * num // den + c * unit
             held.append(n)
-        for d in span[1:-1]:
-            far, mid, mid_c2, near = coefficients(d)
+        for far, mid, mid_c2, near in coefficients:
             held.append(-(far * n2 * held[-2] + (mid * d2 - mid_c2 * nd) * held[-1])
                         // (near * d2))
         values.update(zip([(family, d) for d in span], held))
@@ -428,8 +438,9 @@ def _rational_rows(cos: SqrtTwo, t: int) -> Callable:
 
 
 def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
-    """rows(ds) for adaptive mode: {(family, d): R} for the keys that the
-    kernels at the distances ds read, each R a FixedComplex at wp bits.
+    """The adaptive mode's sweeps: swept(ds) -> {(family, d): (m, e)} for
+    the keys that the kernels at the distances ds read, each R = m 2^e
+    with m an integer of about wp bits.
 
     The sweeps of ``_sweeps`` run on R = P cos^h0 itself. h0 falls by 2 at
     each step inward, so with P = R / cos^h0 the recurrence becomes
@@ -457,32 +468,28 @@ def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
         sign, man, exp, _ = (p * cos ** _first_h(t, family, d))._mpf_
         return -int(man) if sign else int(man), int(exp)
 
-    def fixed(m, e):
-        return FixedComplex(m << e + wp if e + wp >= 0 else m >> -e - wp, 0, wp)
-
-    def rows(ds):
-        keys, swept = _read_keys(ds), {}
+    def swept(ds):
+        keys, values = _read_keys(ds), {}
         for family, span, coefficients in _sweeps(t, keys):
             held = [edge(family, d) for d in span[:2]]
-            swept.update(zip([(family, d) for d in span], held))
+            values.update(zip([(family, d) for d in span], held))
             if len(span) < 3:
                 continue
             (a, ea), (b, eb) = held
             e = min(ea, eb)
             a, b = a << ea - e, b << eb - e
-            for d, ahead in zip(span[1:], span[2:]):
+            for ahead, (far, mid, mid_c2, near) in zip(span[2:], coefficients):
                 shift = max(abs(a), abs(b)).bit_length() - wp
                 if shift > 0:
                     a, b = a >> shift, b >> shift
                 else:
                     a, b = a << -shift, b << -shift
                 e += shift
-                far, mid, mid_c2, near = coefficients(d)
                 a, b = b, -(far * num * a + ((mid << k) - mid_c2 * num) * b) // (near * num)
-                swept[family, ahead] = b, e
-        return {key: fixed(*swept[key]) for key in swept.keys() & keys}
+                values[family, ahead] = b, e
+        return {key: values[key] for key in values.keys() & keys}
 
-    return rows
+    return swept
 
 
 @dataclass(frozen=True)
@@ -509,67 +516,44 @@ def _expj(angle: Angle) -> complex:
     return complex(math.cos(angle.radians), math.sin(angle.radians))
 
 
-def _mp_expj(angle: Angle):
-    value = mpmath.expjpi(mpmath.mpf(angle.pi_num) / angle.pi_den)
-    if angle.offset:
-        value = value * mpmath.expj(mpmath.mpf(angle.offset))
-    return value
+def _phases(phi: int, two_pi: int, wp: int) -> Callable:
+    """e -> chi^e = e^{i e phi} as a complex, within about an ulp for
+    every e: phi = phi1 + phi2 and 2 pi are integers over 2^wp, so e phi
+    is reduced mod 2 pi on integers, off by about e 2^-wp, then split into
+    hi, the float nearest it, and the float lo nearest the rest, and
+    cos(hi + lo) = cos hi - lo sin hi, sin likewise, up to lo^2 < 2^-104."""
+    scale = 1 << wp
 
-
-def _fixed(value, wp: int) -> FixedComplex:
-    """An mpf or mpc as a FixedComplex, each part rounded down to a
-    multiple of 2^-wp."""
-    re, im = mpmath.mpc(value)._mpc_
-    return FixedComplex(int(to_fixed(re, wp)), int(to_fixed(im, wp)), wp)
-
-
-def _lift_fixed(wp: int) -> Callable:
-    """Source amplitude (complex) -> FixedComplex, each part rounded
-    down to a multiple of 2^-wp (exactly, whatever the float's exponent)."""
-
-    def part(x) -> int:
-        num, den = x.as_integer_ratio()
-        return (num << wp) // den
-
-    return lambda z: FixedComplex(part(z.real), part(z.imag), wp)
-
-
-def _powers(z: FixedComplex) -> Callable:
-    """e -> z^e by square-and-multiply from the top bit down, each power
-    kept for the rest of the call: a full distribution pays one or two
-    products per exponent, a point query about 2 log2(e), and either way
-    the bits of z^e depend on e alone."""
-    one = FixedComplex(1 << z.wp, 0, z.wp)
-
-    @cache
-    def power(e: int) -> FixedComplex:
-        if not e:
-            return one
-        half = power(e >> 1)
-        return half * half * z if e & 1 else half * half
+    def power(e: int) -> complex:
+        a = e * phi % two_pi
+        hi = a / scale
+        lo = (a - int(math.ldexp(hi, wp))) / scale
+        c, s = math.cos(hi), math.sin(hi)
+        return complex(c - lo * s, s + lo * c)
 
     return power
 
 
 @lru_cache(maxsize=16)
 def _coin_constants(params: CoinParams, wp: int) -> tuple:
-    """cos and cos^2 as mpf, and cos, sin, e^{i phi1} and chi as
-    FixedComplex, at wp bits: what the adaptive mode takes from mpmath,
-    made once per coin and precision, as point queries at one coin and t
-    ask for them again and again."""
+    """cos and cos^2 as mpf at wp bits, for the sweeps; cos, sin and
+    e^{i phi1} rounded to floats; and phi1 + phi2 and 2 pi as integers
+    over 2^wp, for chi^e (``_phases``). What the adaptive mode takes from
+    mpmath, made once per coin and precision, as point queries at one
+    coin and t ask for them again and again."""
     with mpmath.workprec(wp):
-        th = params.theta.mp_radians()
-        cos, sin = mpmath.cos(th), mpmath.sin(th)
-        phi_sum = params.phi1.mp_radians() + params.phi2.mp_radians()
-        fixed = (_fixed(v, wp) for v in (cos, sin, _mp_expj(params.phi1), mpmath.expj(phi_sum)))
-        return (cos, cos * cos, *fixed)
+        th, phi1 = params.theta.mp_radians(), params.phi1.mp_radians()
+        cos, sin, ephi1 = mpmath.cos(th), mpmath.sin(th), mpmath.expj(phi1)
+        phi = phi1 + params.phi2.mp_radians()
+        fixed = (int(to_fixed(v._mpf_, wp)) for v in (phi, 2 * mpmath.pi))
+        return cos, cos * cos, float(cos), float(sin), complex(ephi1), *fixed
 
 
 def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Scalars:
     """The scalar bundle of one mode. Exact values are DyadicComplex, the
     sources lifted over ``denominator``, a common denominator of their
-    amplitudes; adaptive values are made at the current mpmath working
-    precision and kept as FixedComplex."""
+    amplitudes; adaptive rows are swept at the current mpmath working
+    precision, and they and everything after them are floats."""
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
@@ -585,10 +569,10 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
         zero = DyadicComplex(0, 0, 0, 0, 0)
     elif mode == "adaptive":
         wp = mpmath.mp.prec
-        mp_cos, c2, cos, sin, ephi1, chi = _coin_constants(params, wp)
-        rows = _float_rows(mp_cos, c2, wp, t)
-        chi_pow, lift = _powers(chi), _lift_fixed(wp)
-        zero = FixedComplex(0, 0, wp)
+        mp_cos, c2, cos, sin, ephi1, phi, two_pi = _coin_constants(params, wp)
+        swept = _float_rows(mp_cos, c2, wp, t)
+        rows = lambda ds: {key: math.ldexp(*pair) for key, pair in swept(ds).items()}
+        chi_pow, lift, zero = _phases(phi, two_pi, wp), complex, 0j
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
@@ -599,22 +583,27 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
 
 def _rows(s: _Scalars, ds) -> dict:
     """Stage 1: {(family, d): R} with every key that the kernels at the
-    distances ds read, by the mode's one row path, and the one empty row
-    on the light cone, alpha_cos at d = t, stated as 0."""
-    return {**s.rows(ds), ("alpha_cos", s.t): 0} if ds else {}
+    non-empty distances ds read, by the mode's one row path, and the one
+    empty row on the light cone, alpha_cos at d = t, stated as 0."""
+    return {**s.rows(ds), ("alpha_cos", s.t): 0}
+
+
+def _signed_rows(t: int, d: int, rows: dict) -> tuple:
+    """Rft, Rc and S of the module docstring at d, read from ``rows``."""
+    ft_key, rc_key, sn_key = _row_keys(d)
+    ft = -rows[ft_key] if d < 0 and t % 2 else rows[ft_key]
+    sn = -rows[sn_key] if t % 2 == 0 else rows[sn_key]
+    return ft, rows[rc_key], sn
 
 
 def _kernels(s: _Scalars, ds, rows: dict) -> dict:
     """Stage 2: {d: K_t(d)} for the distances ds, each kernel as
     ((K_aa, K_ab), (K_ba, K_bb)), from the three row values of the module
     docstring, Rft, Rc and S, read from ``rows``."""
-    t, kernels = s.t, {}
+    kernels = {}
     for d in ds:
-        ft_key, rc_key, sn_key = _row_keys(d)
-        ft = -rows[ft_key] if d < 0 and t % 2 else rows[ft_key]
-        rc = rows[rc_key]
-        sn = -rows[sn_key] if t % 2 == 0 else rows[sn_key]
-        chi_e = s.chi_pow((t - d) // 2)
+        ft, rc, sn = _signed_rows(s.t, d, rows)
+        chi_e = s.chi_pow((s.t - d) // 2)
         kernels[d] = (
             (chi_e * (ft + s.cos * rc), s.ephi1 * chi_e * (s.sin * sn)),
             (s.ephi1.conjugate() * chi_e * (s.sin * rc), chi_e * (ft - s.cos * sn)),
@@ -634,6 +623,54 @@ def _site(x: int, sources: list, kernels: dict, zero):
             alpha = alpha + k[0][0] * a + k[0][1] * b
             beta = beta + k[1][0] * a + k[1][1] * b
     return alpha, beta
+
+
+def _product(k: np.ndarray, z) -> tuple:
+    """The real and imaginary parts of k z, complex arrays or numbers,
+    written out in real operations, which round once each: numpy's own
+    complex product may fuse a multiply and an add, as the build and CPU
+    decide, so its last bits are not a function of the operands alone."""
+    return k.real * z.real - k.imag * z.imag, k.real * z.imag + k.imag * z.real
+
+
+def _float_kernels(s: _Scalars, ds, rows: dict) -> tuple:
+    """Stage 2 in adaptive mode: (d0, K), d0 the least of ds and column
+    (d - d0)/2 of the (4, n) complex128 array K holding K_aa, K_ab, K_ba
+    and K_bb of K_t(d) for each d of ds, 0 for the d between not in ds.
+    The formula of ``_kernels`` over d: each entry is chi^e times 1,
+    e^{i phi1}, e^{-i phi1} or 1, times a real factor."""
+    order = sorted(ds)
+    d0 = order[0]
+    ft, rc, sn = np.array([_signed_rows(s.t, d, rows) for d in order], dtype=float).T
+    chi = np.array([s.chi_pow((s.t - d) // 2) for d in order], dtype=complex)
+    re, im = _product(chi, np.array([1, s.ephi1, s.ephi1.conjugate(), 1])[:, None])
+    real = np.array([ft + s.cos * rc, s.sin * sn, s.sin * rc, ft - s.cos * sn])
+    kernels = np.zeros((4, (order[-1] - d0) // 2 + 1), dtype=complex)
+    columns = (np.array(order) - d0) // 2
+    kernels.real[:, columns], kernels.imag[:, columns] = re * real, im * real
+    return d0, kernels
+
+
+def _float_sites(xs, sources: list, d0: int, kernels: np.ndarray) -> list:
+    """Stage 3 in adaptive mode: (alpha_x(t), beta_x(t)) at the sites xs,
+    summed in a window over min(xs) .. max(xs): each source adds K_t(x -
+    x') times its pair at every other site its kernels reach, one slice."""
+    w0, w1 = min(xs), max(xs)
+    window = np.zeros((2, w1 - w0 + 1), dtype=complex)
+    last = d0 + 2 * (kernels.shape[1] - 1)
+    for xp, (a, b) in sources:
+        lo, hi = max(d0, w0 - xp), min(last, w1 - xp)
+        lo += (lo - d0) % 2
+        if lo > hi:
+            continue
+        # K_aa a, K_ab b, K_ba a and K_bb b, summed in pairs
+        k = kernels[:, (lo - d0) // 2:(hi - d0) // 2 + 1]
+        re, im = _product(k, np.array([a, b, a, b])[:, None])
+        cut = slice(xp + lo - w0, xp + hi - w0 + 1, 2)
+        window.real[:, cut] += re[::2] + re[1::2]
+        window.imag[:, cut] += im[::2] + im[1::2]
+    alpha, beta = window.tolist()
+    return [(alpha[x - w0], beta[x - w0]) for x in xs]
 
 
 def _abs_sq(z: complex) -> float:
@@ -673,7 +710,12 @@ def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str):
             for xp, (alpha, beta) in init.amplitudes.items()
         ]
         ds = {x - xp for x in xs for xp, _ in sources} & set(range(-t, t + 1, 2))
-        kernels = _kernels(s, ds, _rows(s, ds))
+        if not ds:  # every site is off the light cone
+            return [(s.zero, s.zero)] * len(xs), denominator
+        rows = _rows(s, ds)
+        if mode == "adaptive":
+            return _float_sites(xs, sources, *_float_kernels(s, ds, rows)), denominator
+        kernels = _kernels(s, ds, rows)
         return [_site(x, sources, kernels, s.zero) for x in xs], denominator
 
 
@@ -687,8 +729,6 @@ def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str) -> l
             tuple(ring(z.p, z.q, z.r, z.s, denominator << z.k) for z in pair)
             for pair in pairs
         ]
-    if mode == "adaptive":
-        return [(complex(a), complex(b)) for a, b in pairs]
     return pairs
 
 

@@ -1,8 +1,6 @@
 import math
-import random
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +9,6 @@ from qwalk import arithmetic
 from qwalk.arithmetic import (
     Angle,
     DyadicComplex,
-    FixedComplex,
     SqrtTwo,
     SqrtTwoComplex,
     precision_for,
@@ -323,80 +320,6 @@ class TestPrecision:
     def test_precision_floor(self):
         assert precision_for(10) >= 53
         assert precision_for(1000) == 1000 + 64
-
-
-
-def _fixed_pairs(wp: int, count: int = 60):
-    """Random FixedComplex values of modulus at most 1 in pairs, with
-    the same values as exact mpc at precision wp."""
-    rng = random.Random(wp)
-    bound = (1 << wp) * 7 // 10
-    for _ in range(count):
-        parts = [rng.randint(-bound, bound) >> rng.choice((0, 0, 5, wp // 2)) for _ in range(4)]
-        x, y = FixedComplex(*parts[:2], wp), FixedComplex(*parts[2:], wp)
-        yield x, y, _mpc_of(x), _mpc_of(y)
-
-
-def _mpc_of(z: FixedComplex) -> mpmath.mpc:
-    # exact: each part has at most wp bits
-    return mpmath.mpc(mpmath.mpf((z.re, -z.wp)), mpmath.mpf((z.im, -z.wp)))
-
-
-def _units_off(z: FixedComplex, w: mpmath.mpc) -> Fraction:
-    """The larger of the two parts' distances, in units of 2^-wp."""
-    def exact(part):
-        sign, man, exp, _ = part._mpf_
-        return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
-
-    return max(
-        abs(Fraction(z.re) - exact(w.real) * 2**z.wp),
-        abs(Fraction(z.im) - exact(w.imag) * 2**z.wp),
-    )
-
-
-class TestFixedComplex:
-    # the adaptive closed form's number type, against mpmath.mpc at the
-    # same precision: within 2 units of 2^-wp
-
-    @pytest.mark.parametrize("wp", [53, 200, 1100])
-    def test_operations_match_mpc(self, wp):
-        with mpmath.workprec(wp):
-            for x, y, mx, my in _fixed_pairs(wp):
-                assert _units_off(x + y, mx + my) <= 2
-                assert _units_off(x - y, mx - my) <= 2
-                assert _units_off(-x, -mx) == 0
-                assert _units_off(x * y, mx * my) <= 2
-                assert _units_off(x.conjugate(), mx.conjugate()) == 0
-                # a product rounds each part down onto the 2^-wp grid
-                exact = Fraction(x.re * y.re - x.im * y.im, 1 << wp)
-                assert 0 <= exact - (x * y).re < 1
-
-    def test_products_by_plain_ints_are_exact(self):
-        x = FixedComplex(-5 << 60, 3, 64)
-        for n in (0, 1, -3):
-            for z in (x * n, n * x):
-                assert (z.re, z.im, z.wp) == (x.re * n, x.im * n, 64)
-        zero = x * 0
-        assert complex(zero) == 0j and zero.wp == 64
-        with pytest.raises(TypeError):
-            x * 0.5
-
-    @pytest.mark.parametrize("wp", [53, 1100])
-    def test_complex_is_correctly_rounded(self, wp):
-        # int true division is correctly rounded, also where 2^wp is past
-        # the float range, and so is mpmath's conversion of an exact mpc
-        parts = [1, 3, 1 << 80, (1 << wp) - 1, -(1 << wp) // 3, 12345 << (wp - 40)]
-        parts += [x.re for x, *_ in _fixed_pairs(wp, 20)]
-        with mpmath.workprec(wp):
-            for re in parts:
-                for im in (re, -re // 7, 0):
-                    z = FixedComplex(re, im, wp)
-                    want = complex(float(Fraction(re, 1 << wp)), float(Fraction(im, 1 << wp)))
-                    assert complex(z) == want
-                    assert complex(z) == complex(_mpc_of(z))
-
-    def test_repr(self):
-        assert repr(FixedComplex(3, -1, 8)) == "FixedComplex(3, -1, wp=8)"
 
 
 numerators = st.integers(-(2**80), 2**80)

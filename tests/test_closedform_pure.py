@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import math
 import random
 import warnings
@@ -14,7 +13,7 @@ from conftest import random_params, random_state
 from fractions import Fraction
 
 from qwalk import arithmetic, closedform_pure
-from qwalk.arithmetic import DyadicComplex, FixedComplex, SqrtTwo, SqrtTwoComplex
+from qwalk.arithmetic import DyadicComplex, SqrtTwo, SqrtTwoComplex
 from qwalk.closedform_pure import (
     FAMILIES,
     MODES,
@@ -643,14 +642,13 @@ class TestAdaptiveAgainstExact:
     def test_every_site_within_1e15_by_sweeps(self, t, n_sources, coin):
         self._every_site_within_1e15(t, n_sources, coin, at_once=True)
 
-    def test_kernels_and_sites_stay_fixed_point(self):
-        # past the rows nothing is an mpmath number: the rows, the kernel
-        # entries and the site sums are FixedComplex at the working
-        # precision
+    def test_past_the_sweeps_everything_is_float64(self):
+        # past the sweeps nothing is an mpmath or Python-int number: the
+        # rows are floats, the kernels a complex128 array, and the site
+        # sums Python complex
         t = 60
         init = PureState({-1: (0.6 + 0j, 0.8j), 2: (0j, 1.0 + 0j)})
-        wp = working_precision(t)
-        with mpmath.workprec(wp):
+        with mpmath.workprec(working_precision(t)):
             s = _scalars(CoinParams.make(0.7, 1.1, 2.3), t, "adaptive")
             sources = [
                 (xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()
@@ -659,14 +657,26 @@ class TestAdaptiveAgainstExact:
             rows = _rows(s, ds)
             for key, value in rows.items():
                 if key != ("alpha_cos", t):  # the empty row, 0
-                    assert type(value) is FixedComplex and value.wp == wp, key
-            kernels = _kernels(s, ds, rows)
-            for d in ds:
-                for entry in (e for row in kernels[d] for e in row):
-                    assert type(entry) is FixedComplex and entry.wp == wp, d
-            for x in _every_site(init, t):
-                for value in _site(x, sources, kernels, s.zero):
-                    assert type(value) is FixedComplex and value.wp == wp, x
+                    assert type(value) is float, key
+            assert all(type(v) in (float, complex) for v in (s.cos, s.sin, s.ephi1, s.chi_pow(7)))
+            d0, kernels = closedform_pure._float_kernels(s, ds, rows)
+            assert d0 == -t and kernels.dtype == np.complex128 and kernels.shape == (4, t + 1)
+            sites = _every_site(init, t)
+            for pair in closedform_pure._float_sites(sites, sources, d0, kernels):
+                for value in pair:
+                    assert type(value) is complex, pair
+
+    def test_products_round_each_real_operation_once(self):
+        # the float stage's complex products equal the same sums of
+        # products in Python floats, bit for bit, so no multiply and add
+        # are fused on any host, and a point query and a distribution
+        # keep the same bits
+        rng = np.random.default_rng(5)
+        k = rng.standard_normal(257) + 1j * rng.standard_normal(257)
+        for z in (0.3 + 0.7j, -1.1 + 0.2j, complex(*rng.standard_normal(2))):
+            re, im = closedform_pure._product(k, z)
+            assert re.tolist() == [x.real * z.real - x.imag * z.imag for x in k.tolist()]
+            assert im.tolist() == [x.real * z.imag + x.imag * z.real for x in k.tolist()]
 
     def test_exact_kernels_and_sites_stay_dyadic(self):
         # past the rows nothing is reduced: the kernel entries and the
@@ -687,34 +697,40 @@ class TestAdaptiveAgainstExact:
                 assert type(value) is DyadicComplex, x
 
 
-def _horner_scalars(t: int, params: CoinParams):
-    """Adaptive scalars at wp = coefficient_bits(t) + 256 bits, the current
-    mpmath precision, with every row summed by Horner's rule on wp-bit
-    fixed-point integers and cos^h0 an mpf power: a row path that shares
-    nothing with the sweeps, 192 bits wider than the 64 guard bits that
-    keep a Horner sum within 1e-15 (``arithmetic.precision_for``)."""
+def _horner_scalars(t: int, params: CoinParams) -> closedform_pure._Scalars:
+    """Scalars for the generic kernels and site sums at wp =
+    coefficient_bits(t) + 256 bits, the current mpmath precision: cos,
+    sin and every phase an mpf or mpc, chi^e as expj(e (phi1 + phi2)), and
+    every row summed by Horner's rule on wp-bit fixed-point integers, then
+    times an mpf power of cos. A path that shares nothing with the sweeps
+    or the float stage after them, 192 bits wider than the 64 guard bits
+    that keep a Horner sum within 1e-15 (``arithmetic.precision_for``)."""
     wp = mpmath.mp.prec
     cos = mpmath.cos(params.theta.mp_radians())
+    sin = mpmath.sin(params.theta.mp_radians())
+    phi = params.phi1.mp_radians() + params.phi2.mp_radians()
     c2, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
 
     def value(family, d):
         acc = 0
         for c in reversed(coefficient_row(t, family, d)):
             acc = ((acc * c2) >> wp) + (c << wp)
-        # acc 2^-wp times (-1)^sign man 2^exp, on the 2^-wp grid
-        sign, man, exp, _ = cos_pow(_first_h(t, family, d))._mpf_
-        n, exp = acc * (-int(man) if sign else int(man)), int(exp)
-        return FixedComplex(n << exp if exp >= 0 else n >> -exp, 0, wp)
+        return mpmath.mpf((acc, -wp)) * cos_pow(_first_h(t, family, d))
 
     def rows(ds):
         return {key: value(*key) for key in _read_keys(ds) - {("alpha_cos", t)}}
 
-    return dataclasses.replace(_scalars(params, t, "adaptive"), rows=rows)
+    return closedform_pure._Scalars(
+        t, cos, sin, mpmath.expj(params.phi1.mp_radians()),
+        chi_pow=lambda e: mpmath.expj(e * phi), lift=mpmath.mpc, zero=mpmath.mpc(0),
+        rows=rows,
+    )
 
 
-def _horner_reference(xs, t: int, init: PureState, params: CoinParams) -> list:
+def _horner_reference(xs, t: int, init: PureState, params: CoinParams, probabilities=False) -> list:
     """Amplitude pairs at the sites xs from ``_horner_scalars`` and the
-    module's own kernels and site sums at that width."""
+    module's generic kernels and site sums at that width, as complex, or
+    with ``probabilities`` |alpha|^2 + |beta|^2 as an mpf at each site."""
     init = init.to_float()
     if t == 0:
         return [init.amplitude(x) for x in xs]
@@ -723,7 +739,10 @@ def _horner_reference(xs, t: int, init: PureState, params: CoinParams) -> list:
         sources = [(xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()]
         ds = {x - xp for x in xs for xp, _ in sources} & set(range(-t, t + 1, 2))
         kernels = _kernels(s, ds, _rows(s, ds))
-        return [tuple(map(complex, _site(x, sources, kernels, s.zero))) for x in xs]
+        pairs = [_site(x, sources, kernels, s.zero) for x in xs]
+        if probabilities:
+            return [abs(a) ** 2 + abs(b) ** 2 for a, b in pairs]
+        return [tuple(map(complex, pair)) for pair in pairs]
 
 
 class TestAdaptivePrecision:
@@ -779,6 +798,50 @@ class TestAdaptivePrecision:
         for x, pair in zip(sites, want):
             _amps_close(amplitude(x, t, plus_i, self.PARAMS), pair, tol=1e-15)
 
+    @pytest.mark.parametrize("coin", [(0.7, 1.1, 2.3), (0.9, "1/4 pi", "3/4 pi"), (0.3, 6.2, 6.28)])
+    def test_chi_powers_within_an_ulp(self, coin):
+        # chi^e by the reduction of e (phi1 + phi2) mod 2 pi on integers:
+        # each part within 2^-52 of mpmath's at 400 bits for every e up to
+        # t, where an angle e phi in floats is off by about e ulps
+        params, rng = CoinParams.make(*coin), random.Random(3)
+        for t in (600, 10**5, 10**7):
+            wp = working_precision(t)
+            *_, phi, two_pi = closedform_pure._coin_constants(params, wp)
+            chi_pow = closedform_pure._phases(phi, two_pi, wp)
+            with mpmath.workprec(400):
+                angle = params.phi1.mp_radians() + params.phi2.mp_radians()
+                for e in [*range(20), *rng.sample(range(t + 1), 100), t]:
+                    got, want = chi_pow(e), mpmath.expj(e * angle)
+                    assert abs(got.real - want.real) <= 2**-52, (t, e)
+                    assert abs(got.imag - want.imag) <= 2**-52, (t, e)
+
+    # Relative bound on the far tails, fixed once from a measurement: over
+    # t in {301, 600}, these three coins and three starts, the largest
+    # relative gap to the reference where it reads P < 1e-60 was 3.1e-15
+    TAIL_RELATIVE = 1e-14
+
+    @pytest.mark.parametrize("t", [301, 600])
+    @pytest.mark.parametrize("coin", [(0.7, 1.1, 2.3), (0.9, 0.4, 1.3), (2.4, 5.0, 0.2)])
+    def test_far_tails_relative_to_256_guard_bits(self, t, coin):
+        # floats past the sweeps keep the tails' relative precision, where
+        # a fixed point of wp bits reads 0 or about 2^-2wp; the reference
+        # is summed at the sites where direct stepping gives P < 1e-50, a
+        # superset of those where the reference gives P < 1e-60
+        params = CoinParams.make(*coin)
+        starts = (
+            PureState({0: (0.6 + 0j, 0j), 3: (0j, 0.8j)}),
+            random_state(random.Random(29), radius=2),
+        )
+        for init in starts:
+            got = distribution(t, init, params)
+            direct = distribution_of(evolve_pure(init, params, t), t)
+            sites = [x for x in got.positions if direct[x] < 1e-50]
+            want = _horner_reference(sites, t, init, params, probabilities=True)
+            tail = [(x, p) for x, p in zip(sites, want) if p < 1e-60]
+            assert len(tail) >= 10
+            for x, p in tail:
+                assert abs(got[x] - p) <= self.TAIL_RELATIVE * p, x
+
     def test_distribution_at_t140_matches_256_guard_bits(self):
         rng = random.Random(23)
         init = random_state(rng, radius=2)
@@ -790,20 +853,21 @@ class TestAdaptivePrecision:
 
     @THETAS
     def test_swept_rows_match_256_guard_bits(self, theta):
-        # the envelope of the module docstring: every swept R within
-        # 2^-(SWEEP_BITS - 4) of the reference's row, at t = 301
+        # the envelope of the module docstring: every swept R, its exact
+        # (mantissa, exponent) pair, within 2^-(SWEEP_BITS - 4) of the
+        # reference's row, at t = 301
         t, params = 301, CoinParams.make(theta, 0.4, 1.3)
         ds = range(-t, t + 1, 2)
-        with mpmath.workprec(working_precision(t)):
-            got = _rows(_scalars(params, t, "adaptive"), ds)
+        wp = working_precision(t)
+        mp_cos, c2, *_ = closedform_pure._coin_constants(params, wp)
+        with mpmath.workprec(wp):
+            got = closedform_pure._float_rows(mp_cos, c2, wp, t)(ds)
         with mpmath.workprec(coefficient_bits(t) + 256):
             want = _rows(_horner_scalars(t, params), ds)
-        assert got.keys() == want.keys()
-        for key, r in got.items():
-            if key == ("alpha_cos", t):  # the empty row
-                assert r == want[key] == 0
-                continue
-            w = want[key]
-            assert r.im == w.im == 0, key
-            error = abs(Fraction(r.re, 1 << r.wp) - Fraction(w.re, 1 << w.wp))
+        assert got.keys() == want.keys() - {("alpha_cos", t)}
+        assert want["alpha_cos", t] == 0  # the empty row
+        for key, (m, e) in got.items():
+            sign, man, exp, _ = want[key]._mpf_
+            w = (-1) ** sign * Fraction(int(man)) * Fraction(2) ** int(exp)
+            error = abs(Fraction(m) * Fraction(2) ** e - w)
             assert error <= Fraction(1, 2 ** (closedform_pure.SWEEP_BITS - 4)), key
