@@ -709,7 +709,11 @@ def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str):
             (xp, (s.lift(alpha), s.lift(beta)))
             for xp, (alpha, beta) in init.amplitudes.items()
         ]
-        ds = {x - xp for x in xs for xp, _ in sources} & set(range(-t, t + 1, 2))
+        # the distances on the light cone, -t <= d <= t with d = t mod 2
+        ds = {
+            d for x in xs for xp, _ in sources
+            if -t <= (d := x - xp) <= t and (t - d) % 2 == 0
+        }
         if not ds:  # every site is off the light cone
             return [(s.zero, s.zero)] * len(xs), denominator
         rows = _rows(s, ds)

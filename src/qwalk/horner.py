@@ -22,6 +22,20 @@ The sequences are generic over the scalar type (complex, Fraction, ring
 elements, polynomials, numpy arrays), so the same code serves float and
 exact modes, and one call can run the recurrence for a whole array of
 momenta at once.
+
+At r = 2 the walk does not run the recurrence: f_t has the closed form
+
+    f_t = r^t sin((t+1) phi) / sin(phi),
+
+a Chebyshev U_t, where r e^{+-i phi} are the roots of l^2 - c0 l - c1
+(Ben Taher & Rachidi, Linear Algebra Appl. 370, 341 (2003)). For u_k these
+are r = i e^{i psi}, psi = (phi1 + phi2) / 2, with the real angle
+cos(phi_k) = -cos(theta) sin(k + psi). ``u_k_power`` takes sin(phi_k) as
+sqrt(sin^2 theta + cos^2 theta cos^2(k + psi)), which does not cancel,
+folds phi_k into [0, pi/2] by phi -> pi - phi, which multiplies f_t by
+(-1)^t, and takes the limit t + 1 where sin(phi_k) = 0. So the power of
+every mode costs a few array operations, whatever t. ``matrix_power`` and
+the recurrence still serve r = 4 and the f_t tables.
 """
 
 from __future__ import annotations
@@ -156,10 +170,46 @@ def quad_coeffs(params: CoinParams, k) -> tuple:
 
 
 def u_k_power(params: CoinParams, k, t: int) -> np.ndarray:
-    """u_k^t = f_t I + f_{t-1} (u_k - c0 I) (no matrix-matrix products).
+    """u_k^t = f_t I + f_{t-1} (u_k - c0 I) (no matrix-matrix products),
+    with f_m = r^m sin((m+1) phi_k) / sin(phi_k) in closed form rather than
+    by its recurrence (Ben Taher & Rachidi, Linear Algebra Appl. 370, 341
+    (2003); r, psi and phi_k as in the module docstring). Conditioning:
+    - sin(phi_k) = sqrt(sin^2 theta + cos^2 theta cos^2(k + psi)), which
+      does not cancel;
+    - phi_k from arctan2, folded into [0, pi/2] by phi -> pi - phi, which
+      multiplies f_m by (-1)^m: near pi, sin((m+1) phi) would carry an
+      absolute error of about m ulp(pi), which sin(phi) then divides;
+    - where sin(phi_k) = 0 the quotient is its limit, m + 1.
     An array of momenta gives the stack of powers, of shape
-    k.shape + (2, 2)."""
-    return matrix_power(u_k(params, k), quad_coeffs(params, k), t)
+    k.shape + (2, 2), in a few array operations whatever t is."""
+    t = step_count(t)
+    th = params.theta.radians
+    cos, sin = math.cos(th), math.sin(th)
+    psi = params.phi_sum.radians / 2
+    x = np.asarray(k, dtype=float) + psi
+    cos_phi = -cos * np.sin(x)
+    sin_phi = np.sqrt(sin * sin + (cos * np.cos(x)) ** 2)
+    phi = np.arctan2(sin_phi, np.abs(cos_phi))
+    flip = np.where(cos_phi < 0, -1.0, 1.0)  # -1 where phi_k was folded
+
+    def chebyshev_u(m: int) -> np.ndarray:
+        # sin(phi_k) > 0 for every float k, as cos has no zero at a float;
+        # the limit keeps the quotient defined all the same
+        return np.divide(
+            np.sin((m + 1) * phi), sin_phi,
+            out=np.full(phi.shape, m + 1.0), where=sin_phi > 0,
+        )
+
+    # r^(t-1), one phase for every mode, taken once so that f_t and
+    # f_{t-1} differ in phase by r to within an ulp
+    r = complex(-math.sin(psi), math.cos(psi))
+    phase = (1, 1j, -1, -1j)[(t - 1) % 4] * complex(
+        math.cos((t - 1) * psi), math.sin((t - 1) * psi)
+    )
+    f_prev = phase * chebyshev_u(t - 1) * (flip if t % 2 == 0 else 1.0)
+    f_t = phase * r * chebyshev_u(t) * (flip if t % 2 else 1.0)
+    eye, m1 = horner_basis(u_k(params, k), quad_coeffs(params, k))
+    return _stacked(f_t) * eye + _stacked(f_prev) * m1
 
 
 def superop(k: float, kp: float) -> np.ndarray:

@@ -17,6 +17,16 @@ c = min(max(0, lo), hi) sizes the ring by the support's extent, not by its
 distance from 0: shifting by c multiplies mode j by e^{-i k_j c} going in and
 undoes it coming out, so only rounding moves. A support that spans the origin
 has c = 0 and runs the operations of x mod n bit for bit.
+
+Every mode advances t steps at once by the Fibonacci-Horner identity at
+order two, u^t = f_t I + f_{t-1} (u - c0 I), with f_m in closed form
+(``horner.u_k_power``; Ben Taher & Rachidi, Linear Algebra Appl. 370, 341
+(2003)): f_m = r^m sin((m+1) phi_k) / sin(phi_k), where r = i e^{i psi},
+psi = (phi1 + phi2) / 2 and cos(phi_k) = -cos(theta) sin(k + psi).
+sin(phi_k) is taken as sqrt(sin^2 theta + cos^2 theta cos^2(k + psi)),
+phi_k is folded into [0, pi/2] by phi -> pi - phi, which multiplies f_m by
+(-1)^m, and where sin(phi_k) = 0 the quotient is its limit m + 1. So a walk
+costs a few array operations over the n modes and two FFTs, whatever t.
 """
 
 from __future__ import annotations

@@ -409,3 +409,81 @@ def test_direct_reaches_t4000(plus_i):
     )
     assert worst <= 1e-12, f"direct deviation {worst:.2e}"
     print(f"\nPASS direct reach: spectral at t=4000 {worst:.2e}, direct {elapsed:.2f}s")
+
+
+def _konno_limits(params, alpha, beta) -> tuple[float, float]:
+    """(K L, L): the limits of E[X/t] and E[(X/t)^2] from the start
+    (alpha, beta) at the origin (Konno, J. Math. Soc. Japan 57, 1179
+    (2005)), with a = cos(theta) and b = e^{i phi1} sin(theta) the coin's
+    first row, L = 1 - sqrt(1 - |a|^2) and
+    K = |alpha|^2 - |beta|^2 + 2 Re(a alpha conj(b) conj(beta)) / |a|^2."""
+    a = math.cos(params.theta.radians)
+    b = cmath.exp(1j * params.phi1.radians) * math.sin(params.theta.radians)
+    big_l = 1 - math.sqrt(1 - a * a)
+    k = abs(alpha) ** 2 - abs(beta) ** 2 + 2 * (a * alpha * (b * beta).conjugate()).real / (a * a)
+    return k * big_l, big_l
+
+
+def test_spectral_holds_konno_limit_law_at_t10000():
+    # a check from outside the code, which a convention shared by all
+    # three routes would fail: at t = 10^4, |E[X/t] - K L| <= C1/t and
+    # |E[(X/t)^2] - L| <= C2/t on a grid of coins and starts. C1 and C2
+    # were fit once at t = 10^4 over 132 (coin, start) pairs, this grid
+    # and 96 random ones at theta from 0.2 to 2.94: the worst were
+    # t |m1 - K L| = 0.494 and t |m2 - L| = 1.3e-4, and C1 = 0.75,
+    # C2 = 3e-4. In this code's convention the mean is +K L: the -K L
+    # reading is off by up to about 13,000/t on this grid.
+    t, c1, c2 = 10**4, 0.75, 3e-4
+    coins = [
+        CoinParams.make(0.7, 1.1, 2.3),
+        CoinParams.hadamard(),
+        CoinParams.make(2.2, 0.3, 4.0),
+        CoinParams.make(0.35, 5.0, 1.0),
+        CoinParams.make(1.2, 2.0, 0.5),
+        CoinParams.make(2.8, 0.9, 3.3),
+    ]
+    h = 1 / math.sqrt(2)
+    starts = [
+        (0.6, 0.8j * cmath.exp(0.4j)), (1.0, 0.0), (0.0, 1.0),
+        (h, 1j * h), (h, h), (0.8, -0.6j * cmath.exp(1.3j)),
+    ]
+    start = time.perf_counter()
+    worst1 = worst2 = other_sign = 0.0
+    means = {}
+    for params in coins:
+        for alpha, beta in starts:
+            dist = simulate(PureState.localized(0, alpha, beta), params, t)
+            x = np.array(dist.positions, dtype=float) / t
+            p = np.array(list(dist.probs.values()))
+            m1, m2 = float(x @ p), float((x * x) @ p)
+            means[params, alpha, beta] = m1
+            mean, second = _konno_limits(params, alpha, beta)
+            assert abs(m1 - mean) <= c1 / t, (params, alpha, beta, m1, mean)
+            assert abs(m2 - second) <= c2 / t, (params, alpha, beta, m2, second)
+            worst1 = max(worst1, t * abs(m1 - mean))
+            worst2 = max(worst2, t * abs(m2 - second))
+            other_sign = max(other_sign, t * abs(m1 + mean))
+    assert other_sign > 100 * c1, "the grid does not tell +K L from -K L"
+    # the symmetric Hadamard start spreads both ways alike
+    m1 = means[CoinParams.hadamard(), h, 1j * h]
+    assert abs(m1) <= 1e-12, f"symmetric Hadamard mean {m1:.2e}"
+    elapsed = time.perf_counter() - start
+    print(
+        f"\nPASS Konno's law at t={t}: t|m1 - KL| <= {worst1:.3f}, "
+        f"t|m2 - L| <= {worst2:.2e}, -KL off by {other_sign:.0f}/t, {elapsed:.2f}s"
+    )
+
+
+def test_spectral_and_closed_form_agree_at_t10000():
+    # past direct stepping's reach: the momentum route against the adaptive
+    # closed form on the off-grid CI config's coin and start, every site of
+    # the light cone within 1e-12
+    params = CoinParams.make(0.7, 1.1, 2.3)
+    init = PureState.localized(0, 0.6, 0.8j * cmath.exp(0.4j))
+    t = 10**4
+    start = time.perf_counter()
+    spectral = simulate(init, params, t)
+    elapsed = time.perf_counter() - start
+    worst = max_pointwise_difference(cf_distribution(t, init, params), spectral)
+    assert worst <= 1e-12, f"spectral and closed form differ by {worst:.2e}"
+    print(f"\nPASS two routes at t={t}: {worst:.2e}, spectral {elapsed:.2f}s")

@@ -2,12 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import random_params
 from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
+from qwalk.core import CoinParams
 from qwalk.horner import (
     f_explicit,
     f_sequence,
@@ -147,10 +149,11 @@ class TestUkPower:
             assert np.max(np.abs(got - expected)) < 1e-12
 
     def test_array_of_momenta_equals_scalar_stack(self):
-        # one call over a (3, 4) array of momenta runs the recurrence for
-        # every mode at once; it must equal the scalar calls stacked. The
-        # vectorised exp may round differently in the last bit, and the
-        # recurrence grows that about linearly in t, hence t <= 20.
+        # one call over a (3, 4) array of momenta takes the closed form of
+        # f_t for every mode at once; it must equal the scalar calls
+        # stacked. The vectorised sin, cos and exp may round differently in
+        # the last bit, and sin((t+1) phi) carries that in phi about t
+        # times over, hence t <= 20.
         rng = random.Random(31)
         for _ in range(8):
             params = random_params(rng)
@@ -170,6 +173,66 @@ class TestUkPower:
             params = random_params(rng)
             u = u_k_power(params, rng.uniform(-3, 3), 50)
             assert u @ u.conj().T == pytest.approx(np.eye(2), abs=1e-11)
+
+
+def _u_k_power_50_digits(params, k: float, t: int) -> np.ndarray:
+    """u_k^t = f_t I + f_{t-1} (u_k - c0 I) with f_m = r^m sin((m+1) phi) /
+    sin(phi) at 50 digits, from the float angles and momentum taken as
+    exact: phi unfolded, by atan2, and the limit m + 1 where sin(phi) = 0."""
+    with mpmath.workdps(50):
+        th, phi1, phi2 = (a.mp_radians() for a in (params.theta, params.phi1, params.phi2))
+        k, psi = mpmath.mpf(k), (phi1 + phi2) / 2
+        cos, sin = mpmath.cos(th), mpmath.sin(th)
+        sin_phi = mpmath.sqrt(sin**2 + (cos * mpmath.cos(k + psi)) ** 2)
+        phi = mpmath.atan2(sin_phi, -cos * mpmath.sin(k + psi))
+        r = 1j * mpmath.expj(psi)
+
+        def f(m):
+            u = mpmath.sin((m + 1) * phi) / sin_phi if sin_phi else m + 1
+            return r**m * u
+
+        e1, e2 = mpmath.expj(phi1), mpmath.expj(phi2)
+        u = mpmath.diag([mpmath.expj(-k), mpmath.expj(k)]) * mpmath.matrix(
+            [[cos, e1 * sin], [e2 * sin, -e1 * e2 * cos]]
+        )
+        power = f(t) * mpmath.eye(2) + f(t - 1) * (u - (u[0, 0] + u[1, 1]) * mpmath.eye(2))
+        return np.array(power.tolist(), dtype=complex)
+
+
+class TestUkPowerClosedForm:
+    """u_k_power takes f_t in closed form; held to the same form at 50
+    digits. The bound is per step, (t + 1) 3e-15, fixed once from a
+    measurement: over these cases the worst was (t + 1) 1.4e-15, while the
+    t-step float recurrence it replaced was 4.2e-10 off at t = 2000 near
+    sin(phi_k) = 0, about (t + 1) 2e-13."""
+
+    PER_STEP = 3e-15
+
+    def _assert_close(self, params, k, t):
+        err = np.max(np.abs(u_k_power(params, k, t) - _u_k_power_50_digits(params, k, t)))
+        assert err <= (t + 1) * self.PER_STEP, (params, k, t, err)
+
+    def test_random_coins_up_to_t2000(self):
+        rng = random.Random(37)
+        for t in [0, 1, 2, 2000] + [rng.randint(3, 2000) for _ in range(36)]:
+            self._assert_close(random_params(rng), rng.uniform(-2 * math.pi, 2 * math.pi), t)
+
+    @pytest.mark.parametrize(
+        "theta", [0.0, 1e-9, math.pi / 2, math.pi - 1e-9, math.pi],
+        ids=["0", "1e-9", "pi/2", "pi-1e-9", "pi"],
+    )
+    def test_near_sin_phi_zero(self, theta):
+        # sin(phi_k) = sqrt(sin^2 theta + cos^2 theta cos^2(k + psi)) goes
+        # to 0 at theta in {0, pi} and k + psi = +-pi/2, where f_m tends
+        # to (m + 1) r^m (+-1)^m; both signs of cos(phi_k) are taken, so
+        # both sides of the fold
+        rng = random.Random(41)
+        params = CoinParams.make(theta, rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+        psi = params.phi_sum.radians / 2
+        for edge in (math.pi / 2 - psi, -math.pi / 2 - psi):
+            for dk in (0.0, 1e-15, 1e-12, -1e-9, 1e-6, -1e-4, 1 / 2000, -3 / 2000, 0.01):
+                for t in (1, 2, 21, 200, 1999, 2000):
+                    self._assert_close(params, edge + dk, t)
 
 
 class TestSuperop:

@@ -231,8 +231,9 @@ class TestSimulate:
             simulate(init, params, t, n=15)
 
     def test_memory_at_t600(self, hadamard, plus_i):
-        # the f recurrence over all modes keeps only its last two terms;
-        # holding the whole sequence would take about 12 MB here
+        # u_k^t takes f_t and f_{t-1} in closed form, a few arrays of one
+        # value per mode; holding the whole f sequence over all modes would
+        # take about 12 MB here
         simulate(plus_i, hadamard, 2)
         tracemalloc.start()
         try:

@@ -376,8 +376,9 @@ class TestMutationDetection:
 
     def test_wrong_f_boundary_detected(self, monkeypatch, hadamard):
         # the power identity needs f_j = 0 for j < 0; a recurrence seeded
-        # with f_{-1} = 1 must break U^1 = U, and L^1, L^2 at order four,
-        # where the boundary enters visibly
+        # with f_{-1} = 1 must break U^1 = U at order two (the recurrence
+        # of the f_t tables; u_k_power takes f_t in closed form), and L^1,
+        # L^2 at order four, where the boundary enters visibly
         def seeded_terms(coeffs, t_max):
             hist = [0] * (len(coeffs) - 2) + [1, 1]  # ..., f_{-1} = 1, f_0
             yield 1
@@ -387,8 +388,9 @@ class TestMutationDetection:
                 yield nxt
 
         monkeypatch.setattr(horner, "_f_terms", seeded_terms)
-        u = horner.u_k_power(hadamard, 0.7, 1)
-        assert np.max(np.abs(u - horner.u_k(hadamard, 0.7))) > 0.1
+        u = horner.u_k(hadamard, 0.7)
+        got = horner.matrix_power(u, horner.quad_coeffs(hadamard, 0.7), 1)
+        assert np.max(np.abs(got - u)) > 0.1
         ell = horner.superop(0.3, -0.9)
         for t in (1, 2):
             got = horner.superop_power(0.3, -0.9, t)
