@@ -8,7 +8,8 @@ own rest frame: alpha, which moves right, at z = x - s after s steps, and
 beta at y = x + s. So a step moves no cell: it applies the coin in place
 to one stretch of the alpha arrays and one of the beta arrays. A walk
 keeps the parity of x + s, so when every source has one parity a cell
-holds every other site.
+holds every other site. Sources more than 2t apart, whose light cones
+never meet, are stepped as separate stretches.
 
 * Float stepping, when the state or the coin is off the eighth-turn grid:
   one complex128 row per component.
@@ -23,8 +24,10 @@ holds every other site.
 
 A mixed coin state rho is not stepped as a matrix. By linearity the walk
 from rho is known from the two basis walks psi_0 and psi_1, from |0, 0>
-and |0, 1>, and the distribution is the bilinear form
-sum_ab rho_ab <psi_b(y)|psi_a(y)> at each site y.
+and |0, 1>: the two columns of U^t. They are stepped in one pass, each
+array cell holding the pair (psi_0, psi_1), and the distribution is the
+bilinear form sum_ab rho_ab <psi_b(y)|psi_a(y)>, read once off the pairs
+at each site y.
 """
 
 from __future__ import annotations
@@ -65,8 +68,24 @@ def _walk(state: PureState, params: CoinParams, t: int) -> dict:
     sums are accumulated. The dict is left unvalidated; callers wrap it in
     one PureState at the end.
     """
-    if state.exact and params.exact_capable:
-        return _exact_walk(state.amplitudes, params, t)
+    if not (state.exact and params.exact_capable):
+        return _float_walk(state.to_float().amplitudes, params, t)
+    amps = state.amplitudes
+    denominator = math.lcm(*(z.denominator for pair in amps.values() for z in pair))
+    cells = {x: a.numerators(denominator) + b.numerators(denominator)
+             for x, (a, b) in amps.items()}
+    scale_t, walked = _numerator_walk(cells, params, t)
+    denominator *= scale_t
+    ring = SqrtTwoComplex.from_numerators
+    return {
+        x: (ring(*c[:4], denominator), ring(*c[4:], denominator))
+        for x, c in walked.items()
+    }
+
+
+def _float_walk(cells: dict, params: CoinParams, t: int) -> dict:
+    """Float stepping of {x: (alpha, beta)}: complex amplitudes, or pairs
+    of them for two walks at once."""
     (c00, c01), (c10, c11) = coin_matrix(params).tolist()
 
     def advance(rows, a_at, b_at):
@@ -76,15 +95,15 @@ def _walk(state: PureState, params: CoinParams, t: int) -> dict:
         beta[b_at] = c10 * a + c11 * b
         alpha[a_at] = up
 
-    return _stepped(state.to_float().amplitudes, t, complex, advance)
+    return _stepped(cells, t, complex, advance)
 
 
-def _exact_walk(amps: dict, params: CoinParams, t: int) -> dict:
-    """Exact stepping on integer numerators over one denominator."""
-    denominator = math.lcm(*(z.denominator for pair in amps.values() for z in pair))
+def _numerator_walk(cells: dict, params: CoinParams, t: int) -> tuple[int, dict]:
+    """Exact stepping of integer numerator columns (p, q, r, s of alpha,
+    then of beta), each an integer or a pair of them for two walks at
+    once: (scale**t, {x: column}), the numerators after t steps being over
+    scale**t times the starting denominator."""
     scale, coin = _integer_coin(params)
-    cells = {x: a.numerators(denominator) + b.numerators(denominator)
-             for x, (a, b) in amps.items()}
 
     def advance(rows, a_at, b_at):
         # every new row is made before the first is written, as each
@@ -95,12 +114,19 @@ def _exact_walk(amps: dict, params: CoinParams, t: int) -> dict:
         for row, at, value in zip(rows, stretches, new):
             row[at] = value
 
-    denominator *= scale**t
-    ring = SqrtTwoComplex.from_numerators
-    return {
-        x: (ring(*c[:4], denominator), ring(*c[4:], denominator))
-        for x, c in _stepped(cells, t, object, advance).items()
-    }
+    return scale**t, _stepped(cells, t, object, advance)
+
+
+def _basis_walks(params: CoinParams, t: int, exact: bool) -> tuple[int, dict]:
+    """psi_0 and psi_1, the walks from |0, 0> and |0, 1>, in one pass: the
+    two columns of U^t, stepped together on a trailing walk axis. Returns
+    (d, {x: column}), each component of a column a pair (psi_0, psi_1):
+    complex amplitudes with d = 1, or, ``exact``, the integer numerators
+    p, q, r, s of alpha, then of beta, over d."""
+    if exact:
+        start = ((1, 0),) + ((0, 0),) * 3 + ((0, 1),) + ((0, 0),) * 3
+        return _numerator_walk({0: start}, params, t)
+    return 1, _float_walk({0: ((1, 0), (0, 1))}, params, t)
 
 
 def _integer_coin(params: CoinParams) -> tuple[int, list]:
@@ -150,27 +176,45 @@ def _stepped(cells: dict, t: int, dtype, advance) -> dict:
     A column holds 2k components, the first k riding coin component 0
     (alpha) and the last k component 1 (beta). Each is one row, alpha's in
     the frame z = x - s and beta's in y = x + s, so a step moves no cell.
-    Cell m of every row holds site lo - t + g m after t steps: stride g = 2
-    when every source has lo's parity (the walk keeps the parity of x + s,
-    so no other site is reached) and 1 otherwise. The sites [lo - s, hi + s]
-    after s steps are alpha's cells from lag = 2(t - s)/g on and beta's
-    short of n - lag, so step s + 1 is advance(rows, a_at, b_at), the coin
-    in place on those two stretches. Only light-cone sites are returned.
+    A row is (n,) for one walk, or (n, 2) when each component is a pair:
+    two walks stepped together, the walk axis last, so a stretch of cells
+    is row[at] either way. Cell m of every row holds site lo - t + g m
+    after t steps: stride g = 2 when every source has lo's parity (the
+    walk keeps the parity of x + s, so no other site is reached) and 1
+    otherwise. The sites [lo - s, hi + s] after s steps are alpha's cells
+    from lag = 2(t - s)/g on and beta's short of n - lag, so step s + 1 is
+    advance(rows, a_at, b_at), the coin in place on those two stretches.
+
+    Sources more than 2t apart have cones that never meet, so the sorted
+    sources are split at each such gap and each group is its own stretch,
+    with its own stride. Only light-cone sites are returned.
     """
-    lo, hi = min(cells), max(cells)
-    g = 1 if any((x - lo) % 2 for x in cells) else 2
-    n = (hi - lo + 2 * t) // g + 1
-    rows = [np.zeros(n, dtype=dtype) for _ in next(iter(cells.values()))]
-    k = len(rows) // 2
-    for x, column in cells.items():
-        for i, (row, value) in enumerate(zip(rows, column)):
-            row[(x - lo + (2 * t if i < k else 0)) // g] = value
-    for s in range(t):
-        lag = 2 * (t - s) // g
-        advance(rows, slice(lag, n), slice(0, n - lag))
-    columns = list(zip(*(row.tolist() for row in rows)))
-    sites = set().union(*(range(x - t, x + t + 1, 2) for x in cells))
-    return {x: columns[(x - lo + t) // g] for x in sites}
+    xs = sorted(cells)
+    cuts = [i for i in range(1, len(xs)) if xs[i] - xs[i - 1] > 2 * t]
+    column = cells[xs[0]]
+    walks = (len(column[0]),) if isinstance(column[0], tuple) else ()
+    out = {}
+    for first, stop in zip([0, *cuts], [*cuts, len(xs)]):
+        group = xs[first:stop]
+        # 2t more cells on a side that faces another group: one stretch
+        # over both steps the zeros between them, and the coin can give
+        # -0.0 there, which the cone edges read
+        lo = group[0] - (2 * t if first else 0)
+        hi = group[-1] + (2 * t if stop < len(xs) else 0)
+        g = 1 if any((x - lo) % 2 for x in group) else 2
+        n = (hi - lo + 2 * t) // g + 1
+        rows = [np.zeros((n, *walks), dtype=dtype) for _ in column]
+        k = len(rows) // 2
+        for x in group:
+            for i, (row, value) in enumerate(zip(rows, cells[x])):
+                row[(x - lo + (2 * t if i < k else 0)) // g] = value
+        for s in range(t):
+            lag = 2 * (t - s) // g
+            advance(rows, slice(lag, n), slice(0, n - lag))
+        columns = list(zip(*(row.tolist() for row in rows)))
+        sites = set().union(*(range(x - t, x + t + 1, 2) for x in group))
+        out.update({x: columns[(x - lo + t) // g] for x in sites})
+    return out
 
 
 def step(state: PureState, params: CoinParams) -> PureState:
@@ -214,30 +258,44 @@ def evolve_mixed(
 
     With psi_a the walk from |0, a>, that trace is the bilinear form
     P_y = rho_00 |psi_0(y)|^2 + rho_11 |psi_1(y)|^2
-    + 2 Re(rho_10 <psi_0(y)|psi_1(y)>), where rho_10 = r1 + i r2. So two
-    walks by ``evolve_pure`` give every rho. A diagonal rho on an
-    eighth-turn coin stays exact, with the weights r0 +- r3 lifted by
-    Fraction; otherwise the walks and the form are in floats.
+    + 2 Re(rho_10 <psi_0(y)|psi_1(y)>), where rho_10 = r1 + i r2. So the
+    two columns of U^t give every rho: they are stepped in one pass, and
+    the form is read once off their amplitudes, site by site. A diagonal
+    rho on an eighth-turn coin stays exact: the weights r0 +- r3, lifted
+    by Fraction, go over one common denominator with the integer
+    numerators, and each site is reduced once. Otherwise the walks and the
+    form are in floats.
     """
     r0, r1, r2, r3 = valid_mixed_state(state).pauli
     t = step_count(t)
     exact = r1 == 0.0 and r2 == 0.0 and params.exact_capable
+    denominator, walked = _basis_walks(params, t, exact)
+    sites = range(-t, t + 1)
     if exact:
-        one, zero, lift = SqrtTwoComplex.one(), SqrtTwoComplex.zero(), Fraction
-    else:
-        one, zero, lift = 1.0, 0.0, float
-    psi0 = evolve_pure(PureState.localized(0, one, zero), params, t)
-    psi1 = evolve_pure(PureState.localized(0, zero, one), params, t)
-    d0, d1 = distribution_of(psi0, t), distribution_of(psi1, t)
-    w0, w1 = lift(r0 + r3), lift(r0 - r3)
-    if exact:
-        acc = {x: w0 * p + w1 * d1.exact[x] for x, p in d0.exact.items()}
+        w0, w1 = Fraction(r0 + r3), Fraction(r0 - r3)
+        common = math.lcm(w0.denominator, w1.denominator)
+        m0 = w0.numerator * (common // w0.denominator)
+        m1 = w1.numerator * (common // w1.denominator)
+        common *= denominator * denominator
+        acc = {x: SqrtTwo() for x in sites}
+        for x, column in walked.items():
+            # |psi_a|^2 = (u + v sqrt2) / denominator^2 for each walk a
+            (u0, v0), (u1, v1) = (_norm_numerators(*walk) for walk in zip(*column))
+            acc[x] = SqrtTwo.from_numerators(m0 * u0 + m1 * u1, m0 * v0 + m1 * v1, common)
         probs = {x: float(v) for x, v in acc.items()}
         return Distribution(probs, t=t, method="mixed-direct", mode="exact", exact=acc)
-    rho10 = complex(r1, r2)
-    probs = {}
-    for x, p in d0.probs.items():
-        (a0, b0), (a1, b1) = psi0.amplitude(x), psi1.amplitude(x)
+    w0, w1, rho10 = r0 + r3, r0 - r3, complex(r1, r2)
+    probs = {x: 0.0 for x in sites}
+    for x, ((a0, a1), (b0, b1)) in walked.items():
         cross = rho10 * (a0.conjugate() * a1 + b0.conjugate() * b1)
-        probs[x] = w0 * p + w1 * d1.probs[x] + 2.0 * cross.real
+        probs[x] = (w0 * (abs(a0) ** 2 + abs(b0) ** 2)
+                    + w1 * (abs(a1) ** 2 + abs(b1) ** 2) + 2.0 * cross.real)
     return Distribution(probs, t=t, method="mixed-direct", mode="double")
+
+
+def _norm_numerators(p, q, r, s, u, v, w, z) -> tuple[int, int]:
+    """|alpha|^2 + |beta|^2 from the numerators of alpha = p + q sqrt2 +
+    i(r + s sqrt2) and beta = u + v sqrt2 + i(w + z sqrt2): the integers
+    (A, B) of A + B sqrt2, over the square of their denominator."""
+    return (p * p + r * r + u * u + w * w + 2 * (q * q + s * s + v * v + z * z),
+            2 * (p * q + r * s + u * v + w * z))

@@ -38,6 +38,7 @@ __all__ = [
     "ComparisonReport",
     "canonical_json",
     "check_plan",
+    "check_comparable",
     "evaluate",
     "reachable_parities",
     "compare_pure",
@@ -240,6 +241,19 @@ def check_plan(params: CoinParams, initial, methods, mode: str) -> None:
         )
 
 
+def check_comparable(params: CoinParams, initial) -> None:
+    """Raise ValueError when no two methods hold for the coin and the
+    initial state, so a comparison has nothing to compare: a mixed walk on
+    any coin but Hadamard, where direct is the only route. The comparisons
+    and ``qwalk compare`` check here before the methods are looked at."""
+    if isinstance(initial, MixedLocalizedState) and params != CoinParams.hadamard():
+        raise ValueError(
+            "compare: only direct holds for a mixed walk on this coin, as the mixed "
+            "closed forms hold for the Hadamard coin only, so there is nothing to "
+            "compare yet"
+        )
+
+
 def evaluate(
     method: str,
     initial,
@@ -298,7 +312,7 @@ def compare_mixed(
     """Compare mixed-coin evaluations. ``r`` is the Pauli vector
     (r0, r1, r2, r3) or a MixedLocalizedState. ``params`` defaults to the
     Hadamard coin; the closed forms hold for it only, so any other coin
-    has no second method to compare with."""
+    has no second method to compare with, and raises ValueError."""
     params = params or CoinParams.hadamard()
     return _compare(valid_mixed_state(r), params, t, methods, "adaptive", tolerances, False)
 
@@ -314,10 +328,12 @@ def _compare(
 ) -> ComparisonReport:
     """The loop behind compare_pure and compare_mixed: check the plan once,
     route and time each method, then run the gates. ``t`` is an integer
-    (numpy integers included), anything else raises TypeError; fewer than
-    two methods, which would compare nothing, raise ValueError."""
+    (numpy integers included), anything else raises TypeError; a walk that
+    ``check_comparable`` refuses, or fewer than two methods, which would
+    compare nothing, raise ValueError."""
     t = step_count(t)
     methods = tuple(methods)
+    check_comparable(params, initial)
     if len(methods) < 2:
         raise ValueError("compare needs at least two methods")
     check_plan(params, initial, methods, mode)

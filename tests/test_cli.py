@@ -425,6 +425,25 @@ class TestCompare:
             assert capsys.readouterr().err == "error: compare needs at least two methods\n"
             assert not (tmp_path / "cmp.json").exists()
 
+    def test_mixed_walk_on_other_coin_refused_once(self, tmp_path, capsys):
+        # only direct holds here, so compare says so whatever the methods,
+        # where it used to ask for a second method, or send a closed form
+        # back to direct alone; run keeps its advice and runs direct
+        doc = mixed_doc([0.5, 0.3, 0, 0.2], coin={"theta": 0.3}, steps=6, method="direct")
+        cfg = write_config(tmp_path, "mixed.json", doc)
+        out = str(tmp_path / "cmp")
+        for methods in ([], ["--method", "direct,consistent"], ["--method", "literal,consistent"]):
+            assert main(["compare", "--config", cfg, "--out", out, *methods]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: compare: only direct holds for a mixed walk")
+            assert "nothing to compare" in err and "Traceback" not in err
+            assert "at least two methods" not in err and "use method" not in err
+            assert not (tmp_path / "cmp.json").exists()
+        assert main(["run", "--config", cfg, "--method", "consistent", "--out", out]) == 2
+        assert "or use method direct" in capsys.readouterr().err
+        assert main(["run", "--config", cfg, "--out", out]) == 0
+        assert (tmp_path / "cmp.json").exists()
+
     def test_report_is_byte_stable(self, tmp_path):
         cfg = write_config(
             tmp_path, "walk.json", pure_doc(method="direct,closed-form")

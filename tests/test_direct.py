@@ -9,6 +9,7 @@ import pytest
 from conftest import random_bloch, random_params, random_state
 from qwalk.arithmetic import SqrtTwo, SqrtTwoComplex
 from qwalk.core import CoinParams, MixedLocalizedState, PureState, coin_matrix, coin_matrix_exact
+from qwalk import direct
 from qwalk.direct import distribution_of, evolve_mixed, evolve_pure, step
 
 RT2 = math.sqrt(2)
@@ -363,6 +364,176 @@ class TestEvolveMixed:
                 rng.randint(0, 12),
             )
             assert math.isclose(dist.total(), 1.0, abs_tol=1e-12)
+
+
+def two_walk_route(state: MixedLocalizedState, params: CoinParams, t: int) -> dict:
+    """The float mixed distribution by the route evolve_mixed took before
+    its one pass: two evolve_pure walks, each read by distribution_of, and
+    the bilinear form over their amplitudes site by site."""
+    r0, r1, r2, r3 = state.pauli
+    psi0 = evolve_pure(PureState.localized(0, 1.0, 0.0), params, t)
+    psi1 = evolve_pure(PureState.localized(0, 0.0, 1.0), params, t)
+    d0, d1 = distribution_of(psi0, t), distribution_of(psi1, t)
+    w0, w1, rho10 = r0 + r3, r0 - r3, complex(r1, r2)
+    probs = {}
+    for x, p in d0.probs.items():
+        (a0, b0), (a1, b1) = psi0.amplitude(x), psi1.amplitude(x)
+        cross = rho10 * (a0.conjugate() * a1 + b0.conjugate() * b1)
+        probs[x] = w0 * p + w1 * d1.probs[x] + 2.0 * cross.real
+    return probs
+
+
+# the 18 eighth-turn coins of test_exact_diagonal_is_weighted_basis_walks
+EIGHTH_TURN_GRID = [
+    (theta, phi1, phi2)
+    for theta in ("1/4 pi", "3/4 pi")
+    for phi1 in ("0 pi", "1/4 pi", "1/2 pi")
+    for phi2 in ("0 pi", "1/4 pi", "1/2 pi")
+]
+
+
+class TestBasisWalksInOnePass:
+    """evolve_mixed steps psi_0 and psi_1 together, as pairs in the cells
+    of one pass, and reads the bilinear form once off them."""
+
+    def test_float_pair_is_two_pure_walks(self):
+        rng = random.Random(280)
+        for _ in range(40):
+            params, t = random_params(rng), rng.randint(0, 60)
+            denominator, walked = direct._basis_walks(params, t, exact=False)
+            psi0 = evolve_pure(PureState.localized(0, 1.0, 0.0), params, t).amplitudes
+            psi1 = evolve_pure(PureState.localized(0, 0.0, 1.0), params, t).amplitudes
+            assert denominator == 1 and walked.keys() == psi0.keys() == psi1.keys()
+            for x, ((a0, a1), (b0, b1)) in walked.items():
+                assert repr((a0, b0)) == repr(psi0[x]), (t, x)
+                assert repr((a1, b1)) == repr(psi1[x]), (t, x)
+
+    @pytest.mark.parametrize("coin", EIGHTH_TURN_GRID, ids=",".join)
+    def test_exact_pair_is_two_pure_walks(self, coin):
+        params = CoinParams.make(*coin)
+        one, zero = SqrtTwoComplex.one(), SqrtTwoComplex.zero()
+        ring = SqrtTwoComplex.from_numerators
+        for t in (0, 1, 9, 30, 60):
+            denominator, walked = direct._basis_walks(params, t, exact=True)
+            psi0 = evolve_pure(PureState.localized(0, one, zero), params, t).amplitudes
+            psi1 = evolve_pure(PureState.localized(0, zero, one), params, t).amplitudes
+            assert walked.keys() == psi0.keys() == psi1.keys()
+            for x, column in walked.items():
+                for walk, psi in zip(zip(*column), (psi0, psi1)):
+                    pair = (ring(*walk[:4], denominator), ring(*walk[4:], denominator))
+                    assert pair == psi[x], (t, x)
+
+    def test_float_mixed_is_the_two_walk_route(self):
+        rng = random.Random(281)
+        for case in range(120):
+            params, t = random_params(rng), rng.randint(0, 60)
+            # every fourth rho diagonal: floats still, the coin being off-grid
+            r0, r1, r2, r3 = random_bloch(rng)
+            state = MixedLocalizedState.from_pauli(
+                r0, *((0.0, 0.0) if case % 4 == 0 else (r1, r2)), r3
+            )
+            dist = evolve_mixed(state, params, t)
+            want = two_walk_route(state, params, t)
+            assert dist.mode == "double"
+            assert [(x, repr(p)) for x, p in dist.probs.items()] == [
+                (x, repr(p)) for x, p in want.items()
+            ], (case, t)
+
+    @pytest.mark.parametrize(
+        "params, pauli",
+        [
+            (CoinParams.make(0.7, 1.1, 2.3), (0.5, 0.1, 0.2, 0.15)),
+            (CoinParams.hadamard(), (0.5, 0.0, 0.0, 0.15)),
+            (CoinParams.hadamard(), (0.5, 0.1, 0.2, 0.15)),
+        ],
+        ids=["float", "exact", "hadamard-float"],
+    )
+    def test_one_stepping_pass_per_mixed_walk(self, monkeypatch, params, pauli):
+        calls = []
+        stepped = direct._stepped
+
+        def counting(*args):
+            calls.append(args[1])
+            return stepped(*args)
+
+        monkeypatch.setattr(direct, "_stepped", counting)
+        evolve_mixed(MixedLocalizedState.from_pauli(*pauli), params, 25)
+        assert calls == [25]
+
+
+def bridged(state: PureState, t: int) -> PureState:
+    """``state`` with zero-amplitude sites every 2t between sources more
+    than 2t apart, so that one stretch spans them all, as every walk was
+    stepped before sources were grouped."""
+    zero = SqrtTwoComplex.zero() if state.exact else 0j
+    xs, amps = state.support, dict(state.amplitudes)
+    for x1, x2 in zip(xs, xs[1:]):
+        for x in range(x1 + 2 * t, x2, 2 * t):
+            amps.setdefault(x, (zero, zero))
+    return PureState(amps)
+
+
+# each gap of 2t - 1 and 2t + 1 joins sites of opposite parity, each of
+# 2t and 2t + 2 sites of one parity; cones more than 2t apart never meet
+GAPS = {
+    "2t-1": (lambda t: (0, 2 * t - 1)),
+    "2t": (lambda t: (0, 2 * t)),
+    "2t+1": (lambda t: (0, 2 * t + 1)),
+    "2t+2": (lambda t: (0, 2 * t + 2)),
+    "three": (lambda t: (-2 * t - 1, 0, 1, 2 * t + 4)),
+    "far": (lambda t: (-3, 500, 1001)),
+}
+
+
+class TestFarApartSources:
+    """Sources more than 2t apart are stepped as separate stretches. The
+    amplitudes are those of one stretch over all of them: repr-identical
+    in floats, signed zeros included, and ring-equal exactly."""
+
+    @pytest.mark.parametrize("t", (1, 2, 7, 30))
+    @pytest.mark.parametrize("gap", GAPS.values(), ids=GAPS.keys())
+    def test_float_groups_match_one_stretch(self, gap, t):
+        rng = random.Random(f"far-{t}-{gap(t)}")
+        # a real coin and real amplitudes keep exact zeros in the imaginary
+        # parts, where a sign can differ; then a random coin
+        real = CoinParams.make(0.7, 0.0, 0.0)
+        start = PureState({x: (complex(rng.gauss(0, 1)), complex(rng.gauss(0, 1)))
+                           for x in gap(t)})
+        for params, init in ((real, start), (random_params(rng), unit_state(rng, gap(t)))):
+            final = evolve_pure(init, params, t).amplitudes
+            one_stretch = evolve_pure(bridged(init, t), params, t).amplitudes
+            assert final.keys() <= one_stretch.keys()
+            for x, pair in final.items():
+                assert repr(pair) == repr(one_stretch[x]), (t, x)
+
+    @pytest.mark.parametrize("t", (1, 2, 7, 30))
+    @pytest.mark.parametrize("gap", GAPS.values(), ids=GAPS.keys())
+    def test_exact_groups_match_one_stretch(self, gap, t):
+        params = CoinParams.make("3/4 pi", "5/4 pi", "1/4 pi")
+        init = PureState({x: (_ring(_THIRD), _ring(0, 0, 0, _TWO_THIRDS)) for x in gap(t)})
+        final = evolve_pure(init, params, t)
+        assert final.exact
+        one_stretch = evolve_pure(bridged(init, t), params, t).amplitudes
+        for x, pair in final.amplitudes.items():
+            assert pair == one_stretch[x], (t, x)
+        if t <= 7:
+            assert final.amplitudes == ring_dict_walk(init, params, t)
+
+    @pytest.mark.parametrize(
+        "sources, groups",
+        [((0, 100_000), 2), ((0, 100_001), 2), ((0, 10, 21), 2), ((0, 10, 20), 1)],
+    )
+    def test_one_stretch_per_group(self, sources, groups):
+        # at t = 5 a group's stretch is at most its span of 10 or 20 sites
+        # and 4t more cells, so sites 100,000 apart step a few dozen cells
+        t, stretches = 5, []
+
+        def advance(rows, a_at, b_at):
+            stretches.append(a_at.stop - a_at.start)
+
+        direct._stepped({x: (1j, 0j) for x in sources}, t, complex, advance)
+        assert len(stretches) == groups * t
+        assert max(stretches) <= 4 * t + 11
 
 
 class TestArrayWalkAgainstDicts:

@@ -152,6 +152,29 @@ class TestEvaluate:
             compare_mixed(state, 6, methods=("direct", "consistent"), params=coin)
 
     @pytest.mark.parametrize(
+        "methods",
+        [("direct",), ("direct", "consistent"), ("consistent", "literal"), ()],
+        ids=["direct", "direct,consistent", "closed-forms", "none"],
+    )
+    def test_mixed_compare_on_other_coins_refused_once(self, no_routes, methods):
+        # these used to refuse in a circle: one method asked for a second,
+        # and a closed form sent the caller back to direct alone
+        state = MixedLocalizedState.from_pauli(0.5, 0.3, 0, 0.2)
+        with pytest.raises(ValueError) as refused:
+            compare_mixed(state, 6, methods=methods, params=CoinParams.make(0.3))
+        message = str(refused.value)
+        assert "only direct holds for a mixed walk on this coin" in message
+        assert "nothing to compare" in message
+        assert "at least two methods" not in message and "use method" not in message
+
+    def test_evaluate_keeps_its_advice_on_other_coins(self):
+        state = MixedLocalizedState.from_pauli(0.5, 0.3, 0, 0.2)
+        coin = CoinParams.make(0.3)
+        with pytest.raises(ValueError, match="or use method direct"):
+            verify.evaluate("consistent", state, coin, 6)
+        assert verify.evaluate("direct", state, coin, 6).method == "mixed-direct"
+
+    @pytest.mark.parametrize(
         "initial, params, match",
         [
             (PureState.plus_i(), CoinParams.make(0.7), "eighth-turn grid"),
