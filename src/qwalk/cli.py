@@ -24,7 +24,6 @@ from .horner import f_explicit, f_sequence
 from .verify import (
     MODES,
     canonical_json,
-    check_comparable,
     compare_mixed,
     compare_pure,
     evaluate,
@@ -125,14 +124,9 @@ def _write(base: str, texts: dict[str, str]) -> str:
 def _load_config(args) -> WalkConfig:
     if not args.config:
         raise ConfigError("--config PATH is required")
-    cfg = WalkConfig.from_file(args.config)
-    if args.command == "compare":
-        # before a --method override, whose plan check would advise a
-        # method that compare then refuses
-        try:
-            check_comparable(cfg.params, cfg.initial)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    # compare refuses a walk with nothing to compare before the plan of
+    # the file or of a --method override is checked
+    cfg = WalkConfig.from_file(args.config, comparing=args.command == "compare")
     overrides = {}
     if args.method:
         overrides["methods"] = parse_methods(args.method, "--method")

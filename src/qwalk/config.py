@@ -22,7 +22,7 @@ import numpy as np
 from .arithmetic import Angle, SqrtTwo, SqrtTwoComplex
 from .closedform_pure import MODES
 from .core import CoinParams, MixedLocalizedState, PureState, validate_state
-from .verify import Tolerances, check_plan
+from .verify import Tolerances, check_comparable, check_plan
 
 __all__ = [
     "ConfigError",
@@ -277,7 +277,11 @@ class WalkConfig:
         return isinstance(self.initial, MixedLocalizedState)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "WalkConfig":
+    def from_dict(cls, doc: dict, comparing: bool = False) -> "WalkConfig":
+        """The config that ``doc`` describes. ``comparing``: it is read for
+        a comparison, so a walk that has nothing to compare is refused
+        before the methods it names are checked, whose advice would name
+        a method that the comparison refuses in turn."""
         _require_keys(
             doc,
             {
@@ -308,6 +312,11 @@ class WalkConfig:
             initial = _parse_pure(spec["pure"], "config.initial.pure")
         else:
             initial = _parse_mixed(spec["mixed"], "config.initial.mixed")
+        if comparing:
+            try:
+                check_comparable(params, initial)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
         steps = parse_steps(doc["steps"], "config.steps:")
         methods = parse_methods(doc.get("method", "direct"), "config.method")
@@ -332,7 +341,7 @@ class WalkConfig:
         )
 
     @classmethod
-    def from_file(cls, path: str) -> "WalkConfig":
+    def from_file(cls, path: str, comparing: bool = False) -> "WalkConfig":
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -343,4 +352,4 @@ class WalkConfig:
         except ValueError as exc:
             # an integer literal past Python's limit of 4300 digits
             raise ConfigError(f"config {path}: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(doc, comparing)

@@ -8,8 +8,7 @@ own rest frame: alpha, which moves right, at z = x - s after s steps, and
 beta at y = x + s. So a step moves no cell: it applies the coin in place
 to one stretch of the alpha arrays and one of the beta arrays. A walk
 keeps the parity of x + s, so when every source has one parity a cell
-holds every other site. Sources more than 2t apart, whose light cones
-never meet, are stepped as separate stretches.
+holds every other site.
 
 * Float stepping, when the state or the coin is off the eighth-turn grid:
   one complex128 row per component.
@@ -184,37 +183,24 @@ def _stepped(cells: dict, t: int, dtype, advance) -> dict:
     otherwise. The sites [lo - s, hi + s] after s steps are alpha's cells
     from lag = 2(t - s)/g on and beta's short of n - lag, so step s + 1 is
     advance(rows, a_at, b_at), the coin in place on those two stretches.
-
-    Sources more than 2t apart have cones that never meet, so the sorted
-    sources are split at each such gap and each group is its own stretch,
-    with its own stride. Only light-cone sites are returned.
+    Only light-cone sites are returned.
     """
-    xs = sorted(cells)
-    cuts = [i for i in range(1, len(xs)) if xs[i] - xs[i - 1] > 2 * t]
-    column = cells[xs[0]]
+    lo, hi = min(cells), max(cells)
+    g = 1 if any((x - lo) % 2 for x in cells) else 2
+    n = (hi - lo + 2 * t) // g + 1
+    column = cells[lo]
     walks = (len(column[0]),) if isinstance(column[0], tuple) else ()
-    out = {}
-    for first, stop in zip([0, *cuts], [*cuts, len(xs)]):
-        group = xs[first:stop]
-        # 2t more cells on a side that faces another group: one stretch
-        # over both steps the zeros between them, and the coin can give
-        # -0.0 there, which the cone edges read
-        lo = group[0] - (2 * t if first else 0)
-        hi = group[-1] + (2 * t if stop < len(xs) else 0)
-        g = 1 if any((x - lo) % 2 for x in group) else 2
-        n = (hi - lo + 2 * t) // g + 1
-        rows = [np.zeros((n, *walks), dtype=dtype) for _ in column]
-        k = len(rows) // 2
-        for x in group:
-            for i, (row, value) in enumerate(zip(rows, cells[x])):
-                row[(x - lo + (2 * t if i < k else 0)) // g] = value
-        for s in range(t):
-            lag = 2 * (t - s) // g
-            advance(rows, slice(lag, n), slice(0, n - lag))
-        columns = list(zip(*(row.tolist() for row in rows)))
-        sites = set().union(*(range(x - t, x + t + 1, 2) for x in group))
-        out.update({x: columns[(x - lo + t) // g] for x in sites})
-    return out
+    rows = [np.zeros((n, *walks), dtype=dtype) for _ in column]
+    k = len(rows) // 2
+    for x, column in cells.items():
+        for i, (row, value) in enumerate(zip(rows, column)):
+            row[(x - lo + (2 * t if i < k else 0)) // g] = value
+    for s in range(t):
+        lag = 2 * (t - s) // g
+        advance(rows, slice(lag, n), slice(0, n - lag))
+    columns = list(zip(*(row.tolist() for row in rows)))
+    sites = set().union(*(range(x - t, x + t + 1, 2) for x in cells))
+    return {x: columns[(x - lo + t) // g] for x in sites}
 
 
 def step(state: PureState, params: CoinParams) -> PureState:

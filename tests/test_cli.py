@@ -425,14 +425,17 @@ class TestCompare:
             assert capsys.readouterr().err == "error: compare needs at least two methods\n"
             assert not (tmp_path / "cmp.json").exists()
 
-    def test_mixed_walk_on_other_coin_refused_once(self, tmp_path, capsys):
-        # only direct holds here, so compare says so whatever the methods,
-        # where it used to ask for a second method, or send a closed form
-        # back to direct alone; run keeps its advice and runs direct
-        doc = mixed_doc([0.5, 0.3, 0, 0.2], coin={"theta": 0.3}, steps=6, method="direct")
+    @pytest.mark.parametrize("named", ["direct", "direct,consistent", "consistent"])
+    def test_mixed_walk_on_other_coin_refused_once(self, tmp_path, capsys, named):
+        # only direct holds here, so compare says so whatever the file or
+        # --method names, before that plan is checked: it used to ask for a
+        # second method, or send a closed form back to direct alone, which
+        # it then refused; run keeps its advice and runs direct
+        doc = mixed_doc([0.5, 0.3, 0, 0.2], coin={"theta": 0.3}, steps=6, method=named)
         cfg = write_config(tmp_path, "mixed.json", doc)
         out = str(tmp_path / "cmp")
-        for methods in ([], ["--method", "direct,consistent"], ["--method", "literal,consistent"]):
+        for methods in ([], ["--method", "direct"], ["--method", "direct,consistent"],
+                        ["--method", "literal,consistent"]):
             assert main(["compare", "--config", cfg, "--out", out, *methods]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: compare: only direct holds for a mixed walk")
@@ -441,8 +444,8 @@ class TestCompare:
             assert not (tmp_path / "cmp.json").exists()
         assert main(["run", "--config", cfg, "--method", "consistent", "--out", out]) == 2
         assert "or use method direct" in capsys.readouterr().err
-        assert main(["run", "--config", cfg, "--out", out]) == 0
-        assert (tmp_path / "cmp.json").exists()
+        assert main(["run", "--config", cfg, "--out", out]) == (0 if named == "direct" else 2)
+        assert (tmp_path / "cmp.json").exists() == (named == "direct")
 
     def test_report_is_byte_stable(self, tmp_path):
         cfg = write_config(

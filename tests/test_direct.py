@@ -461,81 +461,6 @@ class TestBasisWalksInOnePass:
         assert calls == [25]
 
 
-def bridged(state: PureState, t: int) -> PureState:
-    """``state`` with zero-amplitude sites every 2t between sources more
-    than 2t apart, so that one stretch spans them all, as every walk was
-    stepped before sources were grouped."""
-    zero = SqrtTwoComplex.zero() if state.exact else 0j
-    xs, amps = state.support, dict(state.amplitudes)
-    for x1, x2 in zip(xs, xs[1:]):
-        for x in range(x1 + 2 * t, x2, 2 * t):
-            amps.setdefault(x, (zero, zero))
-    return PureState(amps)
-
-
-# each gap of 2t - 1 and 2t + 1 joins sites of opposite parity, each of
-# 2t and 2t + 2 sites of one parity; cones more than 2t apart never meet
-GAPS = {
-    "2t-1": (lambda t: (0, 2 * t - 1)),
-    "2t": (lambda t: (0, 2 * t)),
-    "2t+1": (lambda t: (0, 2 * t + 1)),
-    "2t+2": (lambda t: (0, 2 * t + 2)),
-    "three": (lambda t: (-2 * t - 1, 0, 1, 2 * t + 4)),
-    "far": (lambda t: (-3, 500, 1001)),
-}
-
-
-class TestFarApartSources:
-    """Sources more than 2t apart are stepped as separate stretches. The
-    amplitudes are those of one stretch over all of them: repr-identical
-    in floats, signed zeros included, and ring-equal exactly."""
-
-    @pytest.mark.parametrize("t", (1, 2, 7, 30))
-    @pytest.mark.parametrize("gap", GAPS.values(), ids=GAPS.keys())
-    def test_float_groups_match_one_stretch(self, gap, t):
-        rng = random.Random(f"far-{t}-{gap(t)}")
-        # a real coin and real amplitudes keep exact zeros in the imaginary
-        # parts, where a sign can differ; then a random coin
-        real = CoinParams.make(0.7, 0.0, 0.0)
-        start = PureState({x: (complex(rng.gauss(0, 1)), complex(rng.gauss(0, 1)))
-                           for x in gap(t)})
-        for params, init in ((real, start), (random_params(rng), unit_state(rng, gap(t)))):
-            final = evolve_pure(init, params, t).amplitudes
-            one_stretch = evolve_pure(bridged(init, t), params, t).amplitudes
-            assert final.keys() <= one_stretch.keys()
-            for x, pair in final.items():
-                assert repr(pair) == repr(one_stretch[x]), (t, x)
-
-    @pytest.mark.parametrize("t", (1, 2, 7, 30))
-    @pytest.mark.parametrize("gap", GAPS.values(), ids=GAPS.keys())
-    def test_exact_groups_match_one_stretch(self, gap, t):
-        params = CoinParams.make("3/4 pi", "5/4 pi", "1/4 pi")
-        init = PureState({x: (_ring(_THIRD), _ring(0, 0, 0, _TWO_THIRDS)) for x in gap(t)})
-        final = evolve_pure(init, params, t)
-        assert final.exact
-        one_stretch = evolve_pure(bridged(init, t), params, t).amplitudes
-        for x, pair in final.amplitudes.items():
-            assert pair == one_stretch[x], (t, x)
-        if t <= 7:
-            assert final.amplitudes == ring_dict_walk(init, params, t)
-
-    @pytest.mark.parametrize(
-        "sources, groups",
-        [((0, 100_000), 2), ((0, 100_001), 2), ((0, 10, 21), 2), ((0, 10, 20), 1)],
-    )
-    def test_one_stretch_per_group(self, sources, groups):
-        # at t = 5 a group's stretch is at most its span of 10 or 20 sites
-        # and 4t more cells, so sites 100,000 apart step a few dozen cells
-        t, stretches = 5, []
-
-        def advance(rows, a_at, b_at):
-            stretches.append(a_at.stop - a_at.start)
-
-        direct._stepped({x: (1j, 0j) for x in sources}, t, complex, advance)
-        assert len(stretches) == groups * t
-        assert max(stretches) <= 4 * t + 11
-
-
 class TestArrayWalkAgainstDicts:
     """The float walk is array code; the dict stepper above pins it. Complex
     multiplies round differently in numpy than in CPython, so amplitudes
