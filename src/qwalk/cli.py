@@ -15,7 +15,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import replace
 
 from .closedform_pure import SWEEP_BITS, working_precision
 from .config import ConfigError, WalkConfig, parse_methods, parse_steps
@@ -124,9 +123,6 @@ def _write(base: str, texts: dict[str, str]) -> str:
 def _load_config(args) -> WalkConfig:
     if not args.config:
         raise ConfigError("--config PATH is required")
-    # compare refuses a walk with nothing to compare before the plan of
-    # the file or of a --method override is checked
-    cfg = WalkConfig.from_file(args.config, comparing=args.command == "compare")
     overrides = {}
     if args.method:
         overrides["methods"] = parse_methods(args.method, "--method")
@@ -134,8 +130,12 @@ def _load_config(args) -> WalkConfig:
         overrides["steps"] = parse_steps(args.steps, "--steps")
     if args.mode:
         overrides["mode"] = args.mode
-    # WalkConfig checks the overridden plan as it checks the file's
-    return replace(cfg, **overrides)
+    # the flags replace the file's fields before the one plan check, so a
+    # plan the file names but the flags replace is not checked; compare
+    # refuses a walk with nothing to compare before that check
+    return WalkConfig.from_file(
+        args.config, comparing=args.command == "compare", overrides=overrides
+    )
 
 
 def _one_walk(args) -> tuple[WalkConfig, Distribution]:

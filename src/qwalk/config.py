@@ -265,8 +265,9 @@ class WalkConfig:
     tolerances: Tolerances
 
     def __post_init__(self) -> None:
-        # from_dict and dataclasses.replace (the CLI's flag overrides) both
-        # land here, so every config is checked against the same plan rules
+        # from_dict, with the CLI's flag overrides in it, and
+        # dataclasses.replace land here, so every config is checked against
+        # the same plan rules, once
         try:
             check_plan(self.params, self.initial, self.methods, self.mode)
         except ValueError as exc:
@@ -277,11 +278,15 @@ class WalkConfig:
         return isinstance(self.initial, MixedLocalizedState)
 
     @classmethod
-    def from_dict(cls, doc: dict, comparing: bool = False) -> "WalkConfig":
+    def from_dict(
+        cls, doc: dict, comparing: bool = False, overrides: dict | None = None
+    ) -> "WalkConfig":
         """The config that ``doc`` describes. ``comparing``: it is read for
         a comparison, so a walk that has nothing to compare is refused
         before the methods it names are checked, whose advice would name
-        a method that the comparison refuses in turn."""
+        a method that the comparison refuses in turn. ``overrides``: fields
+        (methods, steps, mode) that replace the document's before the plan
+        is checked, so the plan checked is the one that runs."""
         _require_keys(
             doc,
             {
@@ -330,18 +335,21 @@ class WalkConfig:
 
         tolerances = _parse_tolerances(doc.get("tolerances", {}), "config.tolerances")
 
-        return cls(
-            params=params,
-            initial=initial,
-            steps=steps,
-            methods=methods,
-            mode=mode,
-            output=output,
-            tolerances=tolerances,
-        )
+        return cls(**{
+            "params": params,
+            "initial": initial,
+            "steps": steps,
+            "methods": methods,
+            "mode": mode,
+            "output": output,
+            "tolerances": tolerances,
+            **(overrides or {}),
+        })
 
     @classmethod
-    def from_file(cls, path: str, comparing: bool = False) -> "WalkConfig":
+    def from_file(
+        cls, path: str, comparing: bool = False, overrides: dict | None = None
+    ) -> "WalkConfig":
         try:
             with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -352,4 +360,4 @@ class WalkConfig:
         except ValueError as exc:
             # an integer literal past Python's limit of 4300 digits
             raise ConfigError(f"config {path}: {exc}") from exc
-        return cls.from_dict(doc, comparing)
+        return cls.from_dict(doc, comparing, overrides)

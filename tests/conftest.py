@@ -3,7 +3,16 @@ import random
 
 import pytest
 
+from qwalk import closedform_pure
 from qwalk.core import CoinParams, PureState
+
+
+@pytest.fixture(autouse=True)
+def forget_swept_walk():
+    # the adaptive closed form keeps the last walk's sweeps; a test starts
+    # without them, so rows swept by an earlier test cannot stand in for
+    # the code a test patches or counts
+    closedform_pure._last_walk = None
 
 
 @pytest.fixture

@@ -311,6 +311,34 @@ class TestRun:
         assert not (tmp_path / "mx.csv").exists()
         assert main(["run", "--config", cfg, "--out", out]) == 0
 
+    def test_method_override_replaces_a_refused_file_plan(self, tmp_path, capsys):
+        # the file names a mixed closed form on theta = 0.3, where only
+        # direct holds; the refusal advises method direct, and --method
+        # direct replaces the file's methods before the one plan check, so
+        # run and plot-data follow that advice; compare is still refused,
+        # once, as there is nothing to compare
+        doc = mixed_doc([0.5, 0.3, 0, 0.2], coin={"theta": 0.3}, steps=6, method="consistent")
+        path = write_config(tmp_path, "mixed.json", doc)
+        out = str(tmp_path / "mx")
+        assert main(["run", "--config", path, "--out", out]) == 2
+        assert "or use method direct" in capsys.readouterr().err
+        assert not (tmp_path / "mx.csv").exists()
+        assert main(["run", "--config", path, "--method", "direct", "--out", out]) == 0
+        cfg = WalkConfig.from_file(path, overrides={"methods": ("direct",)})
+        want = evaluate("direct", cfg.initial, cfg.params, cfg.steps, cfg.mode)
+        rows = parse_distribution_csv((tmp_path / "mx.csv").read_text())
+        assert rows == [(x, want[x]) for x in want.positions if x % 2 == 0]
+        plot = str(tmp_path / "plot")
+        assert main(["plot-data", "--config", path, "--method", "direct", "--out", plot]) == 0
+        assert (tmp_path / "plot.svg").exists()
+        capsys.readouterr()
+        cmp = str(tmp_path / "cmp")
+        assert main(["compare", "--config", path, "--method", "direct", "--out", cmp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: compare: only direct holds for a mixed walk")
+        assert err.count("error") == 1 and "use method" not in err
+        assert not (tmp_path / "cmp.json").exists()
+
 
 class TestCompare:
     def test_agreement_exits_zero(self, tmp_path, capsys):

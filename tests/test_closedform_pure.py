@@ -1,6 +1,8 @@
 import collections
 import math
 import random
+import sys
+import threading
 import warnings
 from functools import cache
 
@@ -614,11 +616,178 @@ class TestRowPaths:
         assert calls["coefficient_row"] > 0
 
 
+def _fresh(x, t, init, params):
+    """repr of an adaptive point query that sweeps from the edges, with no
+    walk kept from before."""
+    closedform_pure._last_walk = None
+    return repr(amplitude(x, t, init, params))
+
+
+def _walk_on(rng, n_sources):
+    """A random off-grid coin and a float start on n_sources sites."""
+    sites = rng.sample(range(-3, 4), n_sources)
+    amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2 * n_sources)]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    init = PureState({
+        x: (amps[2 * i] / norm, amps[2 * i + 1] / norm) for i, x in enumerate(sites)
+    })
+    return init, random_params(rng)
+
+
+_RESUME_CASES = pytest.mark.parametrize(
+    "t,n_sources", [(t, n) for t in (1, 2, 7, 60, 301) for n in (1, 2, 3)]
+)
+
+
+class TestResumedSweeps:
+    # the adaptive sweeps of the last walk are kept, and a later call on
+    # that walk resumes them; every R depends on (t, d) alone, so each
+    # answer has the bits of a query that sweeps from the edges, in any
+    # order of queries and whatever ran between them
+
+    @_RESUME_CASES
+    def test_every_site_in_any_order(self, t, n_sources):
+        rng = random.Random(1000 * t + n_sources)
+        init, params = _walk_on(rng, n_sources)
+        sites = list(_every_site(init, t))
+        want = {x: _fresh(x, t, init, params) for x in sites}
+        shuffled = sites[:]
+        rng.shuffle(shuffled)
+        for order in (sites, sites[::-1], shuffled):
+            closedform_pure._last_walk = None
+            for x in order:
+                assert repr(amplitude(x, t, init, params)) == want[x], (order[0], x)
+
+    @_RESUME_CASES
+    def test_interleaved_with_other_walks(self, t, n_sources):
+        # walk A between walks on another coin at t and on A's coin at
+        # another t, each call replacing the walk kept
+        rng = random.Random(2000 * t + n_sources)
+        init, params = _walk_on(rng, n_sources)
+        other_init, other_params = _walk_on(rng, n_sources)
+        walks = [(t, init, params), (t, other_init, other_params), (t + 3, init, params)]
+        queries = [
+            (walk, x) for walk in walks
+            for x in rng.sample(_every_site(walk[1], walk[0]), min(t + 3, 60))
+        ]
+        rng.shuffle(queries)
+        want = {(w[0], w[2], x): _fresh(x, *w) for w, x in queries}
+        closedform_pure._last_walk = None
+        for (s, i, p), x in queries:
+            assert repr(amplitude(x, s, i, p)) == want[s, p, x], (s, x)
+
+    @_RESUME_CASES
+    def test_under_another_working_precision(self, t, n_sources):
+        rng = random.Random(3000 * t + n_sources)
+        init, params = _walk_on(rng, n_sources)
+        sites = list(_every_site(init, t))
+        want = {x: _fresh(x, t, init, params) for x in sites}
+        closedform_pure._last_walk = None
+        for x in sites:
+            with mpmath.workprec(rng.choice([20, 53, 500])):
+                assert repr(amplitude(x, t, init, params)) == want[x], x
+
+    @_RESUME_CASES
+    def test_before_and_after_a_distribution(self, t, n_sources):
+        rng = random.Random(4000 * t + n_sources)
+        init, params = _walk_on(rng, n_sources)
+        sites = list(_every_site(init, t))
+        rng.shuffle(sites)
+        want = {x: _fresh(x, t, init, params) for x in sites}
+        closedform_pure._last_walk = None
+        whole = repr(sorted(distribution(t, init, params).items()))
+        half = len(sites) // 2
+        closedform_pure._last_walk = None
+        for x in sites[:half]:
+            assert repr(amplitude(x, t, init, params)) == want[x], x
+        assert repr(sorted(distribution(t, init, params).items())) == whole
+        for x in sites[half:]:
+            assert repr(amplitude(x, t, init, params)) == want[x], x
+
+    def test_a_repeat_query_sweeps_nothing(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("coefficient_row", "_coefficients"):
+
+            def counted(*args, _name=name, _call=getattr(closedform_pure, name), **kw):
+                counts[_name] += 1
+                return _call(*args, **kw)
+
+            monkeypatch.setattr(closedform_pure, name, counted)
+        init, params = _walk_on(random.Random(5), 3)
+        for x in (0, 1):  # one of them is on the light cone
+            amplitude(x, 60, init, params)
+        assert counts["coefficient_row"] > 0 and counts["_coefficients"] > 0
+        for x in (-60, 0, 61, 1):
+            amplitude(x, 60, init, params)
+            counts.clear()
+            amplitude(x, 60, init, params)
+            assert counts == {}, x
+        distribution(60, init, params)
+        counts.clear()
+        distribution(60, init, params)
+        for x in range(-64, 65):
+            amplitude(x, 60, init, params)
+        assert counts == {}
+
+    def test_only_the_last_walk_is_kept(self):
+        rng = random.Random(6)
+        walk_a, walk_b = _walk_on(rng, 2), _walk_on(rng, 3)
+        amplitude(5, 60, *walk_b)
+        alone = closedform_pure._last_walk.values
+        closedform_pure._last_walk = None
+        distribution(301, *walk_a)
+        amplitude(5, 60, *walk_b)
+        kept = closedform_pure._last_walk
+        assert kept.key[0] == 60 and kept.values == alone
+
+    def test_threads_racing_on_the_kept_walk_get_fresh_bits(self):
+        # four threads query two walks in their own orders, switching
+        # every microsecond; mpmath's precision is one global, so it is
+        # pinned to the walks' working precision, which both share, for
+        # the threads' workprec blocks to leave it as it is
+        rng = random.Random(7)
+        walks = [(60, *_walk_on(rng, 2)), (61, *_walk_on(rng, 3))]
+        queries = [(w, x) for w in walks for x in _every_site(w[1], w[0])]
+        want = {(w[0], x): _fresh(x, *w) for w, x in queries}
+        got = []
+
+        def worker(seed):
+            order = queries[:]
+            random.Random(seed).shuffle(order)
+            for (t, init, params), x in order:
+                got.append(((t, x), repr(amplitude(x, t, init, params))))
+
+        closedform_pure._last_walk = None
+        interval, prec = sys.getswitchinterval(), mpmath.mp.prec
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        try:
+            sys.setswitchinterval(1e-6)
+            mpmath.mp.prec = working_precision(60)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            mpmath.mp.prec = prec
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(got) == 4 * len(queries)
+        for key, value in got:
+            assert value == want[key], key
+
+    @pytest.mark.parametrize("t", [1, 2, 60, 301, 600])
+    def test_a_walk_keeps_about_one_and_a_half_t_rows(self, t):
+        init, params = _walk_on(random.Random(t), 3)
+        distribution(t, init, params)
+        assert len(closedform_pure._last_walk.values) <= 1.5 * t + 6
+
+
 class TestAdaptiveAgainstExact:
     # on the eighth-turn grid the exact closed form is the truth; the
     # adaptive rows, kernels and site sums must land within 1e-15 of it,
-    # site by site (point queries, each sweeping as far as it needs) and
-    # all at once (full distributions)
+    # site by site (point queries, which resume the sweeps of the walk's
+    # last query as far as each needs) and all at once (full
+    # distributions)
     @staticmethod
     def _every_site_within_1e15(t, n_sources, coin, at_once):
         init, params = _RING_STARTS[n_sources - 1], CoinParams.make(*coin)
