@@ -32,16 +32,18 @@ t^2 slots, and only f_{t-3} .. f_t are unpacked. Against the Fourier
 factors of an integral identity, a monomial X^A1 Y^A2 selects one binomial
 in A1 that depends on the site y and one in A2 that does not. The A2
 binomials are summed once per A1, and the A1 binomials for every site at
-once, by Horner's rule in E + 1/E: O(t^2) integer additions per Horner
-order. Those site sums depend on neither the reading nor the kernel table,
-so each t pays one build for all three readings, and a reading's table is
-a few integer combinations of them. Every vanishing claim is recomputed
+once, by Horner's rule in (E + 1/E)^2 over the one parity of A1 whose
+entries are nonzero: about t^2/2 integer additions per Horner order.
+Those site sums depend on neither the reading nor the kernel table, so
+each t pays one build for all three readings, and a reading's table is a
+few integer combinations of them. Every vanishing claim is recomputed
 here rather than assumed (the sin(delta) sin(sigma) brackets do cancel
 pairwise, and the builder asserts that the net imaginary part is exactly
 zero at every site). All weights are exact rationals over 2^(t+2): a table
-holds their integer numerators, reads a site as Fractions, and divides
-each numerator into a float once, for the per-position dot product with
-(r0, r1, r2, r3).
+holds their integer numerators and reads a site as Fractions. It divides
+each numerator into a float once, into one read-only (4, 2t+1) array, so
+the tables do all the work that r does not enter, and a distribution is
+one array expression in (r0, r1, r2, r3) over every site at once.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import Distribution, step_count, valid_mixed_state
 
@@ -279,12 +283,37 @@ def _unpack(packed: int, n: int, t: int) -> list[list[int]]:
 def _horner_sites(row: list[int]) -> list[int]:
     """[S(-n), ..., S(n)] for row[A1], A1 = 0..n, where S(m) is the sum over
     A1 of half_binom(A1, A1 - m) row[A1]: the coefficients in E of
-    sum row[A1] (E + 1/E)^A1, by Horner's rule."""
-    acc = [row[-1]]
-    for c in reversed(row[:-1]):
-        acc = list(map(operator.add, acc + [0, 0], [0, 0] + acc))
-        acc[len(acc) // 2] += c
-    return acc
+    sum row[A1] (E + 1/E)^A1.
+
+    Each parity q of A1 gives the S(m) of m's parity q alone, as
+    (E + 1/E)^q times a polynomial in Z = (E + 1/E)^2 = (1 + W)^2 / W,
+    W = E^2. That is summed by Horner's rule in Z over the row's entries
+    of parity q, each step two passes of (1 + W) on the coefficients in W;
+    a parity whose entries are all zero (one of them, in every row of
+    _a1_sums) costs nothing.
+    """
+    n = len(row) - 1
+    out = [0] * (2 * n + 1)
+    for q in (0, 1):
+        coeffs = row[q::2]
+        if not any(coeffs):
+            continue
+        # after k steps acc[i] is the coefficient of W^(i - k)
+        acc = [coeffs[-1]]
+        for c in reversed(coeffs[:-1]):
+            acc = _one_plus_w(_one_plus_w(acc))
+            acc[len(acc) // 2] += c
+        if q:
+            acc = _one_plus_w(acc)
+        # acc[i] is now the coefficient of E^(2i - top), top = q + 2k
+        top = len(acc) - 1
+        out[n - top : n + top + 1 : 2] = acc
+    return out
+
+
+def _one_plus_w(coeffs: list[int]) -> list[int]:
+    """The coefficients of (1 + W) p(W), p's being coeffs."""
+    return list(map(operator.add, coeffs + [0], [0] + coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -316,10 +345,12 @@ def _a1_sums(t: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
 
 
 class _DyadicTable(Mapping):
-    """Exact weight vectors w(y), held as integer numerators over 2^shift: a
-    site reads as a tuple of Fractions, and ``floats`` is the whole table in
-    floats. Each float is its numerator over the denominator by int / int
-    division, which rounds correctly, so it is float() of the Fraction."""
+    """Exact weight vectors w(y), y = -t..t in order, held as integer
+    numerators over 2^shift: a site reads as a tuple of Fractions, and
+    ``floats`` is the whole table as one read-only (4, 2t+1) float64 array,
+    column y + t holding w(y). Each float is its numerator over the
+    denominator by int / int division, which rounds correctly, so it is
+    float() of the Fraction."""
 
     def __init__(self, numerators: dict[int, tuple[int, ...]], shift: int):
         self._numerators = numerators
@@ -338,9 +369,12 @@ class _DyadicTable(Mapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
     @cached_property
-    def floats(self) -> dict[int, tuple[float, ...]]:
+    def floats(self) -> np.ndarray:
         den = self._denominator
-        return {y: tuple(n / den for n in w) for y, w in self._numerators.items()}
+        table = np.array([[n / den for n in column]
+                          for column in zip(*self._numerators.values())])
+        table.flags.writeable = False
+        return table
 
 
 def _weights(t: int, kernels: tuple[KernelTerm, ...]) -> _DyadicTable:
@@ -431,15 +465,21 @@ _READINGS = {
 }
 
 
-def _dot(weights: tuple[float, ...], r: tuple[float, ...]) -> float:
-    return float(sum(map(operator.mul, weights, r)))
+def _dot(weights, r):
+    """0.0 + w0 r0 + w1 r1 + w2 r2 + w3 r3, added left to right, for the
+    four rows of a table (every site at once) or one of its columns: the
+    sum that ``sum`` of the four products gives before Python 3.12."""
+    w0, w1, w2, w3 = weights
+    r0, r1, r2, r3 = r
+    return 0.0 + w0 * r0 + w1 * r1 + w2 * r2 + w3 * r3
 
 
 def _prob(y: int, t: int, r, table, *args) -> float:
     y = operator.index(y)
     pauli = valid_mixed_state(r).pauli
-    weights = table(t, *args).floats.get(y)
-    return _dot(weights, pauli) if weights is not None else 0.0
+    t = step_count(t)
+    weights = table(t, *args).floats
+    return float(_dot(weights[:, y + t], pauli)) if -t <= y <= t else 0.0
 
 
 def prob_pipeline(y: int, t: int, r, mode: str = "consistent") -> float:
@@ -464,6 +504,6 @@ def distribution_mixed(t: int, r, mode: str = "consistent") -> Distribution:
         raise ValueError(f"unknown mixed mode {mode!r}")
     pauli = valid_mixed_state(r).pauli
     table, *args = _READINGS[mode]
-    weights = table(t, *args).floats
-    probs = {y: _dot(weights[y], pauli) for y in range(-t, t + 1)}
-    return Distribution(probs, t=t, method=f"mixed-{mode}", mode="double")
+    probs = _dot(table(t, *args).floats, pauli).tolist()
+    return Distribution(dict(zip(range(-t, t + 1), probs)), t=t, method=f"mixed-{mode}",
+                        mode="double")

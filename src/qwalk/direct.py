@@ -25,12 +25,16 @@ A mixed coin state rho is not stepped as a matrix. By linearity the walk
 from rho is known from the two basis walks psi_0 and psi_1, from |0, 0>
 and |0, 1>: the two columns of U^t. They are stepped in one pass, each
 array cell holding the pair (psi_0, psi_1), and the distribution is the
-bilinear form sum_ab rho_ab <psi_b(y)|psi_a(y)>, read once off the pairs
-at each site y.
+bilinear form sum_ab rho_ab <psi_b(y)|psi_a(y)>. Only its weights depend
+on rho: the pair's site sums |psi_0(y)|^2, |psi_1(y)|^2 and
+<psi_0(y)|psi_1(y)> depend on (coin, t) alone. They are read once off the
+pairs, and those of the last (coin, t) are kept, so a sweep of rho on one
+walk steps it once and weights the kept sums by one array expression.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -245,38 +249,70 @@ def evolve_mixed(
     With psi_a the walk from |0, a>, that trace is the bilinear form
     P_y = rho_00 |psi_0(y)|^2 + rho_11 |psi_1(y)|^2
     + 2 Re(rho_10 <psi_0(y)|psi_1(y)>), where rho_10 = r1 + i r2. So the
-    two columns of U^t give every rho: they are stepped in one pass, and
-    the form is read once off their amplitudes, site by site. A diagonal
-    rho on an eighth-turn coin stays exact: the weights r0 +- r3, lifted
-    by Fraction, go over one common denominator with the integer
-    numerators, and each site is reduced once. Otherwise the walks and the
-    form are in floats.
+    two columns of U^t give every rho: their site sums (``_pair_sums``,
+    kept for the last walk) are weighted by rho. A diagonal rho on an
+    eighth-turn coin stays exact: the weights r0 +- r3, lifted by
+    Fraction, go over one common denominator with the integer numerators,
+    and each site is reduced once. Otherwise the walks and the form are in
+    floats, weighted by one array expression whose every operation rounds
+    once, in the order of the per-site form w0 N0 + w1 N1 + 2 Re(rho_10 X)
+    with CPython's complex product, so each site is that form's float.
     """
     r0, r1, r2, r3 = valid_mixed_state(state).pauli
     t = step_count(t)
     exact = r1 == 0.0 and r2 == 0.0 and params.exact_capable
-    denominator, walked = _basis_walks(params, t, exact)
+    sums = _pair_sums(params, t, exact)
     sites = range(-t, t + 1)
     if exact:
+        denominator, norms = sums
         w0, w1 = Fraction(r0 + r3), Fraction(r0 - r3)
         common = math.lcm(w0.denominator, w1.denominator)
         m0 = w0.numerator * (common // w0.denominator)
         m1 = w1.numerator * (common // w1.denominator)
         common *= denominator * denominator
         acc = {x: SqrtTwo() for x in sites}
-        for x, column in walked.items():
-            # |psi_a|^2 = (u + v sqrt2) / denominator^2 for each walk a
-            (u0, v0), (u1, v1) = (_norm_numerators(*walk) for walk in zip(*column))
+        for x, u0, v0, u1, v1 in norms:
             acc[x] = SqrtTwo.from_numerators(m0 * u0 + m1 * u1, m0 * v0 + m1 * v1, common)
         probs = {x: float(v) for x, v in acc.items()}
         return Distribution(probs, t=t, method="mixed-direct", mode="exact", exact=acc)
-    w0, w1, rho10 = r0 + r3, r0 - r3, complex(r1, r2)
-    probs = {x: 0.0 for x in sites}
+    w0, w1 = r0 + r3, r0 - r3
+    n0, n1, xr, xi = sums
+    probs = w0 * n0 + w1 * n1 + 2.0 * (r1 * xr - r2 * xi)
+    return Distribution(dict(zip(sites, probs.tolist())), t=t, method="mixed-direct",
+                        mode="double")
+
+
+@functools.lru_cache(maxsize=1)
+def _pair_sums(params: CoinParams, t: int, exact: bool):
+    """The part of evolve_mixed that rho does not enter: the site sums of
+    the basis pair psi_0, psi_1 (``_basis_walks``) after t steps. One
+    entry is kept, the last (params, t, exact), so a sweep of rho on one
+    walk steps it once; a race of threads can only build it twice.
+
+    Floats: a read-only (4, 2t+1) float64 array, whose rows over
+    y = -t..t are N0 = |psi_0(y)|^2, N1 = |psi_1(y)|^2 and the real and
+    imaginary parts of X = <psi_0(y)|psi_1(y)>, each made by the per-site
+    Python expression (abs(a) ** 2 + abs(b) ** 2, conj(a0) a1 + conj(b0) b1)
+    and 0.0 off the walk's sites. That keeps 32 bytes a site: 0.64 MB at
+    t = 10^4. Exact: (d, ((x, u0, v0, u1, v1), ...)) over the walk's sites,
+    |psi_a(x)|^2 being (u_a + v_a sqrt2) / d^2.
+    """
+    denominator, walked = _basis_walks(params, t, exact)
+    if exact:
+        norms = []
+        for x, column in walked.items():
+            walk0, walk1 = zip(*column)
+            norms.append((x, *_norm_numerators(*walk0), *_norm_numerators(*walk1)))
+        return denominator, tuple(norms)
+    n0, n1, xr, xi = ([0.0] * (2 * t + 1) for _ in range(4))
     for x, ((a0, a1), (b0, b1)) in walked.items():
-        cross = rho10 * (a0.conjugate() * a1 + b0.conjugate() * b1)
-        probs[x] = (w0 * (abs(a0) ** 2 + abs(b0) ** 2)
-                    + w1 * (abs(a1) ** 2 + abs(b1) ** 2) + 2.0 * cross.real)
-    return Distribution(probs, t=t, method="mixed-direct", mode="double")
+        cross = a0.conjugate() * a1 + b0.conjugate() * b1
+        n0[x + t] = abs(a0) ** 2 + abs(b0) ** 2
+        n1[x + t] = abs(a1) ** 2 + abs(b1) ** 2
+        xr[x + t], xi[x + t] = cross.real, cross.imag
+    sums = np.array((n0, n1, xr, xi))
+    sums.flags.writeable = False
+    return sums
 
 
 def _norm_numerators(p, q, r, s, u, v, w, z) -> tuple[int, int]:

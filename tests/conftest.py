@@ -3,16 +3,18 @@ import random
 
 import pytest
 
-from qwalk import closedform_pure
+from qwalk import closedform_pure, direct
 from qwalk.core import CoinParams, PureState
 
 
 @pytest.fixture(autouse=True)
-def forget_swept_walk():
-    # the adaptive closed form keeps the last walk's sweeps; a test starts
-    # without them, so rows swept by an earlier test cannot stand in for
-    # the code a test patches or counts
+def forget_kept_walks():
+    # the adaptive closed form keeps the last walk's sweeps, and the mixed
+    # oracle the last basis pair's site sums; a test starts without them,
+    # so work kept from an earlier test cannot stand in for the code a
+    # test patches or counts
     closedform_pure._last_walk = None
+    direct._pair_sums.cache_clear()
 
 
 @pytest.fixture

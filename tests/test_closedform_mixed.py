@@ -638,3 +638,89 @@ class TestDistributionMixed:
         d = distribution_mixed(4, (0.5, 0.1, 0.2, 0.3), mode)
         assert d.mode == "double"
         assert d.exact is None
+
+
+def left_to_right(w, r) -> float:
+    """The reference dot product: 0.0 + w0 r0 + w1 r1 + w2 r2 + w3 r3 in
+    Python floats, each addition written out."""
+    return 0.0 + w[0] * r[0] + w[1] * r[1] + w[2] * r[2] + w[3] * r[3]
+
+
+# each reading's table and the point query that reads it
+_TABLES = {
+    "consistent": (lambda t: pipeline_weights(t, "consistent"),
+                   lambda y, t, r: prob_pipeline(y, t, r, "consistent")),
+    "pipeline-literal": (lambda t: pipeline_weights(t, "literal"),
+                         lambda y, t, r: prob_pipeline(y, t, r, "literal")),
+    "literal": (literal_weights, prob_literal),
+}
+
+
+class TestArrayLookups:
+    """A table's floats are one read-only (4, 2t+1) array, and a reading is
+    the array expression 0.0 + w0 r0 + w1 r1 + w2 r2 + w3 r3, added left
+    to right at every site; the point queries read the same array."""
+
+    @staticmethod
+    def _vectors(rng):
+        # Bloch radius 0, 1/2 and random, and components of either zero
+        vectors = [(0.5, 0.0, 0.0, 0.0), (0.5, -0.0, -0.0, -0.0), (0.5, 0.5, 0.0, -0.0),
+                   (0.5, -0.0, 0.0, -0.5), (0.5, 0.0, -0.3, 0.4)]
+        for radius in (0.5, None):
+            r0, r1, r2, r3 = random_bloch(rng)
+            if radius is not None:
+                scale = radius / math.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
+                r1, r2, r3 = r1 * scale, r2 * scale, r3 * scale
+            vectors.append((r0, r1, r2, r3))
+            vectors.append((r0, -0.0, r2, -r3))
+        return vectors
+
+    @pytest.mark.parametrize("reading", MIXED_METHODS)
+    def test_distribution_is_the_left_to_right_dot_product(self, reading):
+        rng = random.Random(f"lookup-{reading}")
+        table_of, _ = _TABLES[reading]
+        for t in range(41):
+            table = table_of(t)
+            weights = {y: tuple(map(float, w)) for y, w in table.items()}
+            for r in self._vectors(rng):
+                got = distribution_mixed(t, r, reading)
+                want = [(y, repr(left_to_right(weights[y], r))) for y in range(-t, t + 1)]
+                assert [(y, repr(p)) for y, p in got.probs.items()] == want, (t, r)
+
+    @pytest.mark.parametrize("reading", MIXED_METHODS)
+    def test_point_queries_are_the_distribution_entries(self, reading):
+        rng = random.Random(f"query-{reading}")
+        _, query = _TABLES[reading]
+        for t in (0, 1, 2, 7, 24, 40):
+            for r in self._vectors(rng):
+                dist = distribution_mixed(t, r, reading)
+                for y in range(-t - 2, t + 3):
+                    got = query(y, t, r)
+                    assert type(got) is float
+                    assert repr(got) == repr(dist[y]), (t, r, y)
+                assert repr(query(np.int64(t), t, r)) == repr(dist[t])
+
+    @pytest.mark.parametrize("reading", MIXED_METHODS)
+    def test_array_floats_are_the_numerators_over_the_denominator(self, reading):
+        table_of, _ = _TABLES[reading]
+        for t in (0, 1, 5, 17, 40, 80):
+            table = table_of(t)
+            floats = table.floats
+            assert floats.shape == (4, 2 * t + 1) and floats.dtype == np.float64
+            assert not floats.flags.writeable
+            for y, numerators in table._numerators.items():
+                want = [float(Fraction(n, 2 ** (t + 2))) for n in numerators]
+                assert floats[:, y + t].tolist() == want, (t, y)
+
+    def test_horner_sites_is_the_binomial_sum(self):
+        # both parities of A1, one of them and none, signed entries
+        rng = random.Random(33)
+        rows = [[0], [5], [0, 0, 0], [3, -2], [0, 7, 0, -4]]
+        rows += [[rng.randint(-10**6, 10**6) for _ in range(n + 1)] for n in range(1, 12)]
+        rows += [[rng.randint(-50, 50) if a1 % 2 == q else 0 for a1 in range(n + 1)]
+                 for n in range(1, 12) for q in (0, 1)]
+        for row in rows:
+            n = len(row) - 1
+            want = [sum(half_binom(a1, a1 - m) * c for a1, c in enumerate(row))
+                    for m in range(-n, n + 1)]
+            assert closedform_mixed._horner_sites(row) == want, row

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -459,6 +461,160 @@ class TestBasisWalksInOnePass:
         monkeypatch.setattr(direct, "_stepped", counting)
         evolve_mixed(MixedLocalizedState.from_pauli(*pauli), params, 25)
         assert calls == [25]
+
+
+def fresh_mixed(state: MixedLocalizedState, params: CoinParams, t: int):
+    """evolve_mixed with no basis pair kept from an earlier call."""
+    direct._pair_sums.cache_clear()
+    return evolve_mixed(state, params, t)
+
+
+def assert_same_distribution(got, want, label=None):
+    assert got.mode == want.mode and got.method == want.method, label
+    assert [(x, repr(p)) for x, p in got.probs.items()] == [
+        (x, repr(p)) for x, p in want.probs.items()
+    ], label
+    # ring-equal where exact, None on both sides otherwise
+    assert got.exact == want.exact, label
+
+
+class TestKeptPairSums:
+    """evolve_mixed keeps the last basis pair's site sums, keyed on
+    (coin, t, exact): rho alone changes nothing that is kept, and any
+    other walk replaces the entry."""
+
+    @pytest.mark.parametrize(
+        "params, diagonal",
+        [
+            (CoinParams.make(0.7, 1.1, 2.3), False),
+            (CoinParams.hadamard(), False),
+            (CoinParams.make("3/4 pi", "5/4 pi", "1/4 pi"), True),
+            # exact and float rho on one eighth-turn coin, in turn
+            (CoinParams.hadamard(), None),
+        ],
+        ids=["off-grid", "hadamard-float", "eighth-turn-exact", "hadamard-both"],
+    )
+    def test_sweep_of_rho_equals_calls_from_nothing(self, params, diagonal):
+        rng = random.Random(f"sweep-{diagonal}")
+        t = 23
+        states = []
+        for k in range(10):
+            r0, r1, r2, r3 = random_bloch(rng)
+            if diagonal or (diagonal is None and k % 2):
+                r1 = r2 = 0.0
+            states.append(MixedLocalizedState.from_pauli(r0, r1, r2, r3))
+        want = [fresh_mixed(state, params, t) for state in states]
+        order = list(range(10))
+        rng.shuffle(order)
+        direct._pair_sums.cache_clear()
+        for k in order:
+            assert_same_distribution(evolve_mixed(states[k], params, t), want[k], k)
+        if diagonal:
+            assert all(want[k].mode == "exact" for k in order)
+
+    def test_only_the_last_walk_is_kept(self):
+        hadamard, other = CoinParams.hadamard(), CoinParams.make(0.7, 1.1, 2.3)
+        coherent = MixedLocalizedState.from_pauli(0.5, 0.2, -0.1, 0.15)
+        diagonal = MixedLocalizedState.from_pauli(0.5, 0.0, 0.0, 0.15)
+        # (state, coin, t): another coin, another t, and the exact flag
+        # flipped on the same coin and t, each between calls on the first
+        calls = [
+            (coherent, hadamard, 20),
+            (coherent, other, 20),
+            (coherent, hadamard, 20),
+            (coherent, hadamard, 21),
+            (coherent, hadamard, 20),
+            (diagonal, hadamard, 20),
+            (coherent, hadamard, 20),
+            (diagonal, other, 20),
+            (diagonal, hadamard, 21),
+            (diagonal, hadamard, 20),
+        ]
+        want = [fresh_mixed(*call) for call in calls]
+        direct._pair_sums.cache_clear()
+        for k, call in enumerate(calls):
+            assert_same_distribution(evolve_mixed(*call), want[k], k)
+        # after A then B only B is kept: B again is a hit, A again a miss
+        direct._pair_sums.cache_clear()
+        evolve_mixed(coherent, hadamard, 20)
+        evolve_mixed(coherent, other, 20)
+        info = direct._pair_sums.cache_info()
+        assert info.currsize == 1
+        evolve_mixed(MixedLocalizedState.from_pauli(0.5, -0.1, 0.3, 0.0), other, 20)
+        assert direct._pair_sums.cache_info().hits == info.hits + 1
+        evolve_mixed(coherent, hadamard, 20)
+        assert direct._pair_sums.cache_info().misses == info.misses + 1
+
+    @pytest.mark.parametrize(
+        "params, exact",
+        [(CoinParams.make(0.7, 1.1, 2.3), False), (CoinParams.hadamard(), True)],
+        ids=["float", "exact"],
+    )
+    def test_sweep_of_ten_rho_steps_once(self, monkeypatch, params, exact):
+        calls = []
+        stepped = direct._stepped
+
+        def counting(*args):
+            calls.append(args[1])
+            return stepped(*args)
+
+        monkeypatch.setattr(direct, "_stepped", counting)
+        rng = random.Random(31)
+        for _ in range(10):
+            r0, r1, r2, r3 = random_bloch(rng)
+            if exact:
+                r1 = r2 = 0.0
+            dist = evolve_mixed(MixedLocalizedState.from_pauli(r0, r1, r2, r3), params, 17)
+            assert dist.mode == ("exact" if exact else "double")
+        assert calls == [17]
+
+    def test_kept_sums_are_read_only(self):
+        sums = direct._pair_sums(CoinParams.make(0.7, 1.1, 2.3), 12, False)
+        assert sums.shape == (4, 25) and sums.dtype == np.float64
+        assert not sums.flags.writeable
+        for row in sums:
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[12] = 1.0
+
+    def test_threads_racing_give_the_same_values(self):
+        rng = random.Random(32)
+        coins = [CoinParams.hadamard(), CoinParams.make(0.7, 1.1, 2.3),
+                 CoinParams.make("1/4 pi", "1/2 pi", "0 pi")]
+        calls = []
+        for _ in range(24):
+            r0, r1, r2, r3 = random_bloch(rng)
+            if rng.random() < 0.3:
+                r1 = r2 = 0.0
+            calls.append((MixedLocalizedState.from_pauli(r0, r1, r2, r3),
+                          rng.choice(coins), rng.choice((9, 14))))
+        want = [fresh_mixed(*call) for call in calls]
+        direct._pair_sums.cache_clear()
+        barrier, failures = threading.Barrier(4), []
+
+        def run(seed):
+            order = list(range(len(calls)))
+            random.Random(seed).shuffle(order)
+            barrier.wait()
+            for _ in range(3):
+                for k in order:
+                    try:
+                        assert_same_distribution(evolve_mixed(*calls[k]), want[k], k)
+                    except AssertionError as exc:
+                        failures.append((seed, k, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, failures[:3]
 
 
 class TestArrayWalkAgainstDicts:
