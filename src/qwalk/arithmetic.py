@@ -9,8 +9,8 @@ Three arithmetic modes are used across the package:
 * ``adaptive``: the closed form's row values by recurrences in block
   floating point, at a working precision of 128 bits plus the bit length
   of t (``closedform_pure.working_precision``), then floats: the kernels
-  and site sums are float64 arrays. mpmath makes the trigonometric
-  values.
+  and site sums are float64 arrays. The trigonometric values come from
+  an mpmath context held at that precision (``Angle.mp_radians``).
 * ``double``: ordinary Python floats/complex, kept as an honest baseline so
   cancellation failures stay observable.
 
@@ -45,8 +45,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-
-import mpmath
 
 __all__ = [
     "Angle",
@@ -158,11 +156,11 @@ class Angle:
             value += _TWO_PI
         return value
 
-    def mp_radians(self) -> mpmath.mpf:
-        """Radians at the current mpmath working precision."""
-        value = mpmath.pi * mpmath.mpf(self.pi_num) / self.pi_den
+    def mp_radians(self, ctx):
+        """Radians as an mpf of the mpmath context ``ctx``, at its precision."""
+        value = ctx.pi * ctx.mpf(self.pi_num) / self.pi_den
         if self.offset:
-            value += mpmath.mpf(self.offset)
+            value += ctx.mpf(self.offset)
         return value
 
     def _eighth_turn(self) -> int | None:

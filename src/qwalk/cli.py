@@ -279,18 +279,19 @@ def emit_gnuplot(pairs) -> str:
 
 
 def render_svg(pairs, title: str = "") -> str:
-    """Self-contained SVG bar chart of a distribution."""
+    """Self-contained SVG bar chart of a distribution. A value past the
+    float range (inf or NaN, as ``double`` mode gives far past its cliff)
+    has no bar or line point, and the scale is the largest finite value."""
     width, height = 800.0, 420.0
     left, right, top, bottom = 60.0, 20.0, 30.0, 50.0
     plot_w, plot_h = width - left - right, height - top - bottom
     xs = [x for x, _ in pairs]
-    ps = [p for _, p in pairs]
     if not xs:
-        xs, ps = [0], [0.0]
-        pairs = [(0, 0.0)]
+        xs, pairs = [0], [(0, 0.0)]
+    finite = [(x, p) for x, p in pairs if math.isfinite(p)]
     x_lo, x_hi = min(xs), max(xs)
     span = max(x_hi - x_lo, 1)
-    p_max = max(max(ps), 1e-300)
+    p_max = max([p for _, p in finite] + [1e-300])
 
     def sx(x: float) -> float:
         return left + (x - x_lo) / span * plot_w
@@ -319,7 +320,7 @@ def render_svg(pairs, title: str = "") -> str:
         f'y2="{top + plot_h:.1f}" stroke="black"/>'
     )
     for i in range(5):
-        p = p_max * i / 4
+        p = p_max * (i / 4)  # p_max * i could pass the float range
         y = sy(p)
         parts.append(
             f'<line x1="{left - 4:.1f}" y1="{y:.1f}" x2="{left:.1f}" y2="{y:.1f}" '
@@ -343,7 +344,7 @@ def render_svg(pairs, title: str = "") -> str:
             f'<text x="{px:.1f}" y="{top + plot_h + 18:.1f}" text-anchor="middle" '
             f'font-family="monospace" font-size="11">{x}</text>'
         )
-    for x, p in pairs:
+    for x, p in finite:
         px = sx(x)
         py = sy(p)
         h = top + plot_h - py
@@ -352,7 +353,7 @@ def render_svg(pairs, title: str = "") -> str:
             f'height="{h:.2f}" fill="#4477aa"/>'
         )
     if len(pairs) > 1:
-        points = " ".join(f"{sx(x):.2f},{sy(p):.2f}" for x, p in pairs)
+        points = " ".join(f"{sx(x):.2f},{sy(p):.2f}" for x, p in finite)
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="#cc6677" '
             'stroke-width="1.5"/>'

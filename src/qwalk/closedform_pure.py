@@ -90,11 +90,11 @@ innermost of these keys: a full distribution (``distribution``) runs
 all three to the middle, about 1.5t recurrence steps in place of about
 1.5t Horner rows of up to t/2 terms, and a point query (``amplitude``)
 whose nearest source is at distance d about 1.5(t - |d|) steps, one
-pass for all its sources. ``adaptive`` keeps the sweeps of the last
-walk, so successive point queries on one walk resume them, each
+pass for all its sources. ``adaptive`` keeps the last walk (``_Walk``),
+so successive point queries on one walk resume its sweeps, each
 stepping only past the point that the walk's earlier calls reached: a
 run of queries pays for the sweeps of its innermost one, and one walk of
-about 1.5t rows is kept (``_float_rows``). ``double`` sums each row by
+about 1.5t rows is kept (``_swept``). ``double`` sums each row by
 Horner's rule, so its precision cliff stays demonstrable. ``_kernels``
 reads the dict by index into one table {d: K_t(d)}, so a key the rows
 did not make raises, and ``_site`` sums K_t(x - x') times each source's
@@ -123,12 +123,12 @@ adaptive mode sums in arrays:
   lowest terms once, over D 2^k, at the end;
 * adaptive: the sweeps run on R = P cos^h0 itself, as wp-bit integer
   mantissas with a shared exponent, with the exact mantissa of the
-  wp-bit mpf c2 in the recurrence (``_float_rows``). Each R is read as a
+  wp-bit mpf c2 in the recurrence (``_swept``). Each R is read as a
   float from its own (mantissa, exponent) pair, and every value after
   it (cos, sin, e^{i phi1}, chi^e, the kernels and site sums) is a float
   or complex. mpmath makes cos, sin, e^{i phi1}, phi1 + phi2 and 2 pi
-  once per coin and wp (``_coin_constants``), and the two outermost R
-  of each sweep;
+  once per walk (``_Walk``), and the two outermost R of each sweep, in
+  a context of the mode's own whose precision is wp (``_context``);
 * double: Horner in floats.
 
 chi^e is chi^(e mod 8) in exact mode, where chi is an eighth root of
@@ -167,8 +167,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -446,8 +445,56 @@ def _rational_rows(cos: SqrtTwo, t: int) -> Callable:
     return rows
 
 
-def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
-    """The adaptive mode's sweeps: swept(ds) -> {(family, d): (m, e)} for
+@cache
+def _context(wp: int) -> mpmath.MPContext:
+    """The adaptive mode's own mpmath context at wp bits, one per wp. Its
+    precision is set here, once, so no walk reads another's precision, and
+    mpmath's global precision is neither read nor set."""
+    ctx = mpmath.MPContext()
+    ctx.prec = wp
+    return ctx
+
+
+class _Walk:
+    """The adaptive mode's state for one walk, ``key`` = (params, t): its
+    working precision ``wp``; the coin's constants, made in mpmath at wp
+    (``_context``): ``mp_cos`` and ``c2`` = cos^2 as mpf, for the sweeps,
+    ``cos``, ``sin`` and ``ephi1`` = e^{i phi1} rounded to floats, and
+    ``phi`` = phi1 + phi2 and ``two_pi`` as integers over 2^wp, for chi^e
+    (``_phases``); every swept R so far, as (mantissa, exponent), in
+    ``values``; and in ``resume`` each sweep's (taken, a, b, e): the first
+    ``taken`` values of its span are made, and when two or more are, a 2^e
+    and b 2^e are the last two, as the next step reads them."""
+
+    def __init__(self, params: CoinParams, t: int):
+        self.key, self.t, self.wp = (params, t), t, working_precision(t)
+        self.ctx = ctx = _context(self.wp)
+        th, phi1 = params.theta.mp_radians(ctx), params.phi1.mp_radians(ctx)
+        self.mp_cos = ctx.cos(th)
+        self.c2 = self.mp_cos * self.mp_cos
+        self.cos, self.sin = float(self.mp_cos), float(ctx.sin(th))
+        self.ephi1 = complex(ctx.expj(phi1))
+        phi = phi1 + params.phi2.mp_radians(ctx)
+        self.phi, self.two_pi = (int(to_fixed(v._mpf_, self.wp)) for v in (phi, 2 * ctx.pi))
+        self.values: dict = {}
+        self.resume = [(0, 0, 0, 0)] * 3
+
+
+# the last walk that the adaptive mode ran on
+_last_walk: _Walk | None = None
+
+
+def _walk(params: CoinParams, t: int) -> _Walk:
+    """The kept walk if it is (params, t), else a new one kept in its place."""
+    global _last_walk
+    walk = _last_walk
+    if walk is None or walk.key != (params, t):
+        walk = _last_walk = _Walk(params, t)
+    return walk
+
+
+def _swept(walk: _Walk, ds) -> dict:
+    """The adaptive mode's sweeps on ``walk``: {(family, d): (m, e)} for
     the keys that the kernels at the distances ds read, each R = m 2^e
     with m an integer of about wp bits.
 
@@ -461,83 +508,57 @@ def _float_rows(cos: mpmath.mpf, c2: mpmath.mpf, wp: int, t: int) -> Callable:
     over one shared power of 2, and before each step both are shifted, up
     or down, until the larger has wp bits, so each step is off by less
     than 2^-wp relative to them on top of what it inherits. cos^2 =
-    num 2^-k is the mpf c2 of wp bits, whose exact mantissa enters the
+    num 2^-k is the walk's mpf c2, whose exact mantissa enters the
     recurrence; c2 > 0, as mpmath's cos of an mpf angle is never 0. The
     two outermost R of each sweep are mpf products of their rows and an
-    mpf power of cos, so every R depends on (t, d) alone, however far a
-    sweep runs.
+    mpf power of cos, in the walk's context, so every R depends on (t, d)
+    alone, however far a sweep runs.
 
-    So the sweeps of one walk, (t, wp, cos, c2), can resume: the last
-    walk asked for is kept (``_Walk``), and a later call on it steps each
-    sweep only past the point that sweep has reached, while a call on
-    another walk replaces it. Point queries on one walk thus share its
-    sweeps, whatever their order, and return the bits that a fresh sweep
-    would. Only one walk is kept, as queries come in runs on one walk:
-    at most about 1.5t rows of about wp bits, 260 bytes a row, so 0.23 MB
-    at t = 600, 3.9 MB at 10^4 and 39 MB at 10^5 once a distribution has
-    swept it all. Threads that race on it can only redo a step, never
-    change a value: each writes its values before the state that names
-    them.
+    So the sweeps of one walk can resume: the last walk asked for is kept
+    (``_walk``), and a later call on it steps each sweep only past the
+    point that sweep has reached, while a call on another walk replaces
+    it. Point queries on one walk thus share its sweeps, whatever their
+    order, and return the bits that a fresh sweep would. Only one walk is
+    kept, as queries come in runs on one walk: at most about 1.5t rows of
+    about wp bits, 260 bytes a row, so 0.23 MB at t = 600, 3.9 MB at 10^4
+    and 39 MB at 10^5 once a distribution has swept it all. Threads that
+    race on it can only redo a step, never change a value: each writes
+    its values before the state that names them.
     """
-    _, num, exp, _ = c2._mpf_
+    t, wp, values = walk.t, walk.wp, walk.values
+    _, num, exp, _ = walk.c2._mpf_
     num, k = int(num), -int(exp)
-    this = (t, wp, cos._mpf_, c2._mpf_)
 
     def edge(family, d):
         # R of a row of length 1 or 2 as (mantissa, exponent)
         c0, *c1 = coefficient_row(t, family, d)
-        p = c0 + c1[0] * c2 if c1 else mpmath.mpf(c0)
-        sign, man, exp, _ = (p * cos ** _first_h(t, family, d))._mpf_
+        p = c0 + c1[0] * walk.c2 if c1 else walk.ctx.mpf(c0)
+        sign, man, exp, _ = (p * walk.mp_cos ** _first_h(t, family, d))._mpf_
         return -int(man) if sign else int(man), int(exp)
 
-    def swept(ds):
-        global _last_walk
-        keys, walk = _read_keys(ds), _last_walk
-        if walk is None or walk.key != this:
-            walk = _last_walk = _Walk(this)
-        values = walk.values
-        for i, (family, span, steps) in enumerate(_sweeps(t, keys)):
-            taken, a, b, e = walk.resume[i]
-            if taken >= len(span):
-                continue
-            for d in span[taken:2]:
-                values[family, d] = edge(family, d)
-            if taken < 2 <= len(span):
-                (a, ea), (b, eb) = values[family, span[0]], values[family, span[1]]
-                e = min(ea, eb)
-                a, b = a << ea - e, b << eb - e
-            start = max(taken, 2)
-            for ahead, (far, mid, mid_c2, near) in zip(span[start:], steps(start)):
-                shift = max(abs(a), abs(b)).bit_length() - wp
-                if shift > 0:
-                    a, b = a >> shift, b >> shift
-                else:
-                    a, b = a << -shift, b << -shift
-                e += shift
-                a, b = b, -(far * num * a + ((mid << k) - mid_c2 * num) * b) // (near * num)
-                values[family, ahead] = b, e
-            walk.resume[i] = len(span), a, b, e
-        return {key: values[key] for key in keys - {("alpha_cos", t)}}
-
-    return swept
-
-
-@dataclass
-class _Walk:
-    """The adaptive sweeps of one walk so far (``_float_rows``): ``key``
-    is (t, wp, cos, c2), the mpf values as their tuples; ``values`` holds
-    every swept R as (mantissa, exponent); and ``resume`` each sweep's
-    (taken, a, b, e): the first ``taken`` values of its span are made,
-    and when two or more are, a 2^e and b 2^e are the last two, as the
-    next step reads them."""
-
-    key: tuple
-    values: dict = field(default_factory=dict)
-    resume: list = field(default_factory=lambda: [(0, 0, 0, 0)] * 3)
-
-
-# the last walk that the adaptive sweeps ran on
-_last_walk: _Walk | None = None
+    keys = _read_keys(ds)
+    for i, (family, span, steps) in enumerate(_sweeps(t, keys)):
+        taken, a, b, e = walk.resume[i]
+        if taken >= len(span):
+            continue
+        for d in span[taken:2]:
+            values[family, d] = edge(family, d)
+        if taken < 2 <= len(span):
+            (a, ea), (b, eb) = values[family, span[0]], values[family, span[1]]
+            e = min(ea, eb)
+            a, b = a << ea - e, b << eb - e
+        start = max(taken, 2)
+        for ahead, (far, mid, mid_c2, near) in zip(span[start:], steps(start)):
+            shift = max(abs(a), abs(b)).bit_length() - wp
+            if shift > 0:
+                a, b = a >> shift, b >> shift
+            else:
+                a, b = a << -shift, b << -shift
+            e += shift
+            a, b = b, -(far * num * a + ((mid << k) - mid_c2 * num) * b) // (near * num)
+            values[family, ahead] = b, e
+        walk.resume[i] = len(span), a, b, e
+    return {key: values[key] for key in keys - {("alpha_cos", t)}}
 
 
 @dataclass(frozen=True)
@@ -582,26 +603,11 @@ def _phases(phi: int, two_pi: int, wp: int) -> Callable:
     return power
 
 
-@lru_cache(maxsize=16)
-def _coin_constants(params: CoinParams, wp: int) -> tuple:
-    """cos and cos^2 as mpf at wp bits, for the sweeps; cos, sin and
-    e^{i phi1} rounded to floats; and phi1 + phi2 and 2 pi as integers
-    over 2^wp, for chi^e (``_phases``). What the adaptive mode takes from
-    mpmath, made once per coin and precision, as point queries at one
-    coin and t ask for them again and again."""
-    with mpmath.workprec(wp):
-        th, phi1 = params.theta.mp_radians(), params.phi1.mp_radians()
-        cos, sin, ephi1 = mpmath.cos(th), mpmath.sin(th), mpmath.expj(phi1)
-        phi = phi1 + params.phi2.mp_radians()
-        fixed = (int(to_fixed(v._mpf_, wp)) for v in (phi, 2 * mpmath.pi))
-        return cos, cos * cos, float(cos), float(sin), complex(ephi1), *fixed
-
-
 def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Scalars:
     """The scalar bundle of one mode. Exact values are DyadicComplex, the
     sources lifted over ``denominator``, a common denominator of their
-    amplitudes; adaptive rows are swept at the current mpmath working
-    precision, and they and everything after them are floats."""
+    amplitudes; adaptive values come from the walk (params, t) (``_walk``),
+    and the rows and everything after them are floats."""
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
@@ -616,11 +622,10 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
         chi_pow, lift = lambda e: phases[e % 8], _lift_dyadic(denominator)
         zero = DyadicComplex(0, 0, 0, 0, 0)
     elif mode == "adaptive":
-        wp = mpmath.mp.prec
-        mp_cos, c2, cos, sin, ephi1, phi, two_pi = _coin_constants(params, wp)
-        swept = _float_rows(mp_cos, c2, wp, t)
-        rows = lambda ds: {key: math.ldexp(*pair) for key, pair in swept(ds).items()}
-        chi_pow, lift, zero = _phases(phi, two_pi, wp), complex, 0j
+        walk = _walk(params, t)
+        rows = lambda ds: {key: math.ldexp(*pair) for key, pair in _swept(walk, ds).items()}
+        cos, sin, ephi1 = walk.cos, walk.sin, walk.ephi1
+        chi_pow, lift, zero = _phases(walk.phi, walk.two_pi, walk.wp), complex, 0j
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
@@ -747,28 +752,23 @@ def _site_sums(xs, t: int, init: PureState, params: CoinParams, mode: str):
     if t == 0:
         lift = _lift_dyadic(denominator) if mode == "exact" else lambda z: z
         return [tuple(map(lift, init.amplitude(x))) for x in xs], denominator
+    s = _scalars(params, t, mode, denominator)
+    sources = [
+        (xp, (s.lift(alpha), s.lift(beta)))
+        for xp, (alpha, beta) in init.amplitudes.items()
+    ]
+    # the distances on the light cone, -t <= d <= t with d = t mod 2
+    ds = {
+        d for x in xs for xp, _ in sources
+        if -t <= (d := x - xp) <= t and (t - d) % 2 == 0
+    }
+    if not ds:  # every site is off the light cone
+        return [(s.zero, s.zero)] * len(xs), denominator
+    rows = _rows(s, ds)
     if mode == "adaptive":
-        precision = mpmath.workprec(working_precision(t))
-    else:
-        precision = nullcontext()
-    with precision:
-        s = _scalars(params, t, mode, denominator)
-        sources = [
-            (xp, (s.lift(alpha), s.lift(beta)))
-            for xp, (alpha, beta) in init.amplitudes.items()
-        ]
-        # the distances on the light cone, -t <= d <= t with d = t mod 2
-        ds = {
-            d for x in xs for xp, _ in sources
-            if -t <= (d := x - xp) <= t and (t - d) % 2 == 0
-        }
-        if not ds:  # every site is off the light cone
-            return [(s.zero, s.zero)] * len(xs), denominator
-        rows = _rows(s, ds)
-        if mode == "adaptive":
-            return _float_sites(xs, sources, *_float_kernels(s, ds, rows)), denominator
-        kernels = _kernels(s, ds, rows)
-        return [_site(x, sources, kernels, s.zero) for x in xs], denominator
+        return _float_sites(xs, sources, *_float_kernels(s, ds, rows)), denominator
+    kernels = _kernels(s, ds, rows)
+    return [_site(x, sources, kernels, s.zero) for x in xs], denominator
 
 
 def _amplitudes(xs, t: int, init: PureState, params: CoinParams, mode: str) -> list:

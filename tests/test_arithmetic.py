@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,7 +74,17 @@ class TestAngle:
 
     def test_mp_radians_matches_float(self):
         a = Angle.parse("1/3 pi")
-        assert math.isclose(float(a.mp_radians()), a.radians, rel_tol=1e-15)
+        assert math.isclose(float(a.mp_radians(mpmath.mp)), a.radians, rel_tol=1e-15)
+
+    def test_mp_radians_at_the_context_precision(self):
+        # the value is made in the context given, at its precision, and
+        # mpmath's global precision is left as it is
+        ctx, prec = mpmath.MPContext(), mpmath.mp.prec
+        ctx.prec = 300
+        got = Angle.parse("1/3 pi").mp_radians(ctx)
+        assert mpmath.mp.prec == prec
+        with mpmath.workprec(300):
+            assert got._mpf_ == (mpmath.pi / 3)._mpf_
 
 
 class TestSqrtTwo:

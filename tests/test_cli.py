@@ -21,6 +21,7 @@ from qwalk.cli import (
     format_probability,
     main,
     parse_distribution_csv,
+    render_svg,
 )
 from qwalk.config import MAX_STEPS, WalkConfig
 from qwalk.core import Distribution
@@ -580,6 +581,21 @@ class TestPlotData:
         assert lines[0] == "# position probability"
         parsed = [line.split() for line in lines[1:]]
         assert sum(float(p) for _, p in parsed) == pytest.approx(1.0)
+
+    def test_svg_skips_values_past_the_float_range(self):
+        # double mode far past its cliff gives inf and NaN: those sites get
+        # no bar or line point, and the scale is the largest finite value,
+        # even one near the top of the float range
+        for top in (0.5, 1e308):
+            pairs = [(-2, 0.25), (-1, math.nan), (0, top), (1, math.inf), (2, 0.125)]
+            svg = render_svg(pairs)
+            numbers = re.findall(r'="([^"]*)"', svg) + re.findall(r">([^<]+)<", svg)
+            assert not [v for v in numbers if re.search(r"nan|inf", v, re.I)], top
+            assert svg.count('fill="#4477aa"') == 3
+            (points,) = re.findall(r'points="([^"]*)"', svg)
+            assert len(points.split()) == 3
+            # the tallest bar, at x = 0, reaches the top of the plot
+            assert re.search(r'<rect x="[^"]*" y="30.00"', svg)
 
     def test_drop_forbidden_sites(self, tmp_path):
         cfg = write_config(tmp_path, "walk.json", pure_doc(steps=8))

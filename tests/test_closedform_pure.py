@@ -448,7 +448,7 @@ class TestRowSweeps:
         t = 301
         wp = arithmetic.precision_for(coefficient_bits(t))
         with mpmath.workprec(wp):
-            cos = mpmath.cos(CoinParams.make(theta).theta.mp_radians())
+            cos = mpmath.cos(CoinParams.make(theta).theta.mp_radians(mpmath.mp))
             x = int(to_fixed((cos * cos)._mpf_, wp))
         values = _sweep_rows(t, x, 1 << wp, 1 << wp, _read_keys(range(-t, t + 1, 2)))
         assert set(values) == self._keys(t)
@@ -585,9 +585,8 @@ class TestRowPaths:
         # the one empty row it states, so no swept value is converted in
         # vain
         t = 60
-        with mpmath.workprec(working_precision(t)):
-            s = _scalars(self.PARAMS, t, mode)
-            assert _rows(s, ds).keys() == _read_keys(ds) | {("alpha_cos", t)}
+        s = _scalars(self.PARAMS, t, mode)
+        assert _rows(s, ds).keys() == _read_keys(ds) | {("alpha_cos", t)}
 
     @pytest.mark.parametrize("mode", ["exact", "adaptive"])
     def test_distribution_sweeps_once(self, calls, mode):
@@ -738,16 +737,18 @@ class TestResumedSweeps:
         distribution(301, *walk_a)
         amplitude(5, 60, *walk_b)
         kept = closedform_pure._last_walk
-        assert kept.key[0] == 60 and kept.values == alone
+        assert kept.t == 60 and kept.values == alone
 
     def test_threads_racing_on_the_kept_walk_get_fresh_bits(self):
-        # four threads query two walks in their own orders, switching
-        # every microsecond; mpmath's precision is one global, so it is
-        # pinned to the walks' working precision, which both share, for
-        # the threads' workprec blocks to leave it as it is
+        # four threads query two walks, at t = 60 and 300 and so at two
+        # working precisions, in their own orders, switching every
+        # microsecond; mpmath's global precision is left as the caller has it
         rng = random.Random(7)
-        walks = [(60, *_walk_on(rng, 2)), (61, *_walk_on(rng, 3))]
-        queries = [(w, x) for w in walks for x in _every_site(w[1], w[0])]
+        walks = [(60, *_walk_on(rng, 2)), (300, *_walk_on(rng, 3))]
+        assert working_precision(60) != working_precision(300)
+        queries = [
+            (w, x) for w in walks for x in rng.sample(_every_site(w[1], w[0]), 80)
+        ]
         want = {(w[0], x): _fresh(x, *w) for w, x in queries}
         got = []
 
@@ -758,22 +759,41 @@ class TestResumedSweeps:
                 got.append(((t, x), repr(amplitude(x, t, init, params))))
 
         closedform_pure._last_walk = None
-        interval, prec = sys.getswitchinterval(), mpmath.mp.prec
+        interval = sys.getswitchinterval()
         threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
         try:
             sys.setswitchinterval(1e-6)
-            mpmath.mp.prec = working_precision(60)
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
-            mpmath.mp.prec = prec
         assert not any(thread.is_alive() for thread in threads)
         assert len(got) == 4 * len(queries)
         for key, value in got:
             assert value == want[key], key
+
+    def test_mpmaths_global_precision_is_neither_read_nor_set(self, monkeypatch):
+        # the adaptive mode runs in an mpmath context of its own, so inside
+        # a query mpmath's global precision is still the caller's, and the
+        # answer is a lone query's
+        init, params = _walk_on(random.Random(8), 2)
+        want = {x: _fresh(x, 300, init, params) for x in (100, 101)}
+        seen = []
+        coefficients = closedform_pure._coefficients
+
+        def recorded(*args, **kw):
+            seen.append(mpmath.mp.prec)
+            return coefficients(*args, **kw)
+
+        monkeypatch.setattr(closedform_pure, "_coefficients", recorded)
+        monkeypatch.setattr(mpmath.mp, "prec", 20)
+        for x in (100, 101):
+            closedform_pure._last_walk = None
+            assert repr(amplitude(x, 300, init, params)) == want[x], x
+        assert seen and set(seen) == {20}
+        assert mpmath.mp.prec == 20
 
     @pytest.mark.parametrize("t", [1, 2, 60, 301, 600])
     def test_a_walk_keeps_about_one_and_a_half_t_rows(self, t):
@@ -817,23 +837,22 @@ class TestAdaptiveAgainstExact:
         # sums Python complex
         t = 60
         init = PureState({-1: (0.6 + 0j, 0.8j), 2: (0j, 1.0 + 0j)})
-        with mpmath.workprec(working_precision(t)):
-            s = _scalars(CoinParams.make(0.7, 1.1, 2.3), t, "adaptive")
-            sources = [
-                (xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()
-            ]
-            ds = range(-t, t + 1, 2)
-            rows = _rows(s, ds)
-            for key, value in rows.items():
-                if key != ("alpha_cos", t):  # the empty row, 0
-                    assert type(value) is float, key
-            assert all(type(v) in (float, complex) for v in (s.cos, s.sin, s.ephi1, s.chi_pow(7)))
-            d0, kernels = closedform_pure._float_kernels(s, ds, rows)
-            assert d0 == -t and kernels.dtype == np.complex128 and kernels.shape == (4, t + 1)
-            sites = _every_site(init, t)
-            for pair in closedform_pure._float_sites(sites, sources, d0, kernels):
-                for value in pair:
-                    assert type(value) is complex, pair
+        s = _scalars(CoinParams.make(0.7, 1.1, 2.3), t, "adaptive")
+        sources = [
+            (xp, (s.lift(a), s.lift(b))) for xp, (a, b) in init.amplitudes.items()
+        ]
+        ds = range(-t, t + 1, 2)
+        rows = _rows(s, ds)
+        for key, value in rows.items():
+            if key != ("alpha_cos", t):  # the empty row, 0
+                assert type(value) is float, key
+        assert all(type(v) in (float, complex) for v in (s.cos, s.sin, s.ephi1, s.chi_pow(7)))
+        d0, kernels = closedform_pure._float_kernels(s, ds, rows)
+        assert d0 == -t and kernels.dtype == np.complex128 and kernels.shape == (4, t + 1)
+        sites = _every_site(init, t)
+        for pair in closedform_pure._float_sites(sites, sources, d0, kernels):
+            for value in pair:
+                assert type(value) is complex, pair
 
     def test_products_round_each_real_operation_once(self):
         # the float stage's complex products equal the same sums of
@@ -875,9 +894,9 @@ def _horner_scalars(t: int, params: CoinParams) -> closedform_pure._Scalars:
     or the float stage after them, 192 bits wider than the 64 guard bits
     that keep a Horner sum within 1e-15 (``arithmetic.precision_for``)."""
     wp = mpmath.mp.prec
-    cos = mpmath.cos(params.theta.mp_radians())
-    sin = mpmath.sin(params.theta.mp_radians())
-    phi = params.phi1.mp_radians() + params.phi2.mp_radians()
+    cos = mpmath.cos(params.theta.mp_radians(mpmath.mp))
+    sin = mpmath.sin(params.theta.mp_radians(mpmath.mp))
+    phi = params.phi1.mp_radians(mpmath.mp) + params.phi2.mp_radians(mpmath.mp)
     c2, cos_pow = int(to_fixed((cos * cos)._mpf_, wp)), cache(cos.__pow__)
 
     def value(family, d):
@@ -890,7 +909,7 @@ def _horner_scalars(t: int, params: CoinParams) -> closedform_pure._Scalars:
         return {key: value(*key) for key in _read_keys(ds) - {("alpha_cos", t)}}
 
     return closedform_pure._Scalars(
-        t, cos, sin, mpmath.expj(params.phi1.mp_radians()),
+        t, cos, sin, mpmath.expj(params.phi1.mp_radians(mpmath.mp)),
         chi_pow=lambda e: mpmath.expj(e * phi), lift=mpmath.mpc, zero=mpmath.mpc(0),
         rows=rows,
     )
@@ -974,11 +993,10 @@ class TestAdaptivePrecision:
         # t, where an angle e phi in floats is off by about e ulps
         params, rng = CoinParams.make(*coin), random.Random(3)
         for t in (600, 10**5, 10**7):
-            wp = working_precision(t)
-            *_, phi, two_pi = closedform_pure._coin_constants(params, wp)
-            chi_pow = closedform_pure._phases(phi, two_pi, wp)
+            walk = closedform_pure._Walk(params, t)
+            chi_pow = closedform_pure._phases(walk.phi, walk.two_pi, walk.wp)
             with mpmath.workprec(400):
-                angle = params.phi1.mp_radians() + params.phi2.mp_radians()
+                angle = params.phi1.mp_radians(mpmath.mp) + params.phi2.mp_radians(mpmath.mp)
                 for e in [*range(20), *rng.sample(range(t + 1), 100), t]:
                     got, want = chi_pow(e), mpmath.expj(e * angle)
                     assert abs(got.real - want.real) <= 2**-52, (t, e)
@@ -1027,10 +1045,7 @@ class TestAdaptivePrecision:
         # reference's row, at t = 301
         t, params = 301, CoinParams.make(theta, 0.4, 1.3)
         ds = range(-t, t + 1, 2)
-        wp = working_precision(t)
-        mp_cos, c2, *_ = closedform_pure._coin_constants(params, wp)
-        with mpmath.workprec(wp):
-            got = closedform_pure._float_rows(mp_cos, c2, wp, t)(ds)
+        got = closedform_pure._swept(closedform_pure._Walk(params, t), ds)
         with mpmath.workprec(coefficient_bits(t) + 256):
             want = _rows(_horner_scalars(t, params), ds)
         assert got.keys() == want.keys() - {("alpha_cos", t)}

@@ -180,7 +180,7 @@ def _u_k_power_50_digits(params, k: float, t: int) -> np.ndarray:
     sin(phi) at 50 digits, from the float angles and momentum taken as
     exact: phi unfolded, by atan2, and the limit m + 1 where sin(phi) = 0."""
     with mpmath.workdps(50):
-        th, phi1, phi2 = (a.mp_radians() for a in (params.theta, params.phi1, params.phi2))
+        th, phi1, phi2 = (a.mp_radians(mpmath.mp) for a in (params.theta, params.phi1, params.phi2))
         k, psi = mpmath.mpf(k), (phi1 + phi2) / 2
         cos, sin = mpmath.cos(th), mpmath.sin(th)
         sin_phi = mpmath.sqrt(sin**2 + (cos * mpmath.cos(k + psi)) ** 2)
