@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import math
 import os
 import random
@@ -376,6 +377,7 @@ def cmd_plot_data(args) -> int:
     return 0
 
 
+@functools.cache  # one parser for every main call: parsing leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qwalk",

@@ -90,12 +90,13 @@ innermost of these keys: a full distribution (``distribution``) runs
 all three to the middle, about 1.5t recurrence steps in place of about
 1.5t Horner rows of up to t/2 terms, and a point query (``amplitude``)
 whose nearest source is at distance d about 1.5(t - |d|) steps, one
-pass for all its sources. ``adaptive`` keeps the last walk (``_Walk``),
-so successive point queries on one walk resume its sweeps, each
-stepping only past the point that the walk's earlier calls reached: a
-run of queries pays for the sweeps of its innermost one, and one walk of
-about 1.5t rows is kept (``_swept``). ``double`` sums each row by
-Horner's rule, so its precision cliff stays demonstrable. ``_kernels``
+pass for all its sources. ``adaptive`` keeps the last walk (``_Walk``,
+its scalars and sweeps, by ``_walk``), so successive point queries on
+one walk resume its sweeps, each stepping only past the point that the
+walk's earlier calls reached: a run of queries pays for the sweeps of
+its innermost one, and one walk of about 1.5t rows is kept
+(``_swept``). ``double`` sums each row by Horner's rule, so its
+precision cliff stays demonstrable. ``_kernels``
 reads the dict by index into one table {d: K_t(d)}, so a key the rows
 did not make raises, and ``_site`` sums K_t(x - x') times each source's
 pair. ``adaptive`` runs these two stages on float64 arrays over d and
@@ -134,9 +135,9 @@ adaptive mode sums in arrays:
 chi^e is chi^(e mod 8) in exact mode, where chi is an eighth root of
 unity, and an integer power of the complex chi in double mode; in
 adaptive mode it is within about an ulp for every e, as e (phi1 + phi2)
-is reduced mod 2 pi on integers (``_phases``), where a float angle e phi
-would be off by about e ulps. In every mode it is a function of (t, d)
-alone, and so is each swept R, which depends only on the steps from its
+is reduced mod 2 pi on integers (``_Walk.chi_pow``), where a float
+angle e phi would be off by about e ulps. In every mode it is a
+function of (t, d) alone, and so is each swept R, which depends only on the steps from its
 edge; so a point query and a full distribution have the same bits in
 ``adaptive`` mode, the complex products on arrays written out
 (``_product``), and the same ring values in ``exact`` mode.
@@ -264,12 +265,10 @@ def term_coefficient(t: int, family: str, d: int, h: int) -> int:
     return coeff
 
 
-@lru_cache(maxsize=None)
 def coefficient_bits(t: int) -> int:
     """Bit length of the largest trinomial any family can produce at time t:
     the fixed-point width that a Horner sum of the rows would need, which
-    the adaptive sweeps do not (module docstring). Cached: it depends on t
-    alone and costs milliseconds at t in the hundreds.
+    the adaptive sweeps do not (module docstring).
     """
     worst = 1
     for m in (t, t - 1):
@@ -348,46 +347,40 @@ def _float_horner(cos: float, t: int) -> Callable:
 
 
 def _sweeps(t: int, keys) -> list:
-    """The three sweeps of the module docstring, as (family, span,
-    steps): span is the distances d of the family's rows from the
+    """The three sweeps of the module docstring, as (family, span, m,
+    shift, up): span is the distances d of the family's rows from the
     light-cone edge inward, stopping at the innermost of the row keys
     ``keys`` (at the meeting point near d = 0 for a full distribution's
-    keys), and steps(i), for i >= 2, is (far, mid, mid_c2, near) of the
-    recurrence at each d of span[i - 1:-1], the steps that make span[i:],
+    keys), and the value at span[i], for i >= 2, comes from the recurrence
+    step ``_step(m, span[i - 1] + shift, up)``,
 
         near P(ahead) = -(far c2^2 P(behind) + (mid - mid_c2 c2) P(d)),
 
     where behind is one step nearer the edge and ahead one step further.
-    A sweep that resumes where an earlier one stopped asks only for its
-    own steps.
+    A sweep that resumes where an earlier one stopped steps only past it.
     """
     ft = min(d for family, d in keys if family == "alpha_ft")
     cos = [d for family, d in keys if family == "alpha_cos"]
     inner = min(d for d in cos if d >= -1)
     outer = max((d for d in cos if d <= -2), default=-t - 2)
-    ft_span = range(t, ft - 1, -2)
-    down, up = range(t - 2, inner - 1, -2), range(-t, outer + 1, 2)
     return [
         # alpha_ft's recurrence at (t, d) is alpha_cos's at (t + 1, d - 1)
-        ("alpha_ft", ft_span,
-         lambda i: _coefficients(t + 1, [d - 1 for d in ft_span[i - 1:-1]])),
-        ("alpha_cos", down, lambda i: _coefficients(t, down[i - 1:-1])),
-        ("alpha_cos", up, lambda i: _coefficients(t, up[i - 1:-1], up=True)),
+        ("alpha_ft", range(t, ft - 1, -2), t + 1, -1, False),
+        ("alpha_cos", range(t - 2, inner - 1, -2), t, 0, False),
+        ("alpha_cos", range(-t, outer + 1, 2), t, 0, True),
     ]
 
 
-def _coefficients(m: int, ds, up: bool = False) -> list:
-    """(far, mid, mid_c2, near) of alpha_cos's recurrence at time m at
-    each d of ds, as integers: far = d (d+2-m)(d+2+m) and near =
+def _step(m: int, d: int, up: bool) -> tuple:
+    """(far, mid, mid_c2, near) of alpha_cos's recurrence at time m and
+    distance d, as integers: far = d (d+2-m)(d+2+m) and near =
     (d+2)(d-m)(d+m) on the sweep down from the edge, swapped on the sweep
     up (``up``), mid = 4d(d+1)(d+2) and mid_c2 = 2(d+1)(d(d+2) + m^2)."""
-    s = m * m
-    down = [
-        (d * (q * q - s), 4 * d * (d + 1) * q, 2 * (d + 1) * (d * q + s), q * (d * d - s))
-        for d in ds
-        for q in [d + 2]
-    ]
-    return [(near, mid, mid_c2, far) for far, mid, mid_c2, near in down] if up else down
+    s, q = m * m, d + 2
+    far, near = d * (q * q - s), q * (d * d - s)
+    if up:
+        far, near = near, far
+    return far, 4 * d * (d + 1) * q, 2 * (d + 1) * (d * q + s), near
 
 
 def _sweep_rows(t: int, num: int, den: int, unit: int, keys) -> dict:
@@ -403,14 +396,15 @@ def _sweep_rows(t: int, num: int, den: int, unit: int, keys) -> dict:
     """
     n2, nd, d2 = num * num, num * den, den * den
     values = {}
-    for family, span, steps in _sweeps(t, keys):
+    for family, span, m, shift, up in _sweeps(t, keys):
         held = []
         for d in span[:2]:
             n = 0
             for c in reversed(coefficient_row(t, family, d)):
                 n = n * num // den + c * unit
             held.append(n)
-        for far, mid, mid_c2, near in steps(2):
+        for i in range(2, len(span)):
+            far, mid, mid_c2, near = _step(m, span[i - 1] + shift, up)
             held.append(-(far * n2 * held[-2] + (mid * d2 - mid_c2 * nd) * held[-1])
                         // (near * d2))
         values.update(zip([(family, d) for d in span], held))
@@ -456,18 +450,21 @@ def _context(wp: int) -> mpmath.MPContext:
 
 
 class _Walk:
-    """The adaptive mode's state for one walk, ``key`` = (params, t): its
-    working precision ``wp``; the coin's constants, made in mpmath at wp
-    (``_context``): ``mp_cos`` and ``c2`` = cos^2 as mpf, for the sweeps,
-    ``cos``, ``sin`` and ``ephi1`` = e^{i phi1} rounded to floats, and
-    ``phi`` = phi1 + phi2 and ``two_pi`` as integers over 2^wp, for chi^e
-    (``_phases``); every swept R so far, as (mantissa, exponent), in
+    """The adaptive mode's scalars for one walk (params, t), as ``_Scalars``
+    has them (``t``, ``cos``, ``sin``, ``ephi1`` = e^{i phi1}, ``chi_pow``,
+    ``lift``, ``zero``, ``rows``), floats and complex, and the state behind
+    them: the working precision ``wp``; ``mp_cos`` and ``c2`` = cos^2 as
+    mpf at wp (``_context``); ``phi`` = phi1 + phi2 and ``two_pi`` as
+    integers over 2^wp; every swept R so far, as (mantissa, exponent), in
     ``values``; and in ``resume`` each sweep's (taken, a, b, e): the first
     ``taken`` values of its span are made, and when two or more are, a 2^e
     and b 2^e are the last two, as the next step reads them."""
 
+    lift = complex
+    zero = 0j
+
     def __init__(self, params: CoinParams, t: int):
-        self.key, self.t, self.wp = (params, t), t, working_precision(t)
+        self.t, self.wp = t, working_precision(t)
         self.ctx = ctx = _context(self.wp)
         th, phi1 = params.theta.mp_radians(ctx), params.phi1.mp_radians(ctx)
         self.mp_cos = ctx.cos(th)
@@ -479,18 +476,27 @@ class _Walk:
         self.values: dict = {}
         self.resume = [(0, 0, 0, 0)] * 3
 
+    def chi_pow(self, e: int) -> complex:
+        """chi^e = e^{i e phi} as a complex, within about an ulp for every
+        e: phi = phi1 + phi2 and 2 pi are integers over 2^wp, so e phi is
+        reduced mod 2 pi on integers, off by about e 2^-wp, then split into
+        hi, the float nearest it, and the float lo nearest the rest, and
+        cos(hi + lo) = cos hi - lo sin hi, sin likewise, up to lo^2 < 2^-104."""
+        scale = 1 << self.wp
+        a = e * self.phi % self.two_pi
+        hi = a / scale
+        lo = (a - int(math.ldexp(hi, self.wp))) / scale
+        c, s = math.cos(hi), math.sin(hi)
+        return complex(c - lo * s, s + lo * c)
 
-# the last walk that the adaptive mode ran on
-_last_walk: _Walk | None = None
+    def rows(self, ds) -> dict:
+        """{(family, d): R} as floats for the keys that the kernels at the
+        distances ds read, from the sweeps (``_swept``)."""
+        return {key: math.ldexp(*pair) for key, pair in _swept(self, ds).items()}
 
 
-def _walk(params: CoinParams, t: int) -> _Walk:
-    """The kept walk if it is (params, t), else a new one kept in its place."""
-    global _last_walk
-    walk = _last_walk
-    if walk is None or walk.key != (params, t):
-        walk = _last_walk = _Walk(params, t)
-    return walk
+# the adaptive mode's one kept walk: the last (params, t) asked for
+_walk = lru_cache(maxsize=1)(_Walk)
 
 
 def _swept(walk: _Walk, ds) -> dict:
@@ -515,14 +521,16 @@ def _swept(walk: _Walk, ds) -> dict:
     alone, however far a sweep runs.
 
     So the sweeps of one walk can resume: the last walk asked for is kept
-    (``_walk``), and a later call on it steps each sweep only past the
-    point that sweep has reached, while a call on another walk replaces
-    it. Point queries on one walk thus share its sweeps, whatever their
-    order, and return the bits that a fresh sweep would. Only one walk is
-    kept, as queries come in runs on one walk: at most about 1.5t rows of
-    about wp bits, 260 bytes a row, so 0.23 MB at t = 600, 3.9 MB at 10^4
-    and 39 MB at 10^5 once a distribution has swept it all. Threads that
-    race on it can only redo a step, never change a value: each writes
+    (``_walk``, an ``lru_cache`` of one entry), and a later call on it
+    steps each sweep only past the point that sweep has reached, while a
+    call on another walk replaces it. Point queries on one walk thus
+    share its sweeps, whatever their order, and return the bits that a
+    fresh sweep would. Only one walk is kept, as queries come in runs on
+    one walk: at most about 1.5t rows of about wp bits, 260 bytes a row,
+    so 0.23 MB at t = 600, 3.9 MB at 10^4 and 39 MB at 10^5 once a
+    distribution has swept it all. Threads that race on the cache can
+    only build a walk twice, each sweeping its own, and threads that race
+    on one walk can only redo a step, never change a value: each writes
     its values before the state that names them.
     """
     t, wp, values = walk.t, walk.wp, walk.values
@@ -537,8 +545,8 @@ def _swept(walk: _Walk, ds) -> dict:
         return -int(man) if sign else int(man), int(exp)
 
     keys = _read_keys(ds)
-    for i, (family, span, steps) in enumerate(_sweeps(t, keys)):
-        taken, a, b, e = walk.resume[i]
+    for n, (family, span, m, shift, up) in enumerate(_sweeps(t, keys)):
+        taken, a, b, e = walk.resume[n]
         if taken >= len(span):
             continue
         for d in span[taken:2]:
@@ -547,23 +555,24 @@ def _swept(walk: _Walk, ds) -> dict:
             (a, ea), (b, eb) = values[family, span[0]], values[family, span[1]]
             e = min(ea, eb)
             a, b = a << ea - e, b << eb - e
-        start = max(taken, 2)
-        for ahead, (far, mid, mid_c2, near) in zip(span[start:], steps(start)):
-            shift = max(abs(a), abs(b)).bit_length() - wp
-            if shift > 0:
-                a, b = a >> shift, b >> shift
+        for i in range(max(taken, 2), len(span)):
+            far, mid, mid_c2, near = _step(m, span[i - 1] + shift, up)
+            excess = max(abs(a), abs(b)).bit_length() - wp
+            if excess > 0:
+                a, b = a >> excess, b >> excess
             else:
-                a, b = a << -shift, b << -shift
-            e += shift
+                a, b = a << -excess, b << -excess
+            e += excess
             a, b = b, -(far * num * a + ((mid << k) - mid_c2 * num) * b) // (near * num)
-            values[family, ahead] = b, e
-        walk.resume[i] = len(span), a, b, e
+            values[family, span[i]] = b, e
+        walk.resume[n] = len(span), a, b, e
     return {key: values[key] for key in keys - {("alpha_cos", t)}}
 
 
 @dataclass(frozen=True)
 class _Scalars:
-    """One arithmetic mode's constants and its rules for making row values."""
+    """The exact or double mode's constants and its rules for making row
+    values (adaptive mode's are its ``_Walk``)."""
 
     t: int
     cos: object
@@ -585,29 +594,14 @@ def _expj(angle: Angle) -> complex:
     return complex(math.cos(angle.radians), math.sin(angle.radians))
 
 
-def _phases(phi: int, two_pi: int, wp: int) -> Callable:
-    """e -> chi^e = e^{i e phi} as a complex, within about an ulp for
-    every e: phi = phi1 + phi2 and 2 pi are integers over 2^wp, so e phi
-    is reduced mod 2 pi on integers, off by about e 2^-wp, then split into
-    hi, the float nearest it, and the float lo nearest the rest, and
-    cos(hi + lo) = cos hi - lo sin hi, sin likewise, up to lo^2 < 2^-104."""
-    scale = 1 << wp
-
-    def power(e: int) -> complex:
-        a = e * phi % two_pi
-        hi = a / scale
-        lo = (a - int(math.ldexp(hi, wp))) / scale
-        c, s = math.cos(hi), math.sin(hi)
-        return complex(c - lo * s, s + lo * c)
-
-    return power
-
-
-def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Scalars:
-    """The scalar bundle of one mode. Exact values are DyadicComplex, the
+def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Scalars | _Walk:
+    """The scalar bundle of one mode: in adaptive mode the kept walk (params,
+    t) itself (``_walk``), whose rows and everything after them are
+    floats; else a ``_Scalars``, exact values being DyadicComplex, the
     sources lifted over ``denominator``, a common denominator of their
-    amplitudes; adaptive values come from the walk (params, t) (``_walk``),
-    and the rows and everything after them are floats."""
+    amplitudes."""
+    if mode == "adaptive":
+        return _walk(params, t)
     if mode == "exact":
         if not params.exact_capable:
             raise ValueError("exact mode needs coin angles on the eighth-turn grid")
@@ -621,11 +615,6 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
         phases = [DyadicComplex.of(params.chi_exact() ** e) for e in range(8)]
         chi_pow, lift = lambda e: phases[e % 8], _lift_dyadic(denominator)
         zero = DyadicComplex(0, 0, 0, 0, 0)
-    elif mode == "adaptive":
-        walk = _walk(params, t)
-        rows = lambda ds: {key: math.ldexp(*pair) for key, pair in _swept(walk, ds).items()}
-        cos, sin, ephi1 = walk.cos, walk.sin, walk.ephi1
-        chi_pow, lift, zero = _phases(walk.phi, walk.two_pi, walk.wp), complex, 0j
     else:
         th = params.theta.radians
         cos, sin = math.cos(th), math.sin(th)
@@ -634,7 +623,7 @@ def _scalars(params: CoinParams, t: int, mode: str, denominator: int = 1) -> _Sc
     return _Scalars(t, cos, sin, ephi1, chi_pow, lift, zero, rows)
 
 
-def _rows(s: _Scalars, ds) -> dict:
+def _rows(s: _Scalars | _Walk, ds) -> dict:
     """Stage 1: {(family, d): R} with every key that the kernels at the
     non-empty distances ds read, by the mode's one row path, and the one
     empty row on the light cone, alpha_cos at d = t, stated as 0."""
@@ -686,7 +675,7 @@ def _product(k: np.ndarray, z) -> tuple:
     return k.real * z.real - k.imag * z.imag, k.real * z.imag + k.imag * z.real
 
 
-def _float_kernels(s: _Scalars, ds, rows: dict) -> tuple:
+def _float_kernels(s: _Walk, ds, rows: dict) -> tuple:
     """Stage 2 in adaptive mode: (d0, K), d0 the least of ds and column
     (d - d0)/2 of the (4, n) complex128 array K holding K_aa, K_ab, K_ba
     and K_bb of K_t(d) for each d of ds, 0 for the d between not in ds.

@@ -336,24 +336,25 @@ class Distribution:
         return self.probs.items()
 
 
-def total_variation(p: Distribution, q: Distribution) -> float:
-    """Total variation distance (1/2) sum_x |p(x) - q(x)|.
+def _gaps(p: Distribution, q: Distribution) -> list[float]:
+    """|p(x) - q(x)| over every site of either distribution, each read once.
 
     Rejects distributions taken at different times; that comparison is
     always a bug upstream.
     """
     if p.t != q.t:
         raise ValueError(f"cannot compare distributions at t={p.t} and t={q.t}")
-    positions = set(p.positions) | set(q.positions)
-    return 0.5 * sum(abs(p[x] - q[x]) for x in positions)
+    return [abs(p[x] - q[x]) for x in set(p.positions) | set(q.positions)]
+
+
+def total_variation(p: Distribution, q: Distribution) -> float:
+    """Total variation distance (1/2) sum_x |p(x) - q(x)|."""
+    return 0.5 * sum(_gaps(p, q))
 
 
 def max_pointwise_difference(p: Distribution, q: Distribution) -> float:
-    if p.t != q.t:
-        raise ValueError(f"cannot compare distributions at t={p.t} and t={q.t}")
-    positions = set(p.positions) | set(q.positions)
     # np.max, unlike max(), keeps a NaN wherever it sits
-    return float(np.max([abs(p[x] - q[x]) for x in positions], initial=0.0))
+    return float(np.max(_gaps(p, q), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -409,7 +410,9 @@ def validate_state(state) -> StateDiagnostics:
 
 def step_count(t) -> int:
     """t as an int: TypeError unless it is an integer (numpy integers
-    included), ValueError if it is negative. Every route checks here."""
+    included, bools not), ValueError if negative. Every route checks here."""
+    if isinstance(t, bool):
+        raise TypeError("t must be an integer, not a bool")
     t = operator.index(t)
     if t < 0:
         raise ValueError("t must be non-negative")

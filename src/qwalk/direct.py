@@ -221,7 +221,7 @@ def evolve_pure(init: PureState, params: CoinParams, t: int) -> PureState:
     return PureState(_walk(init, params, t))
 
 
-def distribution_of(state: PureState, t: int = 0, method: str = "direct") -> Distribution:
+def distribution_of(state: PureState, t: int = 0) -> Distribution:
     """Position distribution of a state, on the full integer span.
 
     Sites inside the span that the state never reaches (wrong parity, or
@@ -233,11 +233,11 @@ def distribution_of(state: PureState, t: int = 0, method: str = "direct") -> Dis
         for x, (a, b) in state.amplitudes.items():
             exact[x] = a.abs_sq() + b.abs_sq()
         probs = {x: float(v) for x, v in exact.items()}
-        return Distribution(probs, t=t, method=method, mode="exact", exact=exact)
+        return Distribution(probs, t=t, method="direct", mode="exact", exact=exact)
     probs = {x: 0.0 for x in range(lo, hi + 1)}
     for x, (a, b) in state.amplitudes.items():
         probs[x] = abs(a) ** 2 + abs(b) ** 2
-    return Distribution(probs, t=t, method=method, mode="double")
+    return Distribution(probs, t=t, method="direct", mode="double")
 
 
 def evolve_mixed(

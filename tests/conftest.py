@@ -13,7 +13,7 @@ def forget_kept_walks():
     # oracle the last basis pair's site sums; a test starts without them,
     # so work kept from an earlier test cannot stand in for the code a
     # test patches or counts
-    closedform_pure._last_walk = None
+    closedform_pure._walk.cache_clear()
     direct._pair_sums.cache_clear()
 
 

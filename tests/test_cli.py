@@ -654,6 +654,27 @@ class TestShippedConfigs:
         assert doc["passed"] is True
 
 
+def test_two_main_calls_build_one_parser(tmp_path, monkeypatch):
+    # the parser is built once and reused: parsing leaves it as it was,
+    # and a second call with other arguments still runs its own command
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "qwalk":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    _build_parser.cache_clear()
+    cfg = write_config(tmp_path, "walk.json", pure_doc())
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    assert main(["compare", "--config", cfg, "--method", "direct,spectral",
+                 "--steps", "4", "--out", str(tmp_path / "b")]) == 0
+    assert len(built) == 1
+    assert (tmp_path / "a.csv").exists() and (tmp_path / "b.json").exists()
+
+
 def test_readme_synopsis_names_the_parser_flags():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]

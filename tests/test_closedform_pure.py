@@ -348,12 +348,6 @@ class TestTermBookkeeping:
         assert all(b2 >= b1 for b1, b2 in zip(bits, bits[1:]))
         assert all(b >= 1 for b in bits)
 
-    def test_coefficient_bits_cache_matches_recomputation(self):
-        for t in (0, 1, 2, 7, 40, 151, 300, 601):
-            cached = coefficient_bits(t)
-            assert coefficient_bits(t) == cached
-            assert coefficient_bits.__wrapped__(t) == cached, t
-
     @staticmethod
     def _rows_match_terms(t):
         for family in FAMILIES:
@@ -563,7 +557,7 @@ class TestRowPaths:
 
         def recorded(*args):
             out = sweeps(*args)
-            spans.extend(len(span) for _, span, _ in out)
+            spans.extend(len(span) for _, span, *_ in out)
             return out
 
         monkeypatch.setattr(closedform_pure, "_sweeps", recorded)
@@ -618,7 +612,7 @@ class TestRowPaths:
 def _fresh(x, t, init, params):
     """repr of an adaptive point query that sweeps from the edges, with no
     walk kept from before."""
-    closedform_pure._last_walk = None
+    closedform_pure._walk.cache_clear()
     return repr(amplitude(x, t, init, params))
 
 
@@ -653,7 +647,7 @@ class TestResumedSweeps:
         shuffled = sites[:]
         rng.shuffle(shuffled)
         for order in (sites, sites[::-1], shuffled):
-            closedform_pure._last_walk = None
+            closedform_pure._walk.cache_clear()
             for x in order:
                 assert repr(amplitude(x, t, init, params)) == want[x], (order[0], x)
 
@@ -671,7 +665,7 @@ class TestResumedSweeps:
         ]
         rng.shuffle(queries)
         want = {(w[0], w[2], x): _fresh(x, *w) for w, x in queries}
-        closedform_pure._last_walk = None
+        closedform_pure._walk.cache_clear()
         for (s, i, p), x in queries:
             assert repr(amplitude(x, s, i, p)) == want[s, p, x], (s, x)
 
@@ -681,7 +675,7 @@ class TestResumedSweeps:
         init, params = _walk_on(rng, n_sources)
         sites = list(_every_site(init, t))
         want = {x: _fresh(x, t, init, params) for x in sites}
-        closedform_pure._last_walk = None
+        closedform_pure._walk.cache_clear()
         for x in sites:
             with mpmath.workprec(rng.choice([20, 53, 500])):
                 assert repr(amplitude(x, t, init, params)) == want[x], x
@@ -693,10 +687,10 @@ class TestResumedSweeps:
         sites = list(_every_site(init, t))
         rng.shuffle(sites)
         want = {x: _fresh(x, t, init, params) for x in sites}
-        closedform_pure._last_walk = None
+        closedform_pure._walk.cache_clear()
         whole = repr(sorted(distribution(t, init, params).items()))
         half = len(sites) // 2
-        closedform_pure._last_walk = None
+        closedform_pure._walk.cache_clear()
         for x in sites[:half]:
             assert repr(amplitude(x, t, init, params)) == want[x], x
         assert repr(sorted(distribution(t, init, params).items())) == whole
@@ -705,17 +699,17 @@ class TestResumedSweeps:
 
     def test_a_repeat_query_sweeps_nothing(self, monkeypatch):
         counts = collections.Counter()
-        for name in ("coefficient_row", "_coefficients"):
+        for name in ("coefficient_row", "_step"):
 
-            def counted(*args, _name=name, _call=getattr(closedform_pure, name), **kw):
+            def counted(*args, _name=name, _call=getattr(closedform_pure, name)):
                 counts[_name] += 1
-                return _call(*args, **kw)
+                return _call(*args)
 
             monkeypatch.setattr(closedform_pure, name, counted)
         init, params = _walk_on(random.Random(5), 3)
         for x in (0, 1):  # one of them is on the light cone
             amplitude(x, 60, init, params)
-        assert counts["coefficient_row"] > 0 and counts["_coefficients"] > 0
+        assert counts["coefficient_row"] > 0 and counts["_step"] > 0
         for x in (-60, 0, 61, 1):
             amplitude(x, 60, init, params)
             counts.clear()
@@ -732,12 +726,25 @@ class TestResumedSweeps:
         rng = random.Random(6)
         walk_a, walk_b = _walk_on(rng, 2), _walk_on(rng, 3)
         amplitude(5, 60, *walk_b)
-        alone = closedform_pure._last_walk.values
-        closedform_pure._last_walk = None
+        alone = closedform_pure._walk(walk_b[1], 60).values
+        closedform_pure._walk.cache_clear()
         distribution(301, *walk_a)
         amplitude(5, 60, *walk_b)
-        kept = closedform_pure._last_walk
+        kept = closedform_pure._walk(walk_b[1], 60)
         assert kept.t == 60 and kept.values == alone
+
+    def test_the_cache_holds_one_walk(self):
+        # walks A then B leave B alone in the cache, and the adaptive
+        # scalars of B are that kept walk itself
+        rng = random.Random(9)
+        (init_a, params_a), (init_b, params_b) = _walk_on(rng, 2), _walk_on(rng, 3)
+        amplitude(1, 61, init_a, params_a)
+        distribution(40, init_b, params_b)
+        assert closedform_pure._walk.cache_info().currsize == 1
+        kept = closedform_pure._walk(params_b, 40)
+        assert closedform_pure._walk(params_b, 40) is kept
+        assert _scalars(params_b, 40, "adaptive") is kept
+        assert closedform_pure._walk.cache_info().currsize == 1
 
     def test_threads_racing_on_the_kept_walk_get_fresh_bits(self):
         # four threads query two walks, at t = 60 and 300 and so at two
@@ -758,7 +765,7 @@ class TestResumedSweeps:
             for (t, init, params), x in order:
                 got.append(((t, x), repr(amplitude(x, t, init, params))))
 
-        closedform_pure._last_walk = None
+        closedform_pure._walk.cache_clear()
         interval = sys.getswitchinterval()
         threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
         try:
@@ -781,16 +788,16 @@ class TestResumedSweeps:
         init, params = _walk_on(random.Random(8), 2)
         want = {x: _fresh(x, 300, init, params) for x in (100, 101)}
         seen = []
-        coefficients = closedform_pure._coefficients
+        step = closedform_pure._step
 
-        def recorded(*args, **kw):
+        def recorded(*args):
             seen.append(mpmath.mp.prec)
-            return coefficients(*args, **kw)
+            return step(*args)
 
-        monkeypatch.setattr(closedform_pure, "_coefficients", recorded)
+        monkeypatch.setattr(closedform_pure, "_step", recorded)
         monkeypatch.setattr(mpmath.mp, "prec", 20)
         for x in (100, 101):
-            closedform_pure._last_walk = None
+            closedform_pure._walk.cache_clear()
             assert repr(amplitude(x, 300, init, params)) == want[x], x
         assert seen and set(seen) == {20}
         assert mpmath.mp.prec == 20
@@ -799,7 +806,7 @@ class TestResumedSweeps:
     def test_a_walk_keeps_about_one_and_a_half_t_rows(self, t):
         init, params = _walk_on(random.Random(t), 3)
         distribution(t, init, params)
-        assert len(closedform_pure._last_walk.values) <= 1.5 * t + 6
+        assert len(closedform_pure._walk(params, t).values) <= 1.5 * t + 6
 
 
 class TestAdaptiveAgainstExact:
@@ -993,8 +1000,7 @@ class TestAdaptivePrecision:
         # t, where an angle e phi in floats is off by about e ulps
         params, rng = CoinParams.make(*coin), random.Random(3)
         for t in (600, 10**5, 10**7):
-            walk = closedform_pure._Walk(params, t)
-            chi_pow = closedform_pure._phases(walk.phi, walk.two_pi, walk.wp)
+            chi_pow = closedform_pure._Walk(params, t).chi_pow
             with mpmath.workprec(400):
                 angle = params.phi1.mp_radians(mpmath.mp) + params.phi2.mp_radians(mpmath.mp)
                 for e in [*range(20), *rng.sample(range(t + 1), 100), t]:

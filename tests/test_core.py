@@ -15,6 +15,7 @@ from qwalk.core import (
     max_pointwise_difference,
     pauli_compose,
     pauli_decompose,
+    step_count,
     total_variation,
     validate_state,
 )
@@ -258,3 +259,56 @@ class TestValidateState:
         diag = validate_state(PureState({0: (0j, 0j)}))
         assert not diag.valid
         assert any(code == "normalization" for code, _, _ in diag.violations)
+
+
+def _routes():
+    # every public entry point that takes a step count, each as t -> result
+    from qwalk import closedform_mixed, closedform_pure, direct, horner, spectral, verify
+
+    hadamard, plus_i = CoinParams.hadamard(), PureState.plus_i()
+    mixed, r = MixedLocalizedState.from_pauli(0.5, 0.1, 0, 0.2), (0.5, 0.1, 0, 0.2)
+    routes = {
+        "direct.evolve_pure": lambda t: direct.evolve_pure(plus_i, hadamard, t),
+        "direct.evolve_mixed": lambda t: direct.evolve_mixed(mixed, hadamard, t),
+        "spectral.simulate": lambda t: spectral.simulate(plus_i, hadamard, t),
+        "spectral.evolve_spectral": lambda t: spectral.evolve_spectral(plus_i, hadamard, t),
+        "horner.u_k_power": lambda t: horner.u_k_power(hadamard, 0.7, t),
+        "horner.superop_power": lambda t: horner.superop_power(0.7, 0.2, t),
+        "closedform_mixed.pipeline_weights": (
+            lambda t: closedform_mixed.pipeline_weights(t, "consistent")
+        ),
+        "closedform_mixed.literal_weights": closedform_mixed.literal_weights,
+        "closedform_mixed.distribution_mixed": lambda t: closedform_mixed.distribution_mixed(t, r),
+        "closedform_mixed.prob_pipeline": lambda t: closedform_mixed.prob_pipeline(1, t, r),
+        "closedform_mixed.prob_literal": lambda t: closedform_mixed.prob_literal(1, t, r),
+        "verify.compare_pure": lambda t: verify.compare_pure(plus_i, hadamard, t),
+        "verify.compare_mixed": lambda t: verify.compare_mixed(r, t),
+    }
+    for mode in closedform_pure.MODES:
+        routes[f"closedform_pure.distribution[{mode}]"] = (
+            lambda t, mode=mode: closedform_pure.distribution(t, plus_i, hadamard, mode)
+        )
+        routes[f"closedform_pure.amplitude[{mode}]"] = (
+            lambda t, mode=mode: closedform_pure.amplitude(1, t, plus_i, hadamard, mode)
+        )
+    return routes
+
+
+class TestStepCount:
+    # one rule for every route: an integer, numpy integers included, that
+    # is not negative; a bool is not a step count (True walked one step)
+    def test_the_rule(self):
+        assert step_count(np.int64(3)) == 3 and type(step_count(np.int64(3))) is int
+        for bad in (True, False, 1.0, "1", None):
+            with pytest.raises(TypeError):
+                step_count(bad)
+        with pytest.raises(ValueError):
+            step_count(-1)
+
+    @pytest.mark.parametrize("route", sorted(_routes()))
+    def test_every_route_refuses_a_bool(self, route):
+        walk = _routes()[route]
+        walk(1)
+        for t in (True, False):
+            with pytest.raises(TypeError):
+                walk(t)

@@ -8,7 +8,14 @@ import pytest
 from conftest import random_bloch
 from qwalk import closedform_mixed, closedform_pure, direct, horner, spectral, verify
 from qwalk.arithmetic import Angle
-from qwalk.core import CoinParams, Distribution, MixedLocalizedState, PureState
+from qwalk.core import (
+    CoinParams,
+    Distribution,
+    MixedLocalizedState,
+    PureState,
+    max_pointwise_difference,
+    total_variation,
+)
 from qwalk.verify import (
     MIXED_COMPARE_METHODS,
     PURE_METHODS,
@@ -338,6 +345,40 @@ class TestForbiddenMassHelper:
         verify._check_distributions(fresh, dists, {0}, False)
         assert any("parity-forbidden" in msg for msg in fresh.failures)
         assert any("normalization" in msg for msg in fresh.failures)
+
+
+class TestPairReads:
+    def test_each_compared_pair_is_read_once(self, monkeypatch):
+        # total variation and the pointwise gap come from one pass over the
+        # union of a pair's sites: two reads a site, one from each side
+        dists = {
+            "a": Distribution({-2: 0.25, 0: 0.5, 2: 0.25}, t=2),
+            "b": Distribution({-1: 0.1, 0: 0.4, 1: 0.5}, t=2),
+            "c": Distribution({0: 0.5, 2: 0.5, 4: 0.0}, t=2),
+        }
+        want = {
+            verify._pair_key(a, b): (
+                total_variation(dists[a], dists[b]),
+                max_pointwise_difference(dists[a], dists[b]),
+                len(set(dists[a].positions) | set(dists[b].positions)),
+            )
+            for a, b in (("a", "b"), ("a", "c"), ("b", "c"))
+        }
+        report = ComparisonReport(kind="pure", t=2, methods=tuple(dists),
+                                  tolerances=Tolerances())
+        reads = []
+        getitem = Distribution.__getitem__
+
+        def counted(self, x):
+            reads.append(x)
+            return getitem(self, x)
+
+        monkeypatch.setattr(Distribution, "__getitem__", counted)
+        verify._check_distributions(report, dists, {0}, False)
+        assert len(reads) == 2 * sum(n for _, _, n in want.values())
+        for key, (tv, pw, _) in want.items():
+            assert report.pairwise_tv[key] == tv
+            assert report.pairwise_pointwise[key] == pw
 
 
 class TestNonFinite:
